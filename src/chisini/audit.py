@@ -1,7 +1,8 @@
 """Black-box preference-functional audits.
 
-A :class:`PreferenceFunctional` wraps an arbitrary evaluator of acts.  The
-audits establish, by exhaustive finite search over grid-valued acts:
+A :class:`PreferenceFunctional` wraps an arbitrary evaluator of acts; it is
+defined in :mod:`chisini.utility`, below the solver, and re-exported here.
+The audits establish, by exhaustive finite search over grid-valued acts:
 
 - strict monotonicity: raising a constant payoff on a non-null event must
   strictly improve the act, whatever happens elsewhere;
@@ -23,24 +24,27 @@ with the expectation-family audits).
 Enumeration is deterministic: events ascend by outcome bitmask, acts by
 lexicographic order of their value tuples, and the first witness reported
 is the lexicographic minimum over (f, g, h, h_alt, event).
+
+The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
+bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AdditivityCheckFailed,
-    BisectionBracketFailure,
-    ComplexityCapExceeded,
-)
+from .curves import bisect_increasing
+from .errors import BisectionBracketFailure, ComplexityCapExceeded
 from .reports import AuditReport, CheckResult
-from .spaces import Act, EventSet, FiniteSpace
-from .utility import AdditiveRepresentation
+from .spaces import Act, EventSet, FiniteSpace, paste
+from .utility import (
+    AdditiveRepresentation,
+    PreferenceFunctional,
+    spot_check_additivity,
+)
 
 #: Margin separating a genuine strict violation from round-off.
 WITNESS_MARGIN = 1e-9
@@ -48,30 +52,6 @@ WITNESS_MARGIN = 1e-9
 #: Hard caps for exhaustive act enumeration.
 MAX_OUTCOMES = 6
 MAX_GRID = 5
-
-
-@dataclass(frozen=True)
-class PreferenceFunctional:
-    """A numeric evaluator of acts, with the search grid used to span them.
-
-    ``additive`` declares that masked evaluations split across disjoint
-    events; it is spot-checked before any audit relies on it.
-    """
-
-    space: FiniteSpace
-    evaluator: Callable[[Act], float]
-    additive: bool = False
-    grid: tuple[float, ...] = (-1.0, 0.0, 1.0)
-    name: str = ""
-
-    def __post_init__(self):
-        grid = tuple(sorted(float(g) for g in self.grid))
-        if len(set(grid)) != len(grid):
-            raise ValueError("grid values must be distinct")
-        object.__setattr__(self, "grid", grid)
-
-    def __call__(self, f: Act) -> float:
-        return float(self.evaluator(f))
 
 
 @dataclass(frozen=True)
@@ -108,32 +88,6 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
         raise ComplexityCapExceeded(
             f"grid of {len(t.grid)} values exceeds the cap of {MAX_GRID}"
         )
-
-
-def spot_check_additivity(t: PreferenceFunctional, tol: float = 1e-9) -> None:
-    """Probe the declared additivity on a handful of fixed splits."""
-    n = t.space.size
-    if n < 2:
-        return
-    probes = [
-        tuple(t.grid[(i + k) % len(t.grid)] for i in range(n))
-        for k in range(min(3, len(t.grid)))
-    ]
-    # constant probes catch evaluators that treat masked zeros as payoffs
-    probes += [tuple(g for _ in range(n)) for g in t.grid]
-    half = frozenset(range(n // 2))
-    rest = frozenset(range(n)) - half
-    for values in probes:
-        f = Act(t.space, values)
-        full = t(f.masked(EventSet(t.space, half | rest)))
-        split = t(f.masked(EventSet(t.space, half))) + t(
-            f.masked(EventSet(t.space, rest))
-        )
-        if abs(full - split) > tol * (1.0 + f.sup_norm):
-            raise AdditivityCheckFailed(
-                f"functional {t.name!r} declared additive but "
-                f"V(A or B) differs from V(A)+V(B) by {abs(full - split):g}"
-            )
 
 
 class _GridEnumeration:
@@ -189,12 +143,11 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
     if len(t.grid) < 2:
         raise ValueError("strict monotonicity needs at least two grid values")
     enum = _GridEnumeration(t)
-    weights = t.space.weights
     witness = None
     checked = 0
     for mask in range(1, 1 << enum.n):
         members = enum.event_members(mask)
-        if sum(weights[i] for i in members) == 0.0:
+        if t.space.probability(members) == 0.0:
             continue
         on_radix = int(sum(enum.radix[i] for i in members))
         off = enum.off_part(mask)
@@ -250,15 +203,8 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     enum = _GridEnumeration(t)
     n_events = 1 << enum.n
     # per-event index tables: pasted act = on-part of f + off-part of h
-    on_parts = []
-    off_parts = []
-    for mask in range(n_events):
-        sel = np.array(
-            [enum.radix[i] if mask >> i & 1 else 0 for i in range(enum.n)],
-            dtype=np.int64,
-        )
-        on_parts.append(enum.digits @ sel)
-        off_parts.append(enum.digits @ (enum.radix - sel))
+    on_parts = [enum.on_part(mask) for mask in range(n_events)]
+    off_parts = [enum.off_part(mask) for mask in range(n_events)]
     witness = None
     for fi in range(enum.count):
         if witness is not None:
@@ -354,17 +300,12 @@ def _certainty_equivalent_witness(
                 )
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
-            g = Act(
-                t.space,
-                tuple(x if i in members else y for i in range(n)),
-            )
+            x_act = Act.constant(t.space, x)
+            g = paste(x_act, Act.constant(t.space, y), event)
             tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
             if abs(t(f) - t(g)) <= tol:
                 continue
-            mid = Act(
-                t.space,
-                tuple(x if i in members else f.values[i] for i in range(n)),
-            )
+            mid = paste(x_act, f, event)
             d1 = t(f) - t(mid)
             if abs(d1) > tol / 2.0:
                 witness = _one_sided_flip(
@@ -376,7 +317,7 @@ def _certainty_equivalent_witness(
                     f,
                     complement,
                     (y_lo, y_hi),
-                    completion=Act.constant(t.space, x),
+                    completion=x_act,
                     gap=t(mid) - t(g),
                 )
             if witness is not None:
@@ -409,18 +350,10 @@ def _one_sided_flip(
     else:
         const = Act.constant(t.space, lo)
         first, second = f, const
-
-    def with_completion(act: Act, h: Act) -> Act:
-        values = tuple(
-            act.values[i] if i in event.members else h.values[i]
-            for i in range(t.space.size)
-        )
-        return Act(t.space, values)
-
-    v1 = t(with_completion(first, zero))
-    v2 = t(with_completion(second, zero))
-    v3 = t(with_completion(first, completion))
-    v4 = t(with_completion(second, completion))
+    v1 = t(paste(first, zero, event))
+    v2 = t(paste(second, zero, event))
+    v3 = t(paste(first, completion, event))
+    v4 = t(paste(second, completion, event))
     if v1 < v2 or v3 >= v4 - WITNESS_MARGIN:
         return None  # numerical slack ate the construction; no witness
     return Witness(
@@ -457,7 +390,6 @@ def _solve_constant_on_event(
     target: float,
     event: EventSet,
     bracket: tuple[float, float],
-    tol: float = 1e-13,
 ) -> tuple[float, float, float]:
     """Solve t(x * 1_event) = target for the constant x by bisection.
 
@@ -484,20 +416,7 @@ def _solve_constant_on_event(
         raise BisectionBracketFailure(
             f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
         )
-    # the equations live in evaluator space, so termination tracks the
-    # value residual as well as the interval: functionals with unbounded
-    # inverse slope otherwise leave residuals of order sqrt(interval)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        v = masked_value(mid)
-        if v > target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol and abs(v - target) <= slack:
-            break
+    lo, hi = bisect_increasing(masked_value, target, lo, hi)
     return 0.5 * (lo + hi), lo, hi
 
 
@@ -525,12 +444,7 @@ def check_conditionable_on_event(
         y, _, _ = _solve_constant_on_event(
             t, t(f.masked(complement)), complement, (-bound, bound)
         )
-        g = Act(
-            t.space,
-            tuple(
-                x if i in event.members else y for i in range(t.space.size)
-            ),
-        )
+        g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
         tol = tol_scale * (1.0 + f.sup_norm)
         residuals = {
             "event": abs(t(f.masked(event)) - t(g.masked(event))),

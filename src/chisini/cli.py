@@ -31,7 +31,7 @@ from .errors import (
     ModelFileError,
     RegularityViolation,
 )
-from .family import ExpectationFamily
+from .family import ExpectationFamily, check_tower
 from .forge import detect_jumps, repair_continuous
 from .modelfile import ModelFile, load_model, utility_to_spec
 from .spaces import conditional_expectation
@@ -213,11 +213,10 @@ def cmd_audit(model: ModelFile, args) -> tuple[dict, int]:
 def cmd_tower(model: ModelFile, args) -> tuple[dict, int]:
     rep = model.representation(args.utility)
     chain = [model.partition(name) for name in args.chain]
-    for fine, coarse in zip(chain, chain[1:]):
+    for coarse_name, fine, coarse in zip(args.chain[1:], chain, chain[1:]):
         if not fine.refines(coarse):
             raise _ChainNotNested(
-                f"partition chain is not coarsening-ordered at "
-                f"{args.chain[chain.index(coarse)]!r}"
+                f"partition chain is not coarsening-ordered at {coarse_name!r}"
             )
     fam = ExpectationFamily.from_representation(rep)
     tol = args.tol if args.tol is not None else model.settings.tolerance
@@ -228,10 +227,7 @@ def cmd_tower(model: ModelFile, args) -> tuple[dict, int]:
         budget = tol * (1.0 + x.sup_norm)
         links = []
         for alg_name, algebra in zip(args.chain, chain):
-            defect = abs(
-                fam.certainty_equivalent(fam.conditional(x, algebra))
-                - fam.certainty_equivalent(x)
-            )
+            defect = check_tower(fam, x, algebra)
             links.append({"partition": alg_name, "defect": defect})
             all_ok = all_ok and defect <= budget
         composed = x

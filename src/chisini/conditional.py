@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .audit import PreferenceFunctional, spot_check_additivity
 from .errors import (
     EventNotInAlgebra,
     NotMeasurable,
@@ -38,9 +37,11 @@ from .spaces import (
 )
 from .utility import (
     AdditiveRepresentation,
+    PreferenceFunctional,
     ensure_regular,
     generalized_inverse,
     project_utility,
+    spot_check_additivity,
 )
 
 #: Residual tolerances scale with (1 + sup-norm of f): utilities can
@@ -90,10 +91,9 @@ def chisini_mean(
     ensure_regular(rep.utility)
     h = conditional_expectation(rep.utility_act(f), algebra)
     projected = project_utility(rep, algebra)
-    weights = rep.space.weights
     values = [0.0] * rep.space.size
     for k, atom in enumerate(algebra.atoms):
-        if sum(weights[i] for i in atom) == 0.0:
+        if rep.space.probability(atom) == 0.0:
             continue  # version choice: 0 on null atoms
         anchor = min(atom)
         inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)

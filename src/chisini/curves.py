@@ -19,9 +19,10 @@ Four closed families are provided plus convex mixtures:
   by projecting a state-dependent utility onto a partition.
 
 Inversion is closed-form whenever the family allows it; otherwise
-``right_continuous_inverse`` runs a monotone bisection computing
-inf{y : u(y) > target}, which is globally convergent and agrees with the
-true inverse on continuous strictly increasing curves.
+``right_continuous_inverse`` brackets the target and runs
+``bisect_increasing`` (the one monotone bisection, shared with the audits)
+computing inf{y : u(y) > target}, which is globally convergent and agrees
+with the true inverse on continuous strictly increasing curves.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .extended import NEG_INF, POS_INF, ExtendedReal
 
-#: Absolute tolerance of the bisection inverse on the solution variable.
+#: Absolute tolerance of ``bisect_increasing`` on the solution variable.
 BISECT_TOL = 1e-13
 
 _BISECT_MAX_ITER = 400
@@ -325,7 +327,19 @@ def right_continuous_inverse(
     else:
         raise ArithmeticError("could not bracket the inverse from above")
 
-    # terminate on the solution interval AND the equation residual: curves
+    lo, hi = bisect_increasing(curve.value, target, lo, hi)
+    return 0.5 * (lo + hi)
+
+
+def bisect_increasing(
+    fn: Callable[[float], float], target: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """Bisect a nondecreasing ``fn`` for ``target``; returns the final bracket.
+
+    If fn(lo) <= target < fn(hi) holds on entry it holds on return, so the
+    endpoints are one-sided solutions with a known comparison direction.
+    """
+    # terminate on the solution interval AND the equation residual: maps
     # with unbounded inverse slope (e.g. odd roots at 0) need the interval
     # pushed far below BISECT_TOL before the value residual is small, and
     # step functions never satisfy the residual at all (the loop then runs
@@ -335,14 +349,14 @@ def right_continuous_inverse(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution
             break
-        v = curve.value(mid)
+        v = fn(mid)
         if v > target:
             hi = mid
         else:
             lo = mid
         if hi - lo <= BISECT_TOL and abs(v - target) <= value_tol:
             break
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def merge_piecewise_linear(

@@ -34,6 +34,7 @@ from .spaces import (
     FiniteSpace,
     PartitionAlgebra,
     equal_up_to_null,
+    paste,
 )
 from .utility import AdditiveRepresentation
 
@@ -146,7 +147,6 @@ def audit_certainty_equivalent(
     grid = tuple(sorted(float(v) for v in grid))
     rng = np.random.default_rng(seed)
     n = fam.space.size
-    weights = fam.space.weights
     lo, hi = min(grid), max(grid)
 
     backgrounds = [
@@ -158,15 +158,15 @@ def audit_certainty_equivalent(
     comparisons = 0
     for mask in range(1, 1 << n):
         members = frozenset(i for i in range(n) if mask >> i & 1)
-        if sum(weights[i] for i in members) == 0.0:
+        if fam.space.probability(members) == 0.0:
             continue
         event = EventSet(fam.space, members)
         for xi in range(len(grid)):
             for yi in range(xi + 1, len(grid)):
                 x, y = grid[xi], grid[yi]
                 for z in backgrounds:
-                    low = _paste_constant(x, z, event)
-                    high = _paste_constant(y, z, event)
+                    low = paste(Act.constant(fam.space, x), z, event)
+                    high = paste(Act.constant(fam.space, y), z, event)
                     v_low = fam.certainty_equivalent(low)
                     v_high = fam.certainty_equivalent(high)
                     comparisons += 1
@@ -231,13 +231,6 @@ def audit_certainty_equivalent(
             ),
         ),
     )
-
-
-def _paste_constant(c: float, z: Act, event: EventSet) -> Act:
-    values = tuple(
-        c if i in event.members else z.values[i] for i in range(z.space.size)
-    )
-    return Act(z.space, values)
 
 
 def _continuity_defects(fam, base, direction, terms):

@@ -12,6 +12,7 @@ so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +31,7 @@ DEFAULT_UNION_CAP = 20
 class FiniteSpace:
     """Ordered outcome labels together with their probability weights.
 
-    Weights must be nonnegative and sum to one within ``WEIGHT_SUM_TOL``;
+    Weights must be finite, nonnegative and sum to one within ``WEIGHT_SUM_TOL``;
     they are renormalized exactly at construction so downstream products
     do not drift.  Zero weights are allowed and model null outcomes.
     """
@@ -47,6 +48,8 @@ class FiniteSpace:
             raise ValueError("outcome labels must be distinct")
         if len(weights) != len(outcomes):
             raise ValueError("weights and outcomes must align")
+        if any(not math.isfinite(w) for w in weights):
+            raise ValueError("weights must be finite")
         if any(w < 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
         total = sum(weights)
@@ -119,10 +122,6 @@ class EventSet:
             self.space, frozenset(range(self.space.size)) - self.members
         )
 
-    def indicator(self) -> "Act":
-        values = [1.0 if i in self.members else 0.0 for i in range(self.space.size)]
-        return Act(self.space, tuple(values))
-
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.outcomes[i] for i in sorted(self.members))
 
@@ -145,10 +144,6 @@ class Act:
     @classmethod
     def constant(cls, space: FiniteSpace, c: float) -> "Act":
         return cls(space, tuple(float(c) for _ in range(space.size)))
-
-    @classmethod
-    def from_array(cls, space: FiniteSpace, arr) -> "Act":
-        return cls(space, tuple(float(v) for v in np.asarray(arr, dtype=float)))
 
     def value_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -306,7 +301,7 @@ def conditional_expectation(f: Act, algebra: PartitionAlgebra) -> Act:
     weights = f.space.weights
     out = [0.0] * f.space.size
     for atom in algebra.atoms:
-        mass = sum(weights[i] for i in atom)
+        mass = f.space.probability(atom)
         if mass > 0.0:
             avg = sum(weights[i] * f.values[i] for i in atom) / mass
         else:

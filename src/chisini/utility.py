@@ -13,12 +13,15 @@ generalized inverse turns conditional expectations of utilities back into
 payoff units.  On atoms of probability zero the projected curve is fixed to
 the identity; every downstream equality is stated up to null events, so the
 choice of version is inert.
+
+:class:`PreferenceFunctional` wraps any evaluator of acts, additive or not;
+it sits here, below the solver and the audits that both take it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .curves import (
     Curve,
@@ -28,9 +31,9 @@ from .curves import (
     merge_piecewise_linear,
     right_continuous_inverse,
 )
-from .errors import RegularityViolation, SpaceMismatchError
+from .errors import AdditivityCheckFailed, RegularityViolation, SpaceMismatchError
 from .extended import NEG_INF, POS_INF, ExtendedReal
-from .spaces import Act, FiniteSpace, PartitionAlgebra
+from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,6 @@ class StateUtility:
 
     def value(self, outcome, x: float) -> float:
         return self.curves[self.space.index_of(outcome)].value(x)
-
-    def replace_curve(self, outcome, curve: Curve) -> "StateUtility":
-        idx = self.space.index_of(outcome)
-        curves = list(self.curves)
-        curves[idx] = curve
-        return StateUtility(self.space, tuple(curves))
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,56 @@ class AdditiveRepresentation:
 
 
 @dataclass(frozen=True)
+class PreferenceFunctional:
+    """A numeric evaluator of acts, with the search grid used to span them.
+
+    ``additive`` declares that masked evaluations split across disjoint
+    events; it is spot-checked before any audit relies on it.
+    """
+
+    space: FiniteSpace
+    evaluator: Callable[[Act], float]
+    additive: bool = False
+    grid: tuple[float, ...] = (-1.0, 0.0, 1.0)
+    name: str = ""
+
+    def __post_init__(self):
+        grid = tuple(sorted(float(g) for g in self.grid))
+        if len(set(grid)) != len(grid):
+            raise ValueError("grid values must be distinct")
+        object.__setattr__(self, "grid", grid)
+
+    def __call__(self, f: Act) -> float:
+        return float(self.evaluator(f))
+
+
+def spot_check_additivity(t: PreferenceFunctional, tol: float = 1e-9) -> None:
+    """Probe the declared additivity on a handful of fixed splits."""
+    n = t.space.size
+    if n < 2:
+        return
+    probes = [
+        tuple(t.grid[(i + k) % len(t.grid)] for i in range(n))
+        for k in range(min(3, len(t.grid)))
+    ]
+    # constant probes catch evaluators that treat masked zeros as payoffs
+    probes += [tuple(g for _ in range(n)) for g in t.grid]
+    half = frozenset(range(n // 2))
+    rest = frozenset(range(n)) - half
+    for values in probes:
+        f = Act(t.space, values)
+        full = t(f.masked(EventSet(t.space, half | rest)))
+        split = t(f.masked(EventSet(t.space, half))) + t(
+            f.masked(EventSet(t.space, rest))
+        )
+        if abs(full - split) > tol * (1.0 + f.sup_norm):
+            raise AdditivityCheckFailed(
+                f"functional {t.name!r} declared additive but "
+                f"V(A or B) differs from V(A)+V(B) by {abs(full - split):g}"
+            )
+
+
+@dataclass(frozen=True)
 class ProjectedUtility:
     """Atomwise average of a state-dependent utility over a partition.
 
@@ -211,7 +258,7 @@ def project_utility(
     weights = rep.space.weights
     atom_curves = []
     for atom in algebra.atoms:
-        mass = sum(weights[i] for i in atom)
+        mass = rep.space.probability(atom)
         if mass == 0.0:
             atom_curves.append(LinearCurve(1.0))
             continue

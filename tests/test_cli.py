@@ -54,6 +54,17 @@ class TestValidate:
         assert code == 2
         assert "version" in err
 
+    def test_nan_weight_exits_2(self, capsys, tmp_path):
+        with open(model("partition.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["space"]["weights"][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--model", "/nonexistent.json")
         assert code == 2
@@ -226,6 +237,22 @@ class TestTower:
         )
         assert code == 6
         assert "coarsening" in err
+
+    def test_non_nested_chain_names_the_offending_entry(self, capsys, tmp_path):
+        with open(model("partition.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["partitions"]["weather2"] = doc["partitions"]["weather"]
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys,
+            "tower",
+            "--model", str(path),
+            "--utility", "linear",
+            "--chain", "weather", "coarse", "weather2",
+        )
+        assert code == 6
+        assert "'weather2'" in err
 
 
 class TestRepair:

@@ -13,7 +13,12 @@ from chisini import (
     PiecewiseLinearCurve,
     PowerCurve,
 )
-from chisini.curves import merge_piecewise_linear, right_continuous_inverse
+from chisini.curves import (
+    BISECT_TOL,
+    bisect_increasing,
+    merge_piecewise_linear,
+    right_continuous_inverse,
+)
 
 
 class TestParametricFamilies:
@@ -138,6 +143,37 @@ class TestMixture:
             a = right_continuous_inverse(c, y, use_closed_form=True)
             b = right_continuous_inverse(c, y, use_closed_form=False)
             assert abs(a - b) < 1e-12
+
+
+class TestBisectIncreasing:
+    """On return fn(lo) <= target < fn(hi): the audits take the endpoints
+    as one-sided solutions whose comparison direction is known."""
+
+    def test_jump_runs_to_float_resolution(self):
+        # u jumps from 0.5 to 0.8 at x = 0.5; no x solves u(x) = 0.6
+        c = PiecewiseLinearCurve(
+            (-1.0, 0.0, 0.5, 0.5, 1.0), (-1.0, 0.0, 0.5, 0.8, 1.0)
+        )
+        lo, hi = bisect_increasing(c.value, 0.6, -1.0, 1.0)
+        assert c.value(lo) <= 0.6 < c.value(hi)
+        assert hi == math.nextafter(lo, math.inf)
+        assert lo < 0.5 <= hi
+
+    def test_unbounded_inverse_slope_at_zero(self):
+        c = PowerCurve(1.0 / 3.0)
+        lo, hi = bisect_increasing(c.value, 0.0, -1.0, 3.0)
+        assert c.value(lo) <= 0.0 < c.value(hi)
+        assert hi - lo <= BISECT_TOL
+
+    def test_mixture(self):
+        m = MixtureCurve(
+            (0.3, 0.7), (ExponentialCurve(1.0), PowerCurve(3.0))
+        )
+        for x in (-1.5, -0.2, 0.0, 0.4, 2.0):
+            target = m.value(x)
+            lo, hi = bisect_increasing(m.value, target, -4.0, 4.0)
+            assert m.value(lo) <= target < m.value(hi)
+            assert hi - lo <= BISECT_TOL
 
 
 class TestMerge:

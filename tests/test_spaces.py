@@ -35,6 +35,10 @@ class TestFiniteSpace:
         with pytest.raises(ValueError):
             FiniteSpace(("a", "b"), (1.1, -0.1))
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSpace(("a", "b"), (float("nan"), 1.0))
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             FiniteSpace(("a", "a"), (0.5, 0.5))
