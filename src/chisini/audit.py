@@ -27,6 +27,9 @@ is the lexicographic minimum over (f, g, h, h_alt, event).
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
+Each audit call builds its grid acts, events and value table once, and
+solves each (event, act) pair once: the off-event constant for A is the
+solve on the complement of A.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .curves import bisect_increasing
 from .errors import BisectionBracketFailure, ComplexityCapExceeded
 from .reports import AuditReport, CheckResult
-from .spaces import Act, EventSet, FiniteSpace, paste
+from .spaces import Act, EventSet, FiniteSpace, _require_same_space, paste
 from .utility import (
     AdditiveRepresentation,
     PreferenceFunctional,
@@ -91,11 +94,12 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
 
 
 class _GridEnumeration:
-    """Precomputed tables over all grid-valued acts of a functional.
+    """All grid-valued acts and events of a functional, the table of their
+    values, and the constant solves on them.
 
     Act index = mixed-radix number of grid digits, first outcome most
     significant, so ascending index order is lexicographic order of the
-    value tuples.
+    value tuples.  Event index = outcome bitmask.
     """
 
     def __init__(self, t: PreferenceFunctional):
@@ -103,22 +107,22 @@ class _GridEnumeration:
         self.t = t
         self.n = t.space.size
         self.g = len(t.grid)
-        self.acts = list(product(t.grid, repeat=self.n))
+        self.full = (1 << self.n) - 1
+        self.acts = [Act(t.space, a) for a in product(t.grid, repeat=self.n)]
+        self.events = [
+            EventSet(t.space, frozenset(i for i in range(self.n) if mask >> i & 1))
+            for mask in range(1 << self.n)
+        ]
         self.count = len(self.acts)
-        self.values = np.array(
-            [t(Act(t.space, a)) for a in self.acts], dtype=float
-        )
+        self.values = np.array([t(f) for f in self.acts], dtype=float)
         # digit matrix and radix for index arithmetic
         self.radix = np.array(
             [self.g ** (self.n - 1 - i) for i in range(self.n)], dtype=np.int64
         )
-        lookup = {v: d for d, v in enumerate(t.grid)}
         self.digits = np.array(
-            [[lookup[v] for v in a] for a in self.acts], dtype=np.int64
+            list(product(range(self.g), repeat=self.n)), dtype=np.int64
         )
-
-    def event_members(self, mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(self.n) if mask >> i & 1)
+        self._constants: dict = {}
 
     def on_part(self, mask: int) -> np.ndarray:
         """Index contribution of each act's digits on the event."""
@@ -129,7 +133,58 @@ class _GridEnumeration:
         return self.digits @ sel
 
     def off_part(self, mask: int) -> np.ndarray:
-        return self.on_part(~mask & ((1 << self.n) - 1))
+        return self.on_part(self.full ^ mask)
+
+    def constant(self, mask: int, ai: int) -> tuple[float, float, float]:
+        """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection,
+        where A = events[mask] and f = acts[ai]; each pair is solved once,
+        and a bracket failure is raised again on every later request.
+
+        Requires x -> t(x * 1_A) to be nondecreasing with the target inside
+        its values at +-(sup|f| + 1); a failed bracket signals a strict-
+        monotonicity violation upstream.  A flat map (null event) admits any
+        solution and returns 0.  Otherwise the returned (x, lo, hi) keeps
+        t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
+        solutions with a guaranteed comparison direction.
+        """
+        key = (mask, ai)
+        if key not in self._constants:
+            try:
+                self._constants[key] = self._solve(self.events[mask], self.acts[ai])
+            except BisectionBracketFailure as exc:
+                self._constants[key] = exc
+        found = self._constants[key]
+        if isinstance(found, BisectionBracketFailure):
+            raise found.with_traceback(None)
+        return found
+
+    def _solve(self, event: EventSet, f: Act) -> tuple[float, float, float]:
+        t = self.t
+        target = t(f.masked(event))
+        hi = f.sup_norm + 1.0
+        lo = -hi
+
+        def masked_value(x: float) -> float:
+            return t(Act.constant(t.space, x).masked(event))
+
+        v_lo, v_hi = masked_value(lo), masked_value(hi)
+        if v_lo == v_hi:
+            return 0.0, 0.0, 0.0
+        slack = 1e-12 * (1.0 + abs(target))
+        if not (v_lo <= target + slack and target - slack <= v_hi):
+            raise BisectionBracketFailure(
+                f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
+            )
+        lo, hi = bisect_increasing(masked_value, target, lo, hi)
+        return 0.5 * (lo + hi), lo, hi
+
+
+def _report(
+    t: PreferenceFunctional, name: str, witness: dict | None, details: dict
+) -> AuditReport:
+    """A single-check report; the check passes iff there is no witness."""
+    check = CheckResult(name, witness is None, witness, details)
+    return AuditReport(t.name or "functional", (check,))
 
 
 def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
@@ -146,7 +201,7 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
     witness = None
     checked = 0
     for mask in range(1, 1 << enum.n):
-        members = enum.event_members(mask)
+        members = enum.events[mask].members
         if t.space.probability(members) == 0.0:
             continue
         on_radix = int(sum(enum.radix[i] for i in members))
@@ -164,23 +219,13 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
                         "event": sorted(members),
                         "x": t.grid[xi],
                         "y": t.grid[yi],
-                        "background": list(enum.acts[j]),
+                        "background": list(enum.acts[j].values),
                         "value_x": float(dx[j]),
                         "value_y": float(dy[j]),
                     }
         if witness is not None:
             break
-    return AuditReport(
-        subject=t.name or "functional",
-        checks=(
-            CheckResult(
-                name="strict-monotonicity",
-                passed=witness is None,
-                witness=witness,
-                details={"comparisons": checked},
-            ),
-        ),
-    )
+    return _report(t, "strict-monotonicity", witness, {"comparisons": checked})
 
 
 def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
@@ -201,7 +246,7 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     emitted witness re-evaluates to a true violation.
     """
     enum = _GridEnumeration(t)
-    n_events = 1 << enum.n
+    n_events = len(enum.events)
     # per-event index tables: pasted act = on-part of f + off-part of h
     on_parts = [enum.on_part(mask) for mask in range(n_events)]
     off_parts = [enum.off_part(mask) for mask in range(n_events)]
@@ -228,7 +273,6 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
             if found is None:
                 continue
             hi, hj, mask = found
-            members = sorted(enum.event_members(mask))
 
             def pasted(i: int, j: int) -> float:
                 return float(
@@ -236,11 +280,11 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
                 )
 
             witness = Witness(
-                f=enum.acts[fi],
-                g=enum.acts[gi],
-                h=enum.acts[hi],
-                h_alt=enum.acts[hj],
-                event=tuple(members),
+                f=enum.acts[fi].values,
+                g=enum.acts[gi].values,
+                h=enum.acts[hi].values,
+                h_alt=enum.acts[hj].values,
+                event=tuple(sorted(enum.events[mask].members)),
                 values=(
                     pasted(fi, hi),
                     pasted(gi, hi),
@@ -252,28 +296,17 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
             break
     phase = "grid"
     if witness is None:
-        witness = _certainty_equivalent_witness(t, enum)
+        witness = _certainty_equivalent_witness(enum)
         phase = "certainty-equivalent" if witness is not None else "none"
-    return AuditReport(
-        subject=t.name or "functional",
-        checks=(
-            CheckResult(
-                name="sure-thing",
-                passed=witness is None,
-                witness=witness.to_dict() if witness else None,
-                details={
-                    "acts": enum.count,
-                    "events": n_events,
-                    "witness_phase": phase,
-                },
-            ),
-        ),
+    return _report(
+        t,
+        "sure-thing",
+        witness.to_dict() if witness else None,
+        {"acts": enum.count, "events": n_events, "witness_phase": phase},
     )
 
 
-def _certainty_equivalent_witness(
-    t: PreferenceFunctional, enum: _GridEnumeration
-) -> Witness | None:
+def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
     """Derive a sure-thing flip from a failed conditioning equation.
 
     For an event A and act f let x, y solve t(x 1_A) = t(f 1_A) and
@@ -283,30 +316,24 @@ def _certainty_equivalent_witness(
     (an indifference) is re-established with the appropriate bisection
     bracket endpoint.
     """
-    n = t.space.size
-    for mask in range(1, (1 << n) - 1):
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        event = EventSet(t.space, members)
-        complement = event.complement()
-        for a in enum.acts:
-            f = Act(t.space, a)
-            bound = f.sup_norm + 1.0
+    t = enum.t
+    for mask in range(1, enum.full):
+        event = enum.events[mask]
+        complement = enum.events[enum.full ^ mask]
+        for ai, f in enumerate(enum.acts):
             try:
-                x, x_lo, x_hi = _solve_constant_on_event(
-                    t, t(f.masked(event)), event, (-bound, bound)
-                )
-                y, y_lo, y_hi = _solve_constant_on_event(
-                    t, t(f.masked(complement)), complement, (-bound, bound)
-                )
+                x, x_lo, x_hi = enum.constant(mask, ai)
+                y, y_lo, y_hi = enum.constant(enum.full ^ mask, ai)
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
             x_act = Act.constant(t.space, x)
             g = paste(x_act, Act.constant(t.space, y), event)
             tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
-            if abs(t(f) - t(g)) <= tol:
+            tf = float(enum.values[ai])
+            if abs(tf - t(g)) <= tol:
                 continue
             mid = paste(x_act, f, event)
-            d1 = t(f) - t(mid)
+            d1 = tf - t(mid)
             if abs(d1) > tol / 2.0:
                 witness = _one_sided_flip(
                     t, f, event, (x_lo, x_hi), completion=f, gap=d1
@@ -385,65 +412,26 @@ def _first_flip(premise: np.ndarray, violation: np.ndarray):
     return None
 
 
-def _solve_constant_on_event(
-    t: PreferenceFunctional,
-    target: float,
-    event: EventSet,
-    bracket: tuple[float, float],
-) -> tuple[float, float, float]:
-    """Solve t(x * 1_event) = target for the constant x by bisection.
-
-    Requires the map x -> t(x * 1_event) to be nondecreasing with the
-    target inside the bracket values; a failed bracket signals a strict-
-    monotonicity violation upstream.  A flat map (null event) admits any
-    solution and returns 0.
-
-    Returns (x, lo, hi) where the final bracket satisfies the invariant
-    masked_value(lo) <= target < masked_value(hi) whenever the map is not
-    flat; the endpoints give one-sided solutions with a guaranteed
-    comparison direction.
-    """
-    lo, hi = bracket
-
-    def masked_value(x: float) -> float:
-        return t(Act.constant(t.space, x).masked(event))
-
-    v_lo, v_hi = masked_value(lo), masked_value(hi)
-    if v_lo == v_hi:
-        return 0.0, 0.0, 0.0
-    slack = 1e-12 * (1.0 + abs(target))
-    if not (v_lo <= target + slack and target - slack <= v_hi):
-        raise BisectionBracketFailure(
-            f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
-        )
-    lo, hi = bisect_increasing(masked_value, target, lo, hi)
-    return 0.5 * (lo + hi), lo, hi
-
-
-def check_conditionable_on_event(
-    t: PreferenceFunctional, event: EventSet, tol_scale: float = WITNESS_MARGIN
-) -> AuditReport:
-    """Search for a two-level act matching the functional on the algebra
-    generated by one event.
+def _conditionable(
+    enum: _GridEnumeration, mask: int, tol_scale: float
+) -> tuple[dict | None, float]:
+    """Search the grid acts for a two-level act that fails to match the
+    functional on the algebra generated by events[mask].
 
     For each grid-valued act f the constants x (on the event) and y (off
-    it) are found by monotone bisection; the verdict then hinges on the
-    full-space equation t(f) = t(x on event, y off), which additivity would
-    make automatic but a general functional can fail.
+    it) are the enumeration's constant solves; the verdict then hinges on
+    the full-space equation t(f) = t(x on event, y off), which additivity
+    would make automatic but a general functional can fail.  Returns the
+    first failing act's witness (or None) and the worst residual.
     """
-    enum = _GridEnumeration(t)
-    complement = event.complement()
+    t = enum.t
+    event = enum.events[mask]
+    complement = enum.events[enum.full ^ mask]
     witness = None
     worst = 0.0
-    for a in enum.acts:
-        f = Act(t.space, a)
-        bound = f.sup_norm + 1.0
-        x, _, _ = _solve_constant_on_event(
-            t, t(f.masked(event)), event, (-bound, bound)
-        )
-        y, _, _ = _solve_constant_on_event(
-            t, t(f.masked(complement)), complement, (-bound, bound)
-        )
+    for ai, f in enumerate(enum.acts):
+        x, _, _ = enum.constant(mask, ai)
+        y, _, _ = enum.constant(enum.full ^ mask, ai)
         g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
         tol = tol_scale * (1.0 + f.sup_norm)
         residuals = {
@@ -451,62 +439,53 @@ def check_conditionable_on_event(
             "complement": abs(
                 t(f.masked(complement)) - t(g.masked(complement))
             ),
-            "full": abs(t(f) - t(g)),
+            "full": abs(float(enum.values[ai]) - t(g)),
         }
         resid = max(residuals.values())
         worst = max(worst, resid)
         if resid > tol and witness is None:
             witness = {
-                "act": list(a),
+                "act": list(f.values),
                 "event": sorted(event.members),
                 "x": x,
                 "y": y,
                 "residuals": residuals,
                 "tolerance": tol,
             }
-    return AuditReport(
-        subject=t.name or "functional",
-        checks=(
-            CheckResult(
-                name="conditionable",
-                passed=witness is None,
-                witness=witness,
-                details={
-                    "event": sorted(event.members),
-                    "worst_residual": worst,
-                },
-            ),
-        ),
+    return witness, worst
+
+
+def check_conditionable_on_event(
+    t: PreferenceFunctional, event: EventSet, tol_scale: float = WITNESS_MARGIN
+) -> AuditReport:
+    """Search for a two-level act matching the functional on the algebra
+    generated by one event."""
+    enum = _GridEnumeration(t)
+    _require_same_space(t.space, event.space)
+    mask = sum(1 << i for i in event.members)
+    witness, worst = _conditionable(enum, mask, tol_scale)
+    return _report(
+        t,
+        "conditionable",
+        witness,
+        {"event": sorted(event.members), "worst_residual": worst},
     )
 
 
 def check_conditionable_all_events(
     t: PreferenceFunctional, tol_scale: float = WITNESS_MARGIN
 ) -> AuditReport:
-    """Conditionability on the algebra of every single event of the space."""
-    n = t.space.size
+    """Conditionability on the algebra of every single event of the space,
+    events in ascending bitmask order over one enumeration."""
+    enum = _GridEnumeration(t)
     witness = None
     worst = 0.0
-    for mask in range(1 << n):
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        report = check_conditionable_on_event(
-            t, EventSet(t.space, members), tol_scale
-        )
-        check = report.check("conditionable")
-        worst = max(worst, check.details["worst_residual"])
-        if not check.passed and witness is None:
-            witness = check.witness
-    return AuditReport(
-        subject=t.name or "functional",
-        checks=(
-            CheckResult(
-                name="conditionable",
-                passed=witness is None,
-                witness=witness,
-                details={"worst_residual": worst},
-            ),
-        ),
-    )
+    for mask in range(len(enum.events)):
+        found, resid = _conditionable(enum, mask, tol_scale)
+        worst = max(worst, resid)
+        if witness is None:
+            witness = found
+    return _report(t, "conditionable", witness, {"worst_residual": worst})
 
 
 def equivalence_harness(t: PreferenceFunctional) -> AuditReport:

@@ -7,8 +7,10 @@ digits (never shortest-round-trip), identical inputs giving byte-identical
 bytes.
 
 Exit codes: 0 success, 2 schema/name-resolution failure, 3 utility
-regularity violation, 4 residual failure, 5 enumeration cap exceeded,
-6 non-nested partition chain, 7 continuity violation during repair.
+regularity violation, 4 residual failure (also an audited functional that
+is not strictly monotone, so a conditioning bracket fails), 5 enumeration
+cap exceeded, 6 non-nested partition chain, 7 continuity violation during
+repair.
 
 The environment variable CHISINI_CAP (integer) overrides the atom-union
 enumeration cap used by residual tables and black-box verification.
@@ -25,6 +27,7 @@ from . import __version__
 from .audit import check_strict_monotonicity, equivalence_harness
 from .conditional import chisini_mean
 from .errors import (
+    BisectionBracketFailure,
     ChisiniError,
     ComplexityCapExceeded,
     ContinuityViolation,
@@ -371,6 +374,9 @@ def main(argv=None) -> int:
     except RegularityViolation as exc:
         sys.stderr.write(f"error: utility not regular: {exc}\n")
         return EXIT_REGULARITY
+    except BisectionBracketFailure as exc:
+        sys.stderr.write(f"error: functional is not strictly monotone: {exc}\n")
+        return EXIT_RESIDUAL
     except ComplexityCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP

@@ -141,24 +141,35 @@ def verify_conditionable(
 ) -> ConditionabilityResult:
     """Check T(f*1_A) = T(g*1_A) for the events of the algebra.
 
-    A black-box functional is checked on all 2**k atom-unions; a functional
-    declared additive is spot-checked and then verified on atoms only,
-    since additivity collapses the quantifier.
+    A black-box functional is checked on all 2**k atom-unions.  For a
+    functional declared additive (and spot-checked) the residual on a union
+    is the sum of its atoms' signed residuals, so the worst union is the
+    union of the atoms of one sign: it is found exactly in O(k).
     """
     if not g.is_measurable(algebra):
         raise NotMeasurable("candidate act varies inside an atom")
+
+    def residual(members: frozenset[int]) -> float:
+        ev = EventSet(f.space, members)
+        return t(f.masked(ev)) - t(g.masked(ev))
+
     if t.additive:
         spot_check_additivity(t)
-        events = [tuple(sorted(atom)) for atom in algebra.atoms]
-    else:
-        events = [tuple(sorted(e)) for e in algebra.events(cap)]
+        signed = [(atom, residual(atom)) for atom in algebra.atoms]
+        above = sum((d for _, d in signed if d > 0.0), 0.0)
+        below = sum((-d for _, d in signed if d < 0.0), 0.0)
+        sign = 1.0 if above >= below else -1.0
+        worst = max(above, below)
+        worst_event = tuple(
+            sorted(i for atom, d in signed if sign * d > 0.0 for i in atom)
+        )
+        return ConditionabilityResult(worst <= tol, worst, worst_event)
     worst = 0.0
     worst_event: tuple[int, ...] = ()
-    for members in events:
-        ev = EventSet(f.space, frozenset(members))
-        resid = abs(t(f.masked(ev)) - t(g.masked(ev)))
+    for members in algebra.events(cap):
+        resid = abs(residual(members))
         if resid > worst:
-            worst, worst_event = resid, members
+            worst, worst_event = resid, tuple(sorted(members))
     return ConditionabilityResult(worst <= tol, worst, worst_event)
 
 

@@ -155,9 +155,6 @@ class DyadicGridUtility:
             and not _allowance_violations(values[i])
         )
 
-    def row(self, outcome) -> np.ndarray:
-        return self.values[self.space.index_of(outcome)]
-
 
 def _strictly_increasing(row: np.ndarray) -> bool:
     return bool(np.all(np.diff(row) > 0.0))

@@ -117,14 +117,6 @@ class EventSet:
     def probability(self) -> float:
         return self.space.probability(self.members)
 
-    def complement(self) -> "EventSet":
-        return EventSet(
-            self.space, frozenset(range(self.space.size)) - self.members
-        )
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.space.outcomes[i] for i in sorted(self.members))
-
 
 @dataclass(frozen=True)
 class Act:

@@ -51,9 +51,6 @@ class StateUtility:
     def state_independent(cls, space: FiniteSpace, curve: Curve) -> "StateUtility":
         return cls(space, tuple(curve for _ in range(space.size)))
 
-    def value(self, outcome, x: float) -> float:
-        return self.curves[self.space.index_of(outcome)].value(x)
-
 
 @dataclass(frozen=True)
 class RegularityIssue:

@@ -24,10 +24,12 @@ from chisini import (
     grid_table_functional,
 )
 from chisini.audit import spot_check_additivity
+from chisini.curves import bisect_increasing
 from chisini.errors import (
     AdditivityCheckFailed,
     BisectionBracketFailure,
     ComplexityCapExceeded,
+    SpaceMismatchError,
 )
 
 
@@ -113,6 +115,8 @@ class TestSureThing:
         report = check_sure_thing(t)
         check = report.check("sure-thing")
         assert not check.passed
+        # the bracket endpoints of the constant solves build this witness
+        assert check.details["witness_phase"] == "certainty-equivalent"
         w = check.witness
         assert w["margin"] > 1e-9
         # independent re-evaluation by direct Choquet sums
@@ -198,6 +202,69 @@ class TestConditionable:
         )
         with pytest.raises(BisectionBracketFailure):
             check_conditionable_on_event(t, EventSet.from_labels(sp, ["a"]))
+
+    def test_event_on_another_space_is_rejected(self):
+        t = eu(uniform3(), LinearCurve(), (0.0, 1.0))
+        other = FiniteSpace.uniform(["x", "y", "z"])
+        with pytest.raises(SpaceMismatchError):
+            check_conditionable_on_event(t, EventSet.full(other))
+
+    def test_all_events_raises_the_first_bracket_failure(self):
+        sp = FiniteSpace.uniform(["a", "b"])
+        t = grid_table_functional(sp, (0.0, 1.0), [3.0, 2.0, 1.0, 0.0])
+        with pytest.raises(BisectionBracketFailure) as first:
+            check_conditionable_on_event(t, EventSet.empty(sp))
+        with pytest.raises(BisectionBracketFailure) as every:
+            check_conditionable_all_events(t)
+        assert str(every.value) == str(first.value)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0)),
+            choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)),
+            # T(1, 1) = 0.5 < T(1, 0) = 1: not monotone, yet every masked
+            # map brackets its target
+            grid_table_functional(
+                FiniteSpace.uniform(["a", "b"]),
+                (0.0, 1.0, 2.0),
+                [0.0, 2.0, 4.0, 1.0, 0.5, 5.0, 2.0, 4.0, 6.0],
+            ),
+        ],
+        ids=["eu", "choquet", "dip-table"],
+    )
+    def test_all_events_is_the_fold_of_single_events(self, t):
+        n = t.space.size
+        witness = None
+        worst = 0.0
+        for mask in range(1 << n):
+            event = EventSet(t.space, {i for i in range(n) if mask >> i & 1})
+            check = check_conditionable_on_event(t, event).check("conditionable")
+            worst = max(worst, check.details["worst_residual"])
+            if witness is None and not check.passed:
+                witness = check.witness
+        check = check_conditionable_all_events(t).check("conditionable")
+        assert check.passed == (witness is None)
+        assert check.witness == witness
+        assert check.details == {"worst_residual": worst}
+
+    def test_each_event_act_pair_is_bisected_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bisect_increasing(*args)
+
+        monkeypatch.setattr("chisini.audit.bisect_increasing", counted)
+        t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
+        check_conditionable_all_events(t)
+        # 27 grid acts on each of the 7 nonempty events (the empty event's
+        # map is flat and needs no bisection)
+        assert len(calls) == 7 * 27
+        calls.clear()
+        check_sure_thing(t)
+        # the certainty-equivalent phase covers the 6 proper events
+        assert len(calls) == 6 * 27
 
 
 class TestEquivalenceHarness:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import pytest
 
 from chisini.cli import main
 
-MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+MODELS = os.path.join(ROOT, "models")
 
 
 def model(name):
@@ -212,6 +214,29 @@ class TestAudit:
         assert json.loads(out)["profile_matches"] is False
 
 
+    def test_non_monotone_functional_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "decreasing.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": "chisini-model/1",
+                    "space": {"outcomes": ["a", "b"], "weights": [0.5, 0.5]},
+                    "functionals": {
+                        "down": {"kind": "grid-table", "values": [3, 2, 1, 0]}
+                    },
+                    "settings": {"grid": [0.0, 1.0]},
+                }
+            )
+        )
+        code, out, err = run(
+            capsys, "audit", "--model", str(path), "--functional", "down"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "not strictly monotone" in err
+
+
 class TestTower:
     def test_nested_chain_ok(self, capsys):
         code, out, _ = run(
@@ -326,3 +351,59 @@ class TestDeterminism:
             code, out, _ = run(capsys, *full)
             outputs.append((code, out))
         assert outputs[0] == outputs[1]
+
+
+class TestRecordedDigests:
+    """The criterion-11 command lines reproduce the exit codes and output
+    digests recorded in ``bench/cli_digests.json``."""
+
+    COMMANDS = {
+        "validate-partition": ["validate", "--model", "models/partition.json"],
+        "validate-zoo": ["validate", "--model", "models/audit_zoo.json"],
+        "compute-entropic": [
+            "compute", "--model", "models/entropic.json", "--utility", "entropic",
+            "--act", "log-two", "--partition", "trivial",
+        ],
+        "compute-partition": [
+            "compute", "--model", "models/partition.json", "--utility", "mixed",
+            "--act", "payoff", "--partition", "weather",
+        ],
+        "audit-eu-linear": [
+            "audit", "--model", "models/audit_zoo.json", "--functional", "eu-linear",
+        ],
+        "audit-choquet-squared": [
+            "audit", "--model", "models/audit_zoo.json",
+            "--functional", "choquet-squared",
+        ],
+        "tower": [
+            "tower", "--model", "models/partition.json", "--utility", "mixed",
+            "--chain", "fine", "weather", "coarse",
+        ],
+        "repair": [
+            "repair", "--model", "models/repair.json", "--utility", "haunted",
+        ],
+    }
+
+    def test_outputs_match_recorded_digests(self, capsys, tmp_path, monkeypatch):
+        with open(
+            os.path.join(ROOT, "bench", "cli_digests.json"), encoding="utf-8"
+        ) as fh:
+            expected = json.load(fh)
+        assert sorted(expected) == sorted(self.COMMANDS)
+        monkeypatch.chdir(ROOT)
+        out_path = str(tmp_path / "repaired.json")
+        for name, argv in self.COMMANDS.items():
+            if name == "repair":
+                argv = argv + ["--out", out_path]
+            code, out, _ = run(capsys, *argv)
+            written = None
+            if name == "repair":
+                with open(out_path, "rb") as fh:
+                    written = hashlib.sha256(fh.read()).hexdigest()
+            stdout = out.replace(out_path, "<OUT>").encode()
+            observed = {
+                "exit": code,
+                "file_sha256": written,
+                "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+            }
+            assert observed == expected[name], name

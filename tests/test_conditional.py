@@ -15,6 +15,7 @@ from chisini import (
     LinearCurve,
     PartitionAlgebra,
     PowerCurve,
+    PreferenceFunctional,
     StateUtility,
     chisini_mean,
     conditional_expectation,
@@ -250,6 +251,94 @@ class TestVerifyConditionable:
         result2 = verify_conditionable(t, f, g2, alg, 1e-9)
         assert not result2.passed
 
+    def _union_gap(self, additive):
+        # each atom misses by 6e-10 (inside tol), their union by 1.2e-9
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility.state_independent(sp, LinearCurve())
+        )
+        t = PreferenceFunctional(
+            space=sp, evaluator=rep.evaluate, additive=additive
+        )
+        f = Act(sp, (0.0, 0.0))
+        g = Act(sp, (1.2e-9, 1.2e-9))
+        return verify_conditionable(t, f, g, PartitionAlgebra.finest(sp), 1e-9)
+
+    def test_additive_union_residual_is_not_missed(self):
+        black_box = self._union_gap(additive=False)
+        additive = self._union_gap(additive=True)
+        assert not black_box.passed
+        assert black_box.worst_event == (0, 1)
+        assert not additive.passed
+        assert additive.worst_event == (0, 1)
+        assert additive.worst_residual == pytest.approx(
+            black_box.worst_residual, rel=1e-12
+        )
+
+    def test_additive_union_picks_the_dominant_sign(self):
+        # signed atom residuals (-5e-10, 3.3e-10, 3.3e-10): the worst union
+        # gathers the two positive atoms, as the black-box table finds
+        sp = FiniteSpace.uniform(["a", "b", "c"])
+        rep = AdditiveRepresentation(
+            StateUtility.state_independent(sp, LinearCurve())
+        )
+        f = Act(sp, (0.0, 0.0, 0.0))
+        g = Act(sp, (1.5e-9, -1e-9, -1e-9))
+        results = [
+            verify_conditionable(
+                PreferenceFunctional(
+                    space=sp, evaluator=rep.evaluate, additive=additive
+                ),
+                f,
+                g,
+                PartitionAlgebra.finest(sp),
+                1e-9,
+            )
+            for additive in (True, False)
+        ]
+        for result in results:
+            assert result.passed
+            assert result.worst_event == (1, 2)
+            assert result.worst_residual == pytest.approx(2e-9 / 3, rel=1e-12)
+
+    def test_additive_union_matches_black_box_table(self):
+        # near-solutions perturbed atom by atom, on random weights (some
+        # null) and random partitions of up to 6 outcomes
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            weights = rng.dirichlet(np.ones(n))
+            weights[rng.random(n) < 0.2] = 0.0
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            weights = weights / weights.sum()
+            sp = FiniteSpace(tuple(f"w{i}" for i in range(n)), tuple(weights))
+            blocks = {}
+            for i, k in enumerate(rng.integers(0, 3, n)):
+                blocks.setdefault(int(k), []).append(i)
+            alg = PartitionAlgebra(sp, tuple(blocks.values()))
+            rep = exp_rep(sp, float(rng.uniform(0.2, 2.0)))
+            f = Act(sp, tuple(rng.uniform(-2.0, 2.0, n)))
+            mean = chisini_mean(rep, f, alg).act.values
+            noise = rng.normal(scale=1e-8, size=alg.atom_count)
+            g = Act(
+                sp,
+                tuple(mean[i] + noise[alg.atom_index_of(i)] for i in range(n)),
+            )
+            additive, black_box = (
+                verify_conditionable(
+                    PreferenceFunctional(space=sp, evaluator=rep.evaluate, additive=a),
+                    f,
+                    g,
+                    alg,
+                    1e-8,
+                )
+                for a in (True, False)
+            )
+            assert additive.worst_residual == pytest.approx(
+                black_box.worst_residual, rel=0.0, abs=1e-13
+            )
+
 
 class TestTakingOut:
     def test_full_event(self):
@@ -333,6 +422,17 @@ class TestUniqueness:
         g2 = Act(sp, (g1.values[0] + 0.1, g1.values[1] + 0.1, g1.values[2]))
         with pytest.raises(PreconditionFailure):
             uniqueness_check(rep, f, alg, g1, g2)
+
+    def test_union_residual_fails_precondition(self):
+        # g2's atoms each miss by 6e-10 but their union by 1.2e-9 > tol
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility.state_independent(sp, LinearCurve())
+        )
+        f = Act(sp, (0.0, 0.0))
+        g2 = Act(sp, (1.2e-9, 1.2e-9))
+        with pytest.raises(PreconditionFailure, match=r"\(0, 1\)"):
+            uniqueness_check(rep, f, PartitionAlgebra.finest(sp), f, g2)
 
     def test_closed_form_vs_bisection_agree(self):
         sp, rep, alg, f = self._setup()
