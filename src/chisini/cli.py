@@ -156,6 +156,10 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
         cap=_union_cap(model),
     )
     h = conditional_expectation(rep.utility_act(f), algebra)
+    # the report prints the union table, so it is judged by that table's
+    # own maximum, not by the O(k) certificate
+    worst = max((r for _, r in solution.residuals), default=0.0)
+    ok = worst <= solution.tolerance
     atoms = [sorted(model.space.outcomes[i] for i in atom) for atom in algebra.atoms]
     report = {
         "command": "compute",
@@ -174,11 +178,11 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
             }
             for members, resid in solution.residuals
         ],
-        "max_residual": solution.max_residual,
+        "max_residual": worst,
         "tolerance": solution.tolerance,
-        "ok": solution.ok,
+        "ok": ok,
     }
-    return report, EXIT_OK if solution.ok else EXIT_RESIDUAL
+    return report, EXIT_OK if ok else EXIT_RESIDUAL
 
 
 def cmd_audit(model: ModelFile, args) -> tuple[dict, int]:

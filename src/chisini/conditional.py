@@ -14,13 +14,16 @@ atoms the inverse is guaranteed finite because the conditional expectation
 lies strictly inside the projected curve's image whenever f is bounded; on
 null atoms the solution value is fixed at 0.
 
-The solution object carries the full residual table over all atom-unions,
-so that the defining system of equations is auditable rather than assumed.
+The solution carries one signed residual per atom.  V is additive over
+disjoint events, so these certify the defining system on every atom-union
+exactly in O(k); the table over all unions is built only when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     EventNotInAlgebra,
@@ -51,16 +54,34 @@ RESIDUAL_SCALE = 1e-9
 
 @dataclass(frozen=True)
 class ChisiniSolution:
-    """A G-measurable solution act plus its residuals over all atom-unions."""
+    """A G-measurable solution act, certified on every atom-union.
+
+    ``atom_residuals`` holds the signed residual V_A(f) - V_A(g) of each
+    atom A, in the algebra's atom order.  ``max_residual`` is
+    max(sum of the positive ones, -sum of the negative ones): the exact
+    worst residual over all 2**k unions, or NaN if any atom's is NaN.
+
+    ``residuals`` is the explicit table ``(members, |V_A(f) - V_A(g)|)``
+    over all 2**k unions in ascending bitmask order, computed on first
+    read; reading it raises ComplexityCapExceeded if the algebra has more
+    than ``cap`` atoms.
+    """
 
     act: Act
     algebra: PartitionAlgebra
-    residuals: tuple[tuple[tuple[int, ...], float], ...]
+    atom_residuals: tuple[float, ...]
     tolerance: float
+    rep: AdditiveRepresentation
+    f: Act
+    cap: int
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        return _residual_table(self.rep, self.f, self.act, self.algebra, self.cap)
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
+        return _worst_union(zip(self.algebra.atoms, self.atom_residuals))[0]
 
     @property
     def ok(self) -> bool:
@@ -86,6 +107,10 @@ def chisini_mean(
     bisection.  The two are independent solvers of the same equations and
     must agree up to null events.
 
+    The solution is certified from its 2k atom evaluations, so this runs in
+    O(n) at any atom count; only a read of ``residuals`` enumerates the
+    2**k unions, and ``cap`` bounds that read alone.
+
     Raises RegularityViolation if the utility is not regular.
     """
     ensure_regular(rep.utility)
@@ -105,12 +130,17 @@ def chisini_mean(
         for i in atom:
             values[i] = inv.value
     g = Act(rep.space, tuple(values))
-    residuals = _residual_table(rep, f, g, algebra, cap)
     return ChisiniSolution(
         act=g,
         algebra=algebra,
-        residuals=residuals,
+        atom_residuals=tuple(
+            rep.evaluate_on_event(atom, f) - rep.evaluate_on_event(atom, g)
+            for atom in algebra.atoms
+        ),
         tolerance=tol_scale * (1.0 + f.sup_norm),
+        rep=rep,
+        f=f,
+        cap=cap,
     )
 
 
@@ -121,6 +151,25 @@ def _residual_table(rep, f, g, algebra, cap):
         vg = rep.evaluate_on_event(members, g)
         rows.append((tuple(sorted(members)), abs(vf - vg)))
     return tuple(rows)
+
+
+def _worst_union(signed) -> tuple[float, tuple[int, ...]]:
+    """The worst |residual| over all unions of atoms, and its event, from
+    the (atom, signed residual) pairs of an additive functional.
+
+    A union's residual is the sum of its atoms', so the worst union gathers
+    the atoms of one sign.  A NaN residual is the worst, on its atom.
+    """
+    signed = list(signed)
+    for atom, d in signed:
+        if math.isnan(d):
+            return d, tuple(sorted(atom))
+    above = sum((d for _, d in signed if d > 0.0), 0.0)
+    below = sum((-d for _, d in signed if d < 0.0), 0.0)
+    sign = 1.0 if above >= below else -1.0
+    return max(above, below), tuple(
+        sorted(i for atom, d in signed if sign * d > 0.0 for i in atom)
+    )
 
 
 @dataclass(frozen=True)
@@ -144,7 +193,8 @@ def verify_conditionable(
     A black-box functional is checked on all 2**k atom-unions.  For a
     functional declared additive (and spot-checked) the residual on a union
     is the sum of its atoms' signed residuals, so the worst union is the
-    union of the atoms of one sign: it is found exactly in O(k).
+    union of the atoms of one sign: it is found exactly in O(k).  A NaN
+    residual fails, reported on the first event where it occurs.
     """
     if not g.is_measurable(algebra):
         raise NotMeasurable("candidate act varies inside an atom")
@@ -155,19 +205,16 @@ def verify_conditionable(
 
     if t.additive:
         spot_check_additivity(t)
-        signed = [(atom, residual(atom)) for atom in algebra.atoms]
-        above = sum((d for _, d in signed if d > 0.0), 0.0)
-        below = sum((-d for _, d in signed if d < 0.0), 0.0)
-        sign = 1.0 if above >= below else -1.0
-        worst = max(above, below)
-        worst_event = tuple(
-            sorted(i for atom, d in signed if sign * d > 0.0 for i in atom)
+        worst, worst_event = _worst_union(
+            (atom, residual(atom)) for atom in algebra.atoms
         )
         return ConditionabilityResult(worst <= tol, worst, worst_event)
     worst = 0.0
     worst_event: tuple[int, ...] = ()
     for members in algebra.events(cap):
         resid = abs(residual(members))
+        if math.isnan(resid):
+            return ConditionabilityResult(False, resid, tuple(sorted(members)))
         if resid > worst:
             worst, worst_event = resid, tuple(sorted(members))
     return ConditionabilityResult(worst <= tol, worst, worst_event)

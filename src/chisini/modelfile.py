@@ -10,6 +10,7 @@ matters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -125,9 +126,14 @@ def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ModelFileError(path, f"expected a number, got {type(value).__name__}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ModelFileError(path, f"not a number: {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFileError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _number_list(values, path: str) -> list[float]:
@@ -301,6 +307,8 @@ def _parse_settings(spec: dict, path: str) -> Settings:
         grid = tuple(sorted(_number_list(spec["grid"], f"{path}.grid")))
         if len(set(grid)) != len(grid):
             raise ModelFileError(f"{path}.grid", "grid values must be distinct")
+        if len(grid) < 2:
+            raise ModelFileError(f"{path}.grid", "expected at least two grid values")
         kwargs["grid"] = grid
     if "tolerance" in spec:
         kwargs["tolerance"] = _number(spec["tolerance"], f"{path}.tolerance")

@@ -67,6 +67,53 @@ class TestValidate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("utilities", "entropic", "gamma"), math.nan),
+            (("acts", "swing", 1), math.inf),
+            (("settings", "tolerance"), -math.inf),
+            (("space", "weights", 0), "Infinity"),
+            (("acts", "log-two", 0), 10**400),
+        ],
+        ids=["nan-gamma", "inf-act", "-inf-tolerance", "inf-weight", "huge-int"],
+    )
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, where, value):
+        with open(model("entropic.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ("validate",),
+            ("compute", "--utility", "entropic", "--act", "log-two",
+             "--partition", "trivial"),
+        ):
+            code, out, err = run(capsys, *argv, "--model", str(path))
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
+            assert where[0] in err
+
+    @pytest.mark.parametrize("grid", [[1.0], []])
+    def test_short_grid_exits_2(self, capsys, tmp_path, grid):
+        with open(model("audit_zoo.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["settings"]["grid"] = grid
+        path = tmp_path / "short_grid.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ("validate",),
+            ("audit", "--functional", "eu-linear"),
+        ):
+            code, out, err = run(capsys, *argv, "--model", str(path))
+            assert code == 2
+            assert out == ""
+            assert "$.settings.grid" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "--model", "/nonexistent.json")
         assert code == 2

@@ -1,6 +1,7 @@
 """Tests for conditional Chisini means, conditionability verification,
 the masking identity and uniqueness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,13 +25,16 @@ from chisini import (
     uniqueness_check,
     verify_conditionable,
 )
+from chisini.conditional import _worst_union
 from chisini.errors import (
+    ComplexityCapExceeded,
     EventNotInAlgebra,
     NotMeasurable,
     PreconditionFailure,
     RegularityViolation,
 )
 from chisini.curves import PiecewiseLinearCurve
+from chisini.spaces import DEFAULT_UNION_CAP
 
 
 def exp_rep(space, gamma=1.0):
@@ -177,7 +181,161 @@ class TestChisiniMean:
         assert sol.ok
 
 
+def random_model(rng, n_max=8):
+    """A random space with some null outcomes, mixed exponential and power
+    curves, and a partition into shuffled atoms."""
+    n = int(rng.integers(1, n_max + 1))
+    weights = rng.dirichlet(np.ones(n))
+    weights[rng.random(n) < 0.2] = 0.0
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    sp = FiniteSpace(tuple(f"w{i}" for i in range(n)), tuple(weights / weights.sum()))
+    curves = tuple(
+        ExponentialCurve(float(rng.uniform(0.2, 2.0)))
+        if rng.random() < 0.5
+        else PowerCurve(float(rng.uniform(0.5, 3.0)))
+        for _ in range(n)
+    )
+    blocks = {}
+    for i, k in zip(rng.permutation(n), rng.integers(0, n, n)):
+        blocks.setdefault(int(k), []).append(int(i))
+    alg = PartitionAlgebra(sp, tuple(frozenset(b) for b in blocks.values()))
+    f = Act(sp, tuple(rng.uniform(-2.0, 2.0, n)))
+    return AdditiveRepresentation(StateUtility(sp, curves)), f, alg
+
+
+def round_robin(n, k):
+    """n uniform outcomes with mixed curves, and k atoms dealt round-robin."""
+    sp = FiniteSpace.uniform([f"w{i}" for i in range(n)])
+    curves = tuple(
+        ExponentialCurve(0.5 + i / n) if i % 2 else PowerCurve(1.5 + i / n)
+        for i in range(n)
+    )
+    alg = PartitionAlgebra(sp, tuple(frozenset(range(j, n, k)) for j in range(k)))
+    f = Act(sp, tuple(math.sin(3.0 * i) * 2.0 for i in range(n)))
+    return AdditiveRepresentation(StateUtility(sp, curves)), f, alg
+
+
+class TestCertificate:
+    def test_certificate_matches_residual_table(self):
+        # the O(k) certificate against the 2**k table, kept as the oracle
+        rng = np.random.default_rng(11)
+        for _ in range(120):
+            rep, f, alg = random_model(rng)
+            sol = chisini_mean(rep, f, alg)
+            table = max(r for _, r in sol.residuals)
+            assert len(sol.residuals) == 2 ** alg.atom_count
+            assert sol.max_residual == pytest.approx(table, rel=0.0, abs=1e-13)
+            assert sol.ok == (table <= sol.tolerance)
+
+    def test_solve_evaluates_each_atom_twice_and_enumerates_nothing(
+        self, monkeypatch
+    ):
+        rep, f, alg = round_robin(16, 8)
+        calls = {"evaluate_on_event": 0, "events": 0}
+        evaluate_on_event = AdditiveRepresentation.evaluate_on_event
+
+        def counted_evaluate(self, members, act):
+            calls["evaluate_on_event"] += 1
+            return evaluate_on_event(self, members, act)
+
+        def counted_events(self, cap=DEFAULT_UNION_CAP):
+            calls["events"] += 1
+            return iter(())
+
+        monkeypatch.setattr(
+            AdditiveRepresentation, "evaluate_on_event", counted_evaluate
+        )
+        monkeypatch.setattr(PartitionAlgebra, "events", counted_events)
+        sol = chisini_mean(rep, f, alg)
+        assert sol.ok
+        assert calls == {"evaluate_on_event": 2 * alg.atom_count, "events": 0}
+
+    def test_solve_is_not_capped_but_the_table_is(self):
+        rep, f, alg = round_robin(64, DEFAULT_UNION_CAP + 4)
+        sol = chisini_mean(rep, f, alg)
+        assert len(sol.atom_residuals) == alg.atom_count
+        assert sol.ok
+        with pytest.raises(ComplexityCapExceeded):
+            sol.residuals
+
+    def test_solution_and_verify_share_the_certificate(self):
+        # the same signed atom residuals give the same worst value and
+        # verdict, on solutions perturbed across the tolerance
+        rng = np.random.default_rng(17)
+        verdicts = set()
+        for _ in range(40):
+            rep, f, alg = random_model(rng)
+            mean = chisini_mean(rep, f, alg)
+            noise = rng.normal(scale=2e-9, size=alg.atom_count)
+            g = Act(
+                rep.space,
+                tuple(
+                    v + noise[alg.atom_index_of(i)]
+                    for i, v in enumerate(mean.act.values)
+                ),
+            )
+            t = expected_utility_functional(rep)
+            result = verify_conditionable(t, f, g, alg, mean.tolerance)
+            sol = dataclasses.replace(
+                mean,
+                act=g,
+                atom_residuals=tuple(
+                    t(f.masked(EventSet(rep.space, atom)))
+                    - t(g.masked(EventSet(rep.space, atom)))
+                    for atom in alg.atoms
+                ),
+            )
+            assert result.worst_residual == sol.max_residual
+            assert result.passed == sol.ok
+            assert sol.max_residual == pytest.approx(
+                max(r for _, r in sol.residuals), rel=0.0, abs=1e-13
+            )
+            verdicts.add(sol.ok)
+        assert verdicts == {True, False}
+
+    def test_nan_atom_residual_fails_the_solution(self):
+        sp = FiniteSpace.uniform(["a", "b", "c"])
+        sol = chisini_mean(
+            exp_rep(sp), Act(sp, (1.0, 0.0, -1.0)), PartitionAlgebra.finest(sp)
+        )
+        sol = dataclasses.replace(sol, atom_residuals=(0.0, math.nan, -1.0))
+        assert math.isnan(sol.max_residual)
+        assert not sol.ok
+
+    def test_worst_union_reports_the_first_nan_atom(self):
+        signed = [
+            (frozenset({0}), 1e-10),
+            (frozenset({2, 1}), math.nan),
+            (frozenset({3}), math.nan),
+        ]
+        worst, event = _worst_union(signed)
+        assert math.isnan(worst)
+        assert event == (1, 2)
+        assert _worst_union(signed[:1]) == (1e-10, (0,))
+        assert _worst_union([]) == (0.0, ())
+
+
 class TestVerifyConditionable:
+    @pytest.mark.parametrize("additive", [True, False])
+    def test_nan_residual_fails(self, additive):
+        # linear below 5 (so the additivity spot check passes), NaN above
+        sp = FiniteSpace.uniform(["a", "b"])
+        t = PreferenceFunctional(
+            space=sp,
+            evaluator=lambda act: (
+                math.nan if max(act.values) > 5.0 else 0.5 * sum(act.values)
+            ),
+            additive=additive,
+        )
+        result = verify_conditionable(
+            t, Act(sp, (10.0, 0.0)), Act(sp, (5.0, 5.0)),
+            PartitionAlgebra.trivial(sp), 1e-9,
+        )
+        assert not result.passed
+        assert math.isnan(result.worst_residual)
+        assert result.worst_event == (0, 1)
+
     def test_chisini_output_passes(self):
         sp = FiniteSpace.uniform(["a", "b", "c", "d"])
         alg = PartitionAlgebra.from_labels(sp, [["a", "b"], ["c", "d"]])
