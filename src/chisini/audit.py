@@ -23,7 +23,12 @@ with the expectation-family audits).
 
 Enumeration is deterministic: events ascend by outcome bitmask, acts by
 lexicographic order of their value tuples, and the first witness reported
-is the lexicographic minimum over (f, g, h, h_alt, event).
+is the lexicographic minimum over (f, g, h, h_alt, event).  The sure-thing
+grid phase finds that (f, g) pair from one value table per event, indexed
+by the acts' parts on the event and off it: comparing each on-part with
+every other, one at a time, costs g^n * (1 + g)^n subtractions for n
+outcomes and g grid values, against g^(2n) pairs times 2^n * g^n
+completions for a loop over every pair.
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
@@ -135,17 +140,18 @@ class _GridEnumeration:
     def off_part(self, mask: int) -> np.ndarray:
         return self.on_part(self.full ^ mask)
 
-    def constant(self, mask: int, ai: int) -> tuple[float, float, float]:
+    def constant(self, mask: int, ai: int) -> tuple[float, float, float, float]:
         """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection,
         where A = events[mask] and f = acts[ai]; each pair is solved once,
         and a bracket failure is raised again on every later request.
 
         Requires x -> t(x * 1_A) to be nondecreasing with the target inside
         its values at +-(sup|f| + 1); a failed bracket signals a strict-
-        monotonicity violation upstream.  A flat map (null event) admits any
-        solution and returns 0.  Otherwise the returned (x, lo, hi) keeps
-        t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
-        solutions with a guaranteed comparison direction.
+        monotonicity violation upstream.  Returns (x, lo, hi, target) with
+        target = t(f * 1_A).  A flat map (null event) admits any solution and
+        returns x = lo = hi = 0.  Otherwise t(lo * 1_A) <= target <
+        t(hi * 1_A), so the endpoints are one-sided solutions with a
+        guaranteed comparison direction.
         """
         key = (mask, ai)
         if key not in self._constants:
@@ -158,25 +164,26 @@ class _GridEnumeration:
             raise found.with_traceback(None)
         return found
 
-    def _solve(self, event: EventSet, f: Act) -> tuple[float, float, float]:
+    def _solve(self, event: EventSet, f: Act) -> tuple[float, float, float, float]:
         t = self.t
         target = t(f.masked(event))
         hi = f.sup_norm + 1.0
         lo = -hi
+        on = [i in event.members for i in range(self.n)]
 
         def masked_value(x: float) -> float:
-            return t(Act.constant(t.space, x).masked(event))
+            return t(Act(t.space, tuple(x if i else 0.0 for i in on)))
 
         v_lo, v_hi = masked_value(lo), masked_value(hi)
         if v_lo == v_hi:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0, 0.0, target
         slack = 1e-12 * (1.0 + abs(target))
         if not (v_lo <= target + slack and target - slack <= v_hi):
             raise BisectionBracketFailure(
                 f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
             )
         lo, hi = bisect_increasing(masked_value, target, lo, hi)
-        return 0.5 * (lo + hi), lo, hi
+        return 0.5 * (lo + hi), lo, hi, target
 
 
 def _report(
@@ -233,7 +240,13 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
 
     Phase 1 searches all (f, g, h, h_alt, event) tuples over grid-valued
     acts for a comparison that holds with completion h but fails, by more
-    than the witness margin, with completion h_alt.
+    than the witness margin, with completion h_alt.  On an event, whether
+    f and g flip depends only on their parts on it, so the search first
+    picks the pair from each event's table of values, indexed by the parts
+    on the event and off it, at a cost of g^n * (1 + g)^n subtractions for
+    n outcomes and g grid values, then finds (h, h_alt, event) for that
+    one pair.  The pair, and so the witness, is the first that a loop over
+    every ordered pair would meet.
 
     Phase 2 runs only when the grid search is clean: for each event and
     grid act it solves the two masked certainty-equivalent equations by
@@ -251,49 +264,36 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     on_parts = [enum.on_part(mask) for mask in range(n_events)]
     off_parts = [enum.off_part(mask) for mask in range(n_events)]
     witness = None
-    for fi in range(enum.count):
-        if witness is not None:
-            break
-        for gi in range(enum.count):
-            if fi == gi:
-                continue
-            # diff[mask, h] = T(f on event, h off) - T(g on event, h off)
-            diff = np.empty((n_events, enum.count), dtype=float)
-            for mask in range(n_events):
-                off = off_parts[mask]
-                diff[mask] = (
-                    enum.values[int(on_parts[mask][fi]) + off]
-                    - enum.values[int(on_parts[mask][gi]) + off]
-                )
-            premise = diff >= 0.0
-            violation = diff < -WITNESS_MARGIN
-            if not violation.any():
-                continue
-            found = _first_flip(premise, violation)
-            if found is None:
-                continue
-            hi, hj, mask = found
-
-            def pasted(i: int, j: int) -> float:
-                return float(
-                    enum.values[int(on_parts[mask][i] + off_parts[mask][j])]
-                )
-
-            witness = Witness(
-                f=enum.acts[fi].values,
-                g=enum.acts[gi].values,
-                h=enum.acts[hi].values,
-                h_alt=enum.acts[hj].values,
-                event=tuple(sorted(enum.events[mask].members)),
-                values=(
-                    pasted(fi, hi),
-                    pasted(gi, hi),
-                    pasted(fi, hj),
-                    pasted(gi, hj),
-                ),
-                margin=float(-diff[mask, hj]),
+    pair = _first_flipping_pair(enum, on_parts, off_parts)
+    if pair is not None:
+        fi, gi = pair
+        # diff[mask, h] = T(f on event, h off) - T(g on event, h off)
+        diff = np.empty((n_events, enum.count), dtype=float)
+        for mask in range(n_events):
+            off = off_parts[mask]
+            diff[mask] = (
+                enum.values[int(on_parts[mask][fi]) + off]
+                - enum.values[int(on_parts[mask][gi]) + off]
             )
-            break
+        hi, hj, mask = _first_flip(diff >= 0.0, diff < -WITNESS_MARGIN)
+
+        def pasted(i: int, j: int) -> float:
+            return float(enum.values[int(on_parts[mask][i] + off_parts[mask][j])])
+
+        witness = Witness(
+            f=enum.acts[fi].values,
+            g=enum.acts[gi].values,
+            h=enum.acts[hi].values,
+            h_alt=enum.acts[hj].values,
+            event=tuple(sorted(enum.events[mask].members)),
+            values=(
+                pasted(fi, hi),
+                pasted(gi, hi),
+                pasted(fi, hj),
+                pasted(gi, hj),
+            ),
+            margin=float(-diff[mask, hj]),
+        )
     phase = "grid"
     if witness is None:
         witness = _certainty_equivalent_witness(enum)
@@ -322,8 +322,8 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
         complement = enum.events[enum.full ^ mask]
         for ai, f in enumerate(enum.acts):
             try:
-                x, x_lo, x_hi = enum.constant(mask, ai)
-                y, y_lo, y_hi = enum.constant(enum.full ^ mask, ai)
+                x, x_lo, x_hi, _ = enum.constant(mask, ai)
+                y, y_lo, y_hi, _ = enum.constant(enum.full ^ mask, ai)
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
             x_act = Act.constant(t.space, x)
@@ -394,6 +394,60 @@ def _one_sided_flip(
     )
 
 
+def _event_tables(
+    enum: _GridEnumeration, on_parts: list, off_parts: list
+):
+    """For each event whose table has two rows and two columns, yield every
+    act's on-part, the on-part keys a, the off-part keys h and the table
+    M[h, a] = values[h + a]: one column per on-part, one row per completion.
+    """
+    for on, off in zip(on_parts, off_parts):
+        # an act that is 0 off (on) the event is its own on-part (off-part)
+        keys = np.nonzero(off == 0)[0]
+        hs = np.nonzero(on == 0)[0]
+        if keys.size < 2 or hs.size < 2:
+            continue  # one column never flips; one row cannot hold both signs
+        yield on, keys, hs, enum.values[hs[:, None] + keys]
+
+
+def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which columns b flip against ``column``: column - table[:, b] has an
+    entry >= 0 (a premise) and one below -WITNESS_MARGIN (a violation)."""
+    diff = column - table
+    return (diff >= 0.0).any(axis=0) & (diff < -WITNESS_MARGIN).any(axis=0)
+
+
+def _first_flipping_pair(
+    enum: _GridEnumeration, on_parts: list, off_parts: list
+) -> tuple[int, int] | None:
+    """The first ordered pair (f, g) of grid acts, in enumeration order,
+    whose comparison flips between two completions on some event.
+
+    On an event the diff of f against g depends only on their on-parts, so
+    f is the first act whose column flips against some column of some
+    event's table, and g the first act whose column flips against f's on
+    some event.  Each column is compared with its whole table, one column
+    at a time, so no temporary exceeds the table's g^n entries.
+    """
+    flips = np.zeros(enum.count, dtype=bool)
+    for on, keys, _, table in _event_tables(enum, on_parts, off_parts):
+        by_key = np.zeros(enum.count, dtype=bool)
+        by_key[keys] = [
+            _flip_partners(table[:, [j]], table).any() for j in range(keys.size)
+        ]
+        flips |= by_key[on]
+    first = np.nonzero(flips)[0]
+    if first.size == 0:
+        return None
+    fi = int(first[0])
+    partners = np.zeros(enum.count, dtype=bool)
+    for on, keys, hs, table in _event_tables(enum, on_parts, off_parts):
+        by_key = np.zeros(enum.count, dtype=bool)
+        by_key[keys] = _flip_partners(enum.values[hs + on[fi]][:, None], table)
+        partners |= by_key[on]
+    return fi, int(np.nonzero(partners)[0][0])
+
+
 def _first_flip(premise: np.ndarray, violation: np.ndarray):
     """Lexicographically first (h, h_alt, event) with premise and violation
     holding on the same event."""
@@ -430,15 +484,13 @@ def _conditionable(
     witness = None
     worst = 0.0
     for ai, f in enumerate(enum.acts):
-        x, _, _ = enum.constant(mask, ai)
-        y, _, _ = enum.constant(enum.full ^ mask, ai)
+        x, _, _, on_target = enum.constant(mask, ai)
+        y, _, _, off_target = enum.constant(enum.full ^ mask, ai)
         g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
         tol = tol_scale * (1.0 + f.sup_norm)
         residuals = {
-            "event": abs(t(f.masked(event)) - t(g.masked(event))),
-            "complement": abs(
-                t(f.masked(complement)) - t(g.masked(complement))
-            ),
+            "event": abs(on_target - t(g.masked(event))),
+            "complement": abs(off_target - t(g.masked(complement))),
             "full": abs(float(enum.values[ai]) - t(g)),
         }
         resid = max(residuals.values())

@@ -129,7 +129,7 @@ class Act:
         values = tuple(float(v) for v in self.values)
         if len(values) != self.space.size:
             raise ValueError("one value per outcome required")
-        if any(not np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("act values must be finite")
         object.__setattr__(self, "values", values)
 

@@ -189,7 +189,7 @@ def spot_check_additivity(t: PreferenceFunctional, tol: float = 1e-9) -> None:
         split = t(f.masked(EventSet(t.space, half))) + t(
             f.masked(EventSet(t.space, rest))
         )
-        if abs(full - split) > tol * (1.0 + f.sup_norm):
+        if not abs(full - split) <= tol * (1.0 + f.sup_norm):
             raise AdditivityCheckFailed(
                 f"functional {t.name!r} declared additive but "
                 f"V(A or B) differs from V(A)+V(B) by {abs(full - split):g}"

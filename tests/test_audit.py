@@ -23,6 +23,7 @@ from chisini import (
     expected_utility_functional,
     grid_table_functional,
 )
+from chisini import audit
 from chisini.audit import spot_check_additivity
 from chisini.curves import bisect_increasing
 from chisini.errors import (
@@ -161,6 +162,186 @@ class TestSureThing:
             name="tanh-of-eu",
         )
         assert check_sure_thing(t).passed
+
+
+def brute_force_sure_thing(t):
+    """The sure-thing audit with its grid phase as a loop over every ordered
+    (f, g) pair, each with its whole (event, completion) diff table; the
+    certainty-equivalent phase is the audit's own."""
+    enum = audit._GridEnumeration(t)
+    n_events = len(enum.events)
+    on_parts = [enum.on_part(mask) for mask in range(n_events)]
+    off_parts = [enum.off_part(mask) for mask in range(n_events)]
+    witness = None
+    for fi in range(enum.count):
+        if witness is not None:
+            break
+        for gi in range(enum.count):
+            if fi == gi:
+                continue
+            diff = np.empty((n_events, enum.count), dtype=float)
+            for mask in range(n_events):
+                off = off_parts[mask]
+                diff[mask] = (
+                    enum.values[int(on_parts[mask][fi]) + off]
+                    - enum.values[int(on_parts[mask][gi]) + off]
+                )
+            premise = diff >= 0.0
+            violation = diff < -audit.WITNESS_MARGIN
+            if not violation.any():
+                continue
+            found = audit._first_flip(premise, violation)
+            if found is None:
+                continue
+            hi, hj, mask = found
+
+            def pasted(i, j):
+                return float(
+                    enum.values[int(on_parts[mask][i] + off_parts[mask][j])]
+                )
+
+            witness = audit.Witness(
+                f=enum.acts[fi].values,
+                g=enum.acts[gi].values,
+                h=enum.acts[hi].values,
+                h_alt=enum.acts[hj].values,
+                event=tuple(sorted(enum.events[mask].members)),
+                values=(
+                    pasted(fi, hi),
+                    pasted(gi, hi),
+                    pasted(fi, hj),
+                    pasted(gi, hj),
+                ),
+                margin=float(-diff[mask, hj]),
+            )
+            break
+    phase = "grid"
+    if witness is None:
+        witness = audit._certainty_equivalent_witness(enum)
+        phase = "certainty-equivalent" if witness is not None else "none"
+    return audit._report(
+        t,
+        "sure-thing",
+        witness.to_dict() if witness else None,
+        {"acts": enum.count, "events": n_events, "witness_phase": phase},
+    )
+
+
+def sure_thing_outcome(audit_fn, t):
+    """The report as a dict, or the bracket failure's type and message."""
+    try:
+        return audit_fn(t).to_dict()
+    except BisectionBracketFailure as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_grid_table(seed, n, g, bump=None):
+    """A grid-table functional on n uniform outcomes and grid 0..g-1.
+
+    Without ``bump``: integers 0..3, so many diffs are exactly 0 and the
+    first flip comes early.  With it: a sum of per-outcome nondecreasing
+    integer steps, which has no grid flip and many exact ties, with one
+    entry in the second half of the table moved by ``bump``, so a flip, if
+    any, sits late in the enumeration (and on the margin's edge when the
+    bump is near it).
+    """
+    rng = np.random.default_rng(seed)
+    space = FiniteSpace.uniform([f"w{i}" for i in range(n)])
+    grid = tuple(float(v) for v in range(g))
+    if bump is None:
+        table = rng.integers(0, 4, size=g**n).astype(float)
+    else:
+        steps = np.cumsum(rng.integers(0, 2, size=(n, g)), axis=1)
+        digits = np.indices((g,) * n)
+        table = sum(steps[i][digits[i]] for i in range(n)).ravel().astype(float)
+        table[rng.integers(g**n // 2, g**n)] += bump
+    return grid_table_functional(
+        space, grid, [float(v) for v in table], _table_name(seed, n, g, bump)
+    )
+
+
+def _table_name(seed, n, g, bump, *_):
+    return f"table-{n}x{g}-{seed}-{'ties' if bump is None else f'{bump:g}'}"
+
+
+def _zoo_functionals():
+    from test_acceptance import _zoo
+
+    space = FiniteSpace.uniform(["low", "mid", "high"])
+    return [t for t, _ in _zoo(space, (0.0, 1.0, 2.0))]
+
+
+def _choquet_functionals():
+    grid3, grid4 = (0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0)
+    sp = uniform3()
+    return [
+        choquet_functional(sp, p, grid, name=f"choquet-p{p:g}-g{len(grid)}")
+        for p, grid in ((0.5, grid3), (1.0, grid3), (2.0, grid3),
+                        (0.5, grid4), (2.0, grid4))
+    ]
+
+
+def _null_outcome_functionals():
+    return [
+        eu(FiniteSpace(("a", "b", "c"), (0.5, 0.5, 0.0)), PowerCurve(3.0),
+           (0.0, 1.0, 2.0), name="eu-null-3"),
+        eu(FiniteSpace(("a", "b", "c", "d"), (0.0, 0.25, 0.0, 0.75)),
+           ExponentialCurve(1.0), (0.0, 1.0), name="eu-null-4"),
+    ]
+
+
+MARGIN = audit.WITNESS_MARGIN
+#: (seed, outcomes, grid values, bump, sure-thing phase); the bumps below
+#: the margin leave the table without a grid flip
+RANDOM_TABLES = [
+    (0, 2, 3, None, "grid"),
+    (1, 2, 3, 0.0, "none"),
+    (2, 2, 3, 0.5 * MARGIN, "none"),
+    (3, 2, 3, -2.0 * MARGIN, "grid"),
+    (4, 3, 3, None, "grid"),
+    (5, 3, 3, 0.0, "none"),
+    (6, 3, 3, 0.7, "grid"),
+    (7, 3, 3, -0.9 * MARGIN, "none"),
+    (8, 3, 3, 1.1 * MARGIN, "grid"),
+    (9, 3, 4, None, "grid"),
+    (10, 3, 4, -0.7, "grid"),
+    (11, 3, 4, 2.0 * MARGIN, "grid"),
+    (12, 4, 3, None, "grid"),
+    (13, 4, 3, 1.3, "grid"),
+    (14, 4, 3, -2.0 * MARGIN, "grid"),
+]
+
+
+class TestSureThingOracle:
+    """The grid phase picks the pair the pairwise loop finds first, so the
+    whole report equals the loop's, witness floats included."""
+
+    @pytest.mark.parametrize(
+        "t",
+        _zoo_functionals() + _choquet_functionals() + _null_outcome_functionals(),
+        ids=lambda t: t.name,
+    )
+    def test_matches_pairwise_loop(self, t):
+        expected = sure_thing_outcome(brute_force_sure_thing, t)
+        assert sure_thing_outcome(check_sure_thing, t) == expected
+
+    @pytest.mark.parametrize(
+        "seed, n, g, bump, phase",
+        RANDOM_TABLES,
+        ids=[_table_name(*spec) for spec in RANDOM_TABLES],
+    )
+    def test_random_table_matches_pairwise_loop(self, seed, n, g, bump, phase):
+        t = random_grid_table(seed, n, g, bump)
+        expected = sure_thing_outcome(brute_force_sure_thing, t)
+        report = sure_thing_outcome(check_sure_thing, t)
+        assert report == expected
+        assert report["checks"][0]["details"]["witness_phase"] == phase
+
+    def test_late_first_pair_is_found(self):
+        # every pair with f = (0, 0, 0) is clean, so the hit is not the first
+        t = random_grid_table(10, 3, 4, -0.7)
+        witness = check_sure_thing(t).check("sure-thing").witness
+        assert witness["f"] != [0.0, 0.0, 0.0]
 
 
 class TestConditionable:
@@ -315,6 +496,15 @@ class TestCapsAndFlags:
             additive=True,
         )
         with pytest.raises(AdditivityCheckFailed):
+            spot_check_additivity(t)
+
+    def test_nan_additive_evaluator_is_caught(self):
+        t = PreferenceFunctional(
+            space=FiniteSpace.uniform(["a", "b"]),
+            evaluator=lambda act: float("nan"),
+            additive=True,
+        )
+        with pytest.raises(AdditivityCheckFailed, match="nan"):
             spot_check_additivity(t)
 
     def test_honest_additive_flag(self):

@@ -55,6 +55,13 @@ class TestFiniteSpace:
             sp.index_of("nope")
 
 
+class TestAct:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(ValueError, match="act values must be finite"):
+            Act(uniform4(), (0.0, bad, 1.0, 2.0))
+
+
 class TestConditionalExpectation:
     def test_atom_means(self):
         sp = uniform4()
