@@ -1,142 +1,92 @@
 """Conditional Chisini means and certainty equivalents on finite
 probability spaces, with state-dependent utilities, preference-axiom
-audits and constructive utility extraction/repair."""
+audits and constructive utility extraction/repair.
 
-from .conditional import (
-    ChisiniSolution,
-    ConditionabilityResult,
-    chisini_mean,
-    taking_out,
-    uniqueness_check,
-    verify_conditionable,
-)
-from .curves import (
-    Curve,
-    ExponentialCurve,
-    LinearCurve,
-    MixtureCurve,
-    PiecewiseLinearCurve,
-    PowerCurve,
-)
-from .extended import NEG_INF, POS_INF, ExtendedReal
-from .family import (
-    ExpectationFamily,
-    audit_certainty_equivalent,
-    check_fixpoint_on_measurable,
-    check_locality,
-    check_tower,
-)
-from .forge import (
-    DyadicGrid,
-    DyadicGridUtility,
-    JumpReport,
-    SetFunctionalOracle,
-    build_u_plus,
-    detect_jumps,
-    evaluate_envelope,
-    extract_utility,
-    repair_continuous,
-    validate_grid_regularity,
-)
-from .audit import (
-    PreferenceFunctional,
-    Witness,
-    check_conditionable_all_events,
-    check_conditionable_on_event,
-    check_strict_monotonicity,
-    check_sure_thing,
-    choquet_functional,
-    equivalence_harness,
-    expected_utility_functional,
-    grid_table_functional,
-)
-from .reports import AuditReport, CheckResult
-from .spaces import (
-    Act,
-    EventSet,
-    FiniteSpace,
-    PartitionAlgebra,
-    conditional_expectation,
-    equal_up_to_null,
-    is_null_event,
-    paste,
-    refine,
-)
-from .utility import (
-    AdditiveRepresentation,
-    ProjectedUtility,
-    StateUtility,
-    ValidationReport,
-    ensure_regular,
-    generalized_inverse,
-    image_interval,
-    project_utility,
-    validate_regular,
-)
-from . import errors
+Each public name is listed once, in ``_EXPORTS``, with the submodule that
+defines it.  ``import chisini`` loads no submodule: a name is imported on
+first access (PEP 562), so code that never touches the audits, the forge
+or the certainty-equivalent audit never imports numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Act",
-    "AdditiveRepresentation",
-    "AuditReport",
-    "CheckResult",
-    "ChisiniSolution",
-    "ConditionabilityResult",
-    "Curve",
-    "DyadicGrid",
-    "DyadicGridUtility",
-    "EventSet",
-    "ExpectationFamily",
-    "ExponentialCurve",
-    "ExtendedReal",
-    "FiniteSpace",
-    "JumpReport",
-    "LinearCurve",
-    "MixtureCurve",
-    "NEG_INF",
-    "POS_INF",
-    "PartitionAlgebra",
-    "PiecewiseLinearCurve",
-    "PowerCurve",
-    "PreferenceFunctional",
-    "ProjectedUtility",
-    "SetFunctionalOracle",
-    "StateUtility",
-    "ValidationReport",
-    "Witness",
-    "audit_certainty_equivalent",
-    "build_u_plus",
-    "check_conditionable_all_events",
-    "check_conditionable_on_event",
-    "check_fixpoint_on_measurable",
-    "check_locality",
-    "check_strict_monotonicity",
-    "check_sure_thing",
-    "check_tower",
-    "chisini_mean",
-    "choquet_functional",
-    "conditional_expectation",
-    "detect_jumps",
-    "ensure_regular",
-    "equal_up_to_null",
-    "equivalence_harness",
-    "errors",
-    "evaluate_envelope",
-    "expected_utility_functional",
-    "extract_utility",
-    "generalized_inverse",
-    "grid_table_functional",
-    "image_interval",
-    "is_null_event",
-    "paste",
-    "project_utility",
-    "refine",
-    "repair_continuous",
-    "taking_out",
-    "uniqueness_check",
-    "validate_grid_regularity",
-    "validate_regular",
-    "verify_conditionable",
-]
+_EXPORTS = {
+    "AuditReport": "reports",
+    "CheckResult": "reports",
+    "errors": "errors",
+    "ExtendedReal": "extended",
+    "NEG_INF": "extended",
+    "POS_INF": "extended",
+    "Curve": "curves",
+    "ExponentialCurve": "curves",
+    "LinearCurve": "curves",
+    "MixtureCurve": "curves",
+    "PiecewiseLinearCurve": "curves",
+    "PowerCurve": "curves",
+    "Act": "spaces",
+    "EventSet": "spaces",
+    "FiniteSpace": "spaces",
+    "PartitionAlgebra": "spaces",
+    "conditional_expectation": "spaces",
+    "equal_up_to_null": "spaces",
+    "is_null_event": "spaces",
+    "paste": "spaces",
+    "refine": "spaces",
+    "AdditiveRepresentation": "utility",
+    "PreferenceFunctional": "utility",
+    "ProjectedUtility": "utility",
+    "StateUtility": "utility",
+    "ValidationReport": "utility",
+    "ensure_regular": "utility",
+    "generalized_inverse": "utility",
+    "image_interval": "utility",
+    "project_utility": "utility",
+    "validate_regular": "utility",
+    "ChisiniSolution": "conditional",
+    "ConditionabilityResult": "conditional",
+    "chisini_mean": "conditional",
+    "taking_out": "conditional",
+    "uniqueness_check": "conditional",
+    "verify_conditionable": "conditional",
+    "ExpectationFamily": "family",
+    "audit_certainty_equivalent": "family",
+    "check_fixpoint_on_measurable": "family",
+    "check_locality": "family",
+    "check_tower": "family",
+    "Witness": "audit",
+    "check_conditionable_all_events": "audit",
+    "check_conditionable_on_event": "audit",
+    "check_strict_monotonicity": "audit",
+    "check_sure_thing": "audit",
+    "choquet_functional": "audit",
+    "equivalence_harness": "audit",
+    "expected_utility_functional": "audit",
+    "grid_table_functional": "audit",
+    "DyadicGrid": "forge",
+    "DyadicGridUtility": "forge",
+    "JumpReport": "forge",
+    "SetFunctionalOracle": "forge",
+    "build_u_plus": "forge",
+    "detect_jumps": "forge",
+    "evaluate_envelope": "forge",
+    "extract_utility": "forge",
+    "repair_continuous": "forge",
+    "validate_grid_regularity": "forge",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a public name, or one of its submodules, on first access."""
+    if name in _EXPORTS.values():
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _EXPORTS:
+        module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -218,7 +218,7 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
                 # x = grid[xi] > y = grid[yi]
                 dx = enum.values[xi * on_radix + off]
                 dy = enum.values[yi * on_radix + off]
-                bad = np.nonzero(dx <= dy)[0]
+                bad = np.nonzero(~(dx > dy))[0]  # a NaN value fails too
                 checked += enum.count
                 if bad.size and witness is None:
                     j = int(bad[0])
@@ -466,9 +466,7 @@ def _first_flip(premise: np.ndarray, violation: np.ndarray):
     return None
 
 
-def _conditionable(
-    enum: _GridEnumeration, mask: int, tol_scale: float
-) -> tuple[dict | None, float]:
+def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:
     """Search the grid acts for a two-level act that fails to match the
     functional on the algebra generated by events[mask].
 
@@ -487,7 +485,7 @@ def _conditionable(
         x, _, _, on_target = enum.constant(mask, ai)
         y, _, _, off_target = enum.constant(enum.full ^ mask, ai)
         g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
-        tol = tol_scale * (1.0 + f.sup_norm)
+        tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
         residuals = {
             "event": abs(on_target - t(g.masked(event))),
             "complement": abs(off_target - t(g.masked(complement))),
@@ -508,14 +506,14 @@ def _conditionable(
 
 
 def check_conditionable_on_event(
-    t: PreferenceFunctional, event: EventSet, tol_scale: float = WITNESS_MARGIN
+    t: PreferenceFunctional, event: EventSet
 ) -> AuditReport:
     """Search for a two-level act matching the functional on the algebra
     generated by one event."""
     enum = _GridEnumeration(t)
     _require_same_space(t.space, event.space)
     mask = sum(1 << i for i in event.members)
-    witness, worst = _conditionable(enum, mask, tol_scale)
+    witness, worst = _conditionable(enum, mask)
     return _report(
         t,
         "conditionable",
@@ -524,16 +522,14 @@ def check_conditionable_on_event(
     )
 
 
-def check_conditionable_all_events(
-    t: PreferenceFunctional, tol_scale: float = WITNESS_MARGIN
-) -> AuditReport:
+def check_conditionable_all_events(t: PreferenceFunctional) -> AuditReport:
     """Conditionability on the algebra of every single event of the space,
     events in ascending bitmask order over one enumeration."""
     enum = _GridEnumeration(t)
     witness = None
     worst = 0.0
     for mask in range(len(enum.events)):
-        found, resid = _conditionable(enum, mask, tol_scale)
+        found, resid = _conditionable(enum, mask)
         worst = max(worst, resid)
         if witness is None:
             witness = found
@@ -595,10 +591,10 @@ def choquet_functional(
     functional rank-dependent and, in general, breaks the sure-thing
     principle because the complementary payoff affects the ranking.
     """
-    weights = space.weight_array()
+    weights = np.asarray(space.weights, dtype=float)
 
     def evaluate(f: Act) -> float:
-        values = f.value_array()
+        values = np.asarray(f.values, dtype=float)
         order = np.argsort(-values, kind="stable")
         sorted_vals = values[order]
         cum = np.cumsum(weights[order])
@@ -630,12 +626,12 @@ def grid_table_functional(
         raise ValueError(
             f"table needs {len(grid) ** n} entries, got {len(table)}"
         )
-    garr = np.asarray(grid)
 
     def evaluate(f: Act) -> float:
         idx = 0
         for v in f.values:
-            d = int(np.argmin(np.abs(garr - v)))
+            # the nearest grid value; the first of two equally near
+            d = min(range(len(grid)), key=lambda d: abs(grid[d] - v))
             idx = idx * len(grid) + d
         return float(table[idx])
 

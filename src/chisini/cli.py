@@ -24,7 +24,6 @@ import os
 import sys
 
 from . import __version__
-from .audit import check_strict_monotonicity, equivalence_harness
 from .conditional import chisini_mean
 from .errors import (
     BisectionBracketFailure,
@@ -35,7 +34,6 @@ from .errors import (
     RegularityViolation,
 )
 from .family import ExpectationFamily, check_tower
-from .forge import detect_jumps, repair_continuous
 from .modelfile import ModelFile, load_model, utility_to_spec
 from .spaces import conditional_expectation
 
@@ -186,6 +184,8 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def cmd_audit(model: ModelFile, args) -> tuple[dict, int]:
+    from .audit import check_strict_monotonicity, equivalence_harness
+
     functional = model.functional(args.functional)
     monotone = check_strict_monotonicity(functional)
     harness = equivalence_harness(functional)
@@ -263,6 +263,8 @@ def cmd_tower(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def cmd_repair(model: ModelFile, args) -> tuple[dict, int]:
+    from .forge import detect_jumps, repair_continuous
+
     utility = model.utility(args.utility)
     eps = args.epsilon if args.epsilon is not None else model.settings.repair_epsilon
     bound = args.bound if args.bound is not None else model.settings.repair_bound

@@ -256,9 +256,9 @@ class MixtureCurve(Curve):
         weights = tuple(float(w) for w in self.weights)
         if len(weights) != len(self.parts) or not self.parts:
             raise ValueError("weights and parts must align")
-        if any(w <= 0.0 for w in weights):
+        if not all(w > 0.0 for w in weights):  # a NaN weight fails too
             raise ValueError("mixture weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-9:
+        if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "weights", weights)
 

@@ -21,9 +21,8 @@ to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
-
-import numpy as np
 
 from .conditional import chisini_mean
 from .errors import EventNotInAlgebra, NotMeasurable
@@ -55,13 +54,11 @@ class ExpectationFamily:
     rep: AdditiveRepresentation | None = None
 
     @classmethod
-    def from_representation(
-        cls, rep: AdditiveRepresentation, *, solver: str = "auto"
-    ) -> "ExpectationFamily":
+    def from_representation(cls, rep: AdditiveRepresentation) -> "ExpectationFamily":
         """Build the family E_G = (projected utility)^{-1}(E[u(X)|G])."""
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
-            return chisini_mean(rep, x, algebra, solver=solver).act
+            return chisini_mean(rep, x, algebra).act
 
         trivial = PartitionAlgebra.trivial(rep.space)
 
@@ -118,8 +115,6 @@ def audit_certainty_equivalent(
     trials: int,
     *,
     seed: int = 2024,
-    terms: int = CONTINUITY_TERMS,
-    final_tol: float = CONTINUITY_FINAL_TOL,
 ) -> AuditReport:
     """Audit the unconditional evaluator for strict dichotomic monotonicity
     and pointwise continuity.
@@ -133,15 +128,18 @@ def audit_certainty_equivalent(
     Continuity: for grid-valued base acts X (all of them when the count is
     small, sampled otherwise) and a direction set containing every signed
     coordinate axis plus a sampled diagonal, the defect
-    |E_0(X + 2^(1-n) d) - E_0(X)| is monitored for n = 1..terms; the tail
-    must decay monotonically with final value below ``final_tol``.  Grid
-    bases matter: a discontinuity is visible only from a base sitting
-    exactly at the jump coordinate, and continuum samples never land
-    there; axis directions expose one-sided jumps deterministically.  The
-    early terms are exempt from the trend check because for a smooth
-    nonlinear evaluator the large-step defect can cross zero.  This is a
-    numerical proxy: no finite sample can certify continuity outright.
+    |E_0(X + 2^(1-n) d) - E_0(X)| is monitored for n = 1..CONTINUITY_TERMS;
+    the tail must decay monotonically with final value below
+    ``CONTINUITY_FINAL_TOL``.  Grid bases matter: a discontinuity is
+    visible only from a base sitting exactly at the jump coordinate, and
+    continuum samples never land there; axis directions expose one-sided
+    jumps deterministically.  The early terms are exempt from the trend
+    check because for a smooth nonlinear evaluator the large-step defect
+    can cross zero.  This is a numerical proxy: no finite sample can
+    certify continuity outright.
     """
+    import numpy as np  # for the RNG only; the solver path never loads numpy
+
     if not grid:
         raise ValueError("grid must be nonempty")
     grid = tuple(sorted(float(v) for v in grid))
@@ -185,9 +183,7 @@ def audit_certainty_equivalent(
     cont_witness = None
     sequences = 0
     if len(grid) ** n <= 64:
-        from itertools import product as _product
-
-        bases = [Act(fam.space, values) for values in _product(grid, repeat=n)]
+        bases = [Act(fam.space, values) for values in product(grid, repeat=n)]
     else:
         bases = [Act.constant(fam.space, 0.0)] + [
             Act(fam.space, tuple(rng.choice(grid, size=n)))
@@ -198,16 +194,18 @@ def audit_certainty_equivalent(
         unit = tuple(1.0 if j == i else 0.0 for j in range(n))
         axes.append(Act(fam.space, unit))
         axes.append(Act(fam.space, unit) * -1.0)
+    terms = CONTINUITY_TERMS
     for base in bases:
         sampled = Act(fam.space, tuple(rng.choice([-1.0, 1.0], size=n)))
         for direction in (sampled, sampled * -1.0, *axes):
-            defects = _continuity_defects(fam, base, direction, terms)
+            defects = _continuity_defects(fam, base, direction)
             sequences += 1
             trend_ok = all(
                 defects[2 * k - 1] <= defects[k - 1] + 1e-12
                 for k in range(max(1, terms // 4), terms // 2 + 1)
             )
-            if (defects[-1] >= final_tol or not trend_ok) and cont_witness is None:
+            final_bad = defects[-1] >= CONTINUITY_FINAL_TOL
+            if (final_bad or not trend_ok) and cont_witness is None:
                 cont_witness = {
                     "base": list(base.values),
                     "direction": list(direction.values),
@@ -233,10 +231,10 @@ def audit_certainty_equivalent(
     )
 
 
-def _continuity_defects(fam, base, direction, terms):
+def _continuity_defects(fam, base, direction):
     reference = fam.certainty_equivalent(base)
     defects = []
-    for n in range(1, terms + 1):
+    for n in range(1, CONTINUITY_TERMS + 1):
         shifted = base + direction * (2.0 ** (1 - n))
         defects.append(abs(fam.certainty_equivalent(shifted) - reference))
     return defects

@@ -14,12 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .audit import (
-    PreferenceFunctional,
-    choquet_functional,
-    expected_utility_functional,
-    grid_table_functional,
-)
 from .curves import (
     Curve,
     ExponentialCurve,
@@ -29,7 +23,7 @@ from .curves import (
 )
 from .errors import ModelFileError
 from .spaces import Act, FiniteSpace, PartitionAlgebra
-from .utility import AdditiveRepresentation, StateUtility
+from .utility import AdditiveRepresentation, PreferenceFunctional, StateUtility
 
 SCHEMA_VERSION = "chisini-model/1"
 
@@ -88,6 +82,12 @@ class ModelFile:
         return _resolve(self.acts, name, "acts")
 
     def functional(self, name: str) -> PreferenceFunctional:
+        from .audit import (
+            choquet_functional,
+            expected_utility_functional,
+            grid_table_functional,
+        )
+
         spec = _resolve(self.functionals, name, "functionals")
         kind = spec["kind"]
         grid = self.settings.grid

@@ -13,10 +13,9 @@ so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import ComplexityCapExceeded, SpaceMismatchError
 
@@ -72,18 +71,16 @@ class FiniteSpace:
 
     def index_of(self, outcome) -> int:
         """Accepts an outcome label or an integer index."""
-        if isinstance(outcome, (int, np.integer)):
-            idx = int(outcome)
-            if not 0 <= idx < self.size:
-                raise IndexError(f"outcome index {idx} out of range")
-            return idx
         try:
-            return self.outcomes.index(str(outcome))
-        except ValueError:
-            raise KeyError(f"unknown outcome {outcome!r}") from None
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+            idx = operator.index(outcome)
+        except TypeError:
+            try:
+                return self.outcomes.index(str(outcome))
+            except ValueError:
+                raise KeyError(f"unknown outcome {outcome!r}") from None
+        if not 0 <= idx < self.size:
+            raise IndexError(f"outcome index {idx} out of range")
+        return idx
 
     def probability(self, members: Iterable[int]) -> float:
         return float(sum(self.weights[i] for i in members))
@@ -136,9 +133,6 @@ class Act:
     @classmethod
     def constant(cls, space: FiniteSpace, c: float) -> "Act":
         return cls(space, tuple(float(c) for _ in range(space.size)))
-
-    def value_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
     @property
     def sup_norm(self) -> float:

@@ -229,8 +229,8 @@ def test_criterion_3_entropic_oracle():
             )
             f = Act(sp, tuple(rng.uniform(-2, 2, size=n)))
             sol = chisini_mean(rep, f, alg).act
-            w = sp.weight_array()
-            v = f.value_array()
+            w = np.asarray(sp.weights, dtype=float)
+            v = np.asarray(f.values, dtype=float)
             for atom in alg.atoms:
                 idx = sorted(atom)
                 mass = float(w[idx].sum())
@@ -361,7 +361,7 @@ def test_criterion_6_equivalence_zoo():
         grid = (0.0, 1.0, 2.0)
         zoo = _zoo(space, grid)
         assert len(zoo) == 20
-        w = space.weight_array()
+        w = np.asarray(space.weights, dtype=float)
 
         def raw_choquet(vals, c):
             v = np.asarray(vals, dtype=float)

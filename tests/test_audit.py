@@ -44,7 +44,7 @@ def eu(space, curve, grid=(-1.0, 0.0, 1.0), name="eu"):
 
 
 def choquet_value(space, vals, exponent):
-    w = space.weight_array()
+    w = np.asarray(space.weights, dtype=float)
     v = np.asarray(vals, dtype=float)
     order = np.argsort(-v, kind="stable")
     sv = v[order]
@@ -59,7 +59,7 @@ class TestStrictMonotonicity:
 
     def test_mean_variance_fails(self):
         sp = FiniteSpace.uniform(["a", "b"])
-        w = sp.weight_array()
+        w = np.asarray(sp.weights, dtype=float)
 
         def mean_var(act):
             v = np.asarray(act.values)
@@ -90,6 +90,23 @@ class TestStrictMonotonicity:
         )
         report = check_strict_monotonicity(t)
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "evaluator",
+        [
+            lambda act: float("nan"),
+            lambda act: float("nan") if act.values == (1.0, 1.0) else sum(act.values),
+        ],
+        ids=["nan-everywhere", "nan-at-top"],
+    )
+    def test_nan_value_fails(self, evaluator):
+        sp = FiniteSpace.uniform(["a", "b"])
+        t = PreferenceFunctional(space=sp, evaluator=evaluator, grid=(0.0, 1.0))
+        check = check_strict_monotonicity(t).check("strict-monotonicity")
+        assert not check.passed
+        w_ = check.witness
+        assert (w_["event"], w_["x"], w_["y"]) == ([0], 1.0, 0.0)
+        assert np.isnan(w_["value_x"])
 
     def test_null_events_are_skipped(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
@@ -523,6 +540,28 @@ class TestGridTable:
         assert t(Act(sp, (0.0, 0.0))) == 0.0
         assert t(Act(sp, (0.0, 2.0))) == 2.0
         assert t(Act(sp, (2.0, 2.0))) == 8.0
+
+    def test_nearest_grid_index_matches_argmin(self):
+        # numpy's argmin over the distances is the oracle; both take the
+        # first of two equally near grid values
+        rng = np.random.default_rng(7)
+        mismatches = 0
+        for _ in range(200):
+            grid = tuple(sorted(set(rng.integers(-6, 7, size=4) * 0.5)))
+            if len(grid) < 2:
+                continue
+            sp = FiniteSpace.uniform(["a", "b"])
+            table = [float(i) for i in range(len(grid) ** 2)]
+            t = grid_table_functional(sp, grid, table)
+            garr = np.asarray(grid)
+            mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+            draws = list(rng.uniform(-4.0, 4.0, size=80)) + mids + list(grid)
+            for u, v in zip(draws, reversed(draws)):
+                du = int(np.argmin(np.abs(garr - u)))
+                dv = int(np.argmin(np.abs(garr - v)))
+                expected = table[du * len(grid) + dv]
+                mismatches += t(Act(sp, (u, v))) != expected
+        assert mismatches == 0
 
     def test_wrong_table_size(self):
         with pytest.raises(ValueError):

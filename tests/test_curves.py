@@ -136,6 +136,15 @@ class TestMixture:
             got = right_continuous_inverse(m, y, use_closed_form=False)
             assert abs(got - x) < 1e-11
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, 1.0), (0.5, 0.6)],
+        ids=["nan-first", "nan-second", "inf", "zero", "sum"],
+    )
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError, match="mixture weights must"):
+            MixtureCurve(weights, (LinearCurve(1.0), LinearCurve(3.0)))
+
     def test_bisection_matches_closed_form(self):
         c = ExponentialCurve(1.5)
         for x in (-2.0, 0.3, 1.1):

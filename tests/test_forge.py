@@ -68,7 +68,7 @@ class TestExtraction:
         oracle = SetFunctionalOracle.from_representation(rep)
         grid = DyadicGrid(level=3, bound=2.0)
         gu = extract_utility(oracle, grid)
-        w = gu.space.weight_array()
+        w = np.asarray(gu.space.weights, dtype=float)
         points = grid.points()
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -120,7 +120,7 @@ class TestExtraction:
         oracle = SetFunctionalOracle.from_representation(rep)
         grid = DyadicGrid(level=3, bound=2.0)
         gu = extract_utility(oracle, grid)
-        w = gu.space.weight_array()
+        w = np.asarray(gu.space.weights, dtype=float)
         alg = PartitionAlgebra.finest(sp)
         for members in alg.events():
             event = EventSet(sp, members)

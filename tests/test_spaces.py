@@ -100,7 +100,7 @@ class TestConditionalExpectation:
         alg = PartitionAlgebra.from_labels(sp, [["a", "c"], ["b"], ["d", "e"]])
         f = Act(sp, tuple(rng.uniform(-5, 5, size=5)))
         g = conditional_expectation(f, alg)
-        w = sp.weight_array()
+        w = np.asarray(sp.weights, dtype=float)
         for members in alg.events():
             mask = np.array([i in members for i in range(5)])
             lhs = float(np.sum(w[mask] * np.array(g.values)[mask]))
