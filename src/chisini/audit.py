@@ -23,12 +23,13 @@ with the expectation-family audits).
 
 Enumeration is deterministic: events ascend by outcome bitmask, acts by
 lexicographic order of their value tuples, and the first witness reported
-is the lexicographic minimum over (f, g, h, h_alt, event).  The sure-thing
-grid phase finds that (f, g) pair from one value table per event, indexed
-by the acts' parts on the event and off it: comparing each on-part with
-every other, one at a time, costs g^n * (1 + g)^n subtractions for n
-outcomes and g grid values, against g^(2n) pairs times 2^n * g^n
-completions for a loop over every pair.
+is the lexicographic minimum over (f, g, h, h_alt, event).  Every grid
+search reads one value table per event A, built one event at a time: row h
+and column a hold the act that is a on A and h off A.  Monotonicity
+compares its constant columns; the sure-thing grid phase compares each
+column with every other, one at a time, at a cost of g^n * (1 + g)^n
+subtractions for n outcomes and g grid values, against g^(2n) pairs times
+2^n * g^n completions for a loop over every pair.
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
@@ -99,8 +100,8 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
 
 
 class _GridEnumeration:
-    """All grid-valued acts and events of a functional, the table of their
-    values, and the constant solves on them.
+    """All grid-valued acts and events of a functional, the array of their
+    values with its per-event tables, and the constant solves on them.
 
     Act index = mixed-radix number of grid digits, first outcome most
     significant, so ascending index order is lexicographic order of the
@@ -120,25 +121,24 @@ class _GridEnumeration:
         ]
         self.count = len(self.acts)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
-        # digit matrix and radix for index arithmetic
-        self.radix = np.array(
-            [self.g ** (self.n - 1 - i) for i in range(self.n)], dtype=np.int64
-        )
-        self.digits = np.array(
-            list(product(range(self.g), repeat=self.n)), dtype=np.int64
-        )
         self._constants: dict = {}
 
-    def on_part(self, mask: int) -> np.ndarray:
-        """Index contribution of each act's digits on the event."""
-        sel = np.array(
-            [self.radix[i] if mask >> i & 1 else 0 for i in range(self.n)],
-            dtype=np.int64,
-        )
-        return self.digits @ sel
-
-    def off_part(self, mask: int) -> np.ndarray:
-        return self.on_part(self.full ^ mask)
+    def table(self, mask: int) -> tuple[np.ndarray, ...]:
+        """The value table of events[mask], a mode matricization of the
+        g x ... x g value array: rows number the grid digits off the event,
+        columns those on it, first outcome most significant.  Returns it
+        with every act's row and column and the act index at each cell; a
+        row's first act, index[r, 0], is the smallest index in the row.
+        """
+        on = [i for i in range(self.n) if mask >> i & 1]
+        off = [i for i in range(self.n) if not mask >> i & 1]
+        shape = (self.g ** len(off), self.g ** len(on))
+        cube = np.arange(self.count).reshape((self.g,) * self.n)
+        # row-major, so that each column comparison scans the table in order
+        index = np.ascontiguousarray(cube.transpose(off + on).reshape(shape))
+        rows, cols = np.empty((2, self.count), dtype=np.intp)
+        rows[index], cols[index] = np.arange(shape[0])[:, None], np.arange(shape[1])
+        return self.values[index], rows, cols, index
 
     def constant(self, mask: int, ai: int) -> tuple[float, float, float, float]:
         """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection,
@@ -199,8 +199,9 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
 
     For every non-null event, every ordered grid pair x > y and every
     grid-valued background act, the evaluator must strictly prefer the act
-    paying x on the event.  The first failure in enumeration order is
-    reported as the witness.
+    paying x on the event.  In the event's table the act constant at
+    grid[d] on it is column d * (g^|A| - 1) / (g - 1), so each pair compares
+    two columns.  The first failure in enumeration order is the witness.
     """
     if len(t.grid) < 2:
         raise ValueError("strict monotonicity needs at least two grid values")
@@ -211,24 +212,24 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
         members = enum.events[mask].members
         if t.space.probability(members) == 0.0:
             continue
-        on_radix = int(sum(enum.radix[i] for i in members))
-        off = enum.off_part(mask)
+        table, _, _, index = enum.table(mask)
+        step = (table.shape[1] - 1) // (enum.g - 1)
         for xi in range(enum.g - 1, -1, -1):
             for yi in range(xi):
                 # x = grid[xi] > y = grid[yi]
-                dx = enum.values[xi * on_radix + off]
-                dy = enum.values[yi * on_radix + off]
+                dx = table[:, xi * step]
+                dy = table[:, yi * step]
                 bad = np.nonzero(~(dx > dy))[0]  # a NaN value fails too
                 checked += enum.count
                 if bad.size and witness is None:
-                    j = int(bad[0])
+                    r = int(bad[0])
                     witness = {
                         "event": sorted(members),
                         "x": t.grid[xi],
                         "y": t.grid[yi],
-                        "background": list(enum.acts[j].values),
-                        "value_x": float(dx[j]),
-                        "value_y": float(dy[j]),
+                        "background": list(enum.acts[index[r, 0]].values),
+                        "value_x": float(dx[r]),
+                        "value_y": float(dy[r]),
                     }
         if witness is not None:
             break
@@ -241,12 +242,11 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     Phase 1 searches all (f, g, h, h_alt, event) tuples over grid-valued
     acts for a comparison that holds with completion h but fails, by more
     than the witness margin, with completion h_alt.  On an event, whether
-    f and g flip depends only on their parts on it, so the search first
-    picks the pair from each event's table of values, indexed by the parts
-    on the event and off it, at a cost of g^n * (1 + g)^n subtractions for
-    n outcomes and g grid values, then finds (h, h_alt, event) for that
-    one pair.  The pair, and so the witness, is the first that a loop over
-    every ordered pair would meet.
+    f and g flip depends only on their two columns of the event's table,
+    so the search first picks the pair by comparing each column with its
+    table, then finds (h, h_alt, event) among the rows for that one pair.
+    The pair, and so the witness, is the first that a loop over every
+    ordered pair would meet.
 
     Phase 2 runs only when the grid search is clean: for each event and
     grid act it solves the two masked certainty-equivalent equations by
@@ -259,40 +259,24 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     emitted witness re-evaluates to a true violation.
     """
     enum = _GridEnumeration(t)
-    n_events = len(enum.events)
-    # per-event index tables: pasted act = on-part of f + off-part of h
-    on_parts = [enum.on_part(mask) for mask in range(n_events)]
-    off_parts = [enum.off_part(mask) for mask in range(n_events)]
     witness = None
-    pair = _first_flipping_pair(enum, on_parts, off_parts)
+    pair = _first_flipping_pair(enum)
     if pair is not None:
         fi, gi = pair
-        # diff[mask, h] = T(f on event, h off) - T(g on event, h off)
-        diff = np.empty((n_events, enum.count), dtype=float)
-        for mask in range(n_events):
-            off = off_parts[mask]
-            diff[mask] = (
-                enum.values[int(on_parts[mask][fi]) + off]
-                - enum.values[int(on_parts[mask][gi]) + off]
-            )
-        hi, hj, mask = _first_flip(diff >= 0.0, diff < -WITNESS_MARGIN)
-
-        def pasted(i: int, j: int) -> float:
-            return float(enum.values[int(on_parts[mask][i] + off_parts[mask][j])])
-
+        hi, hj, mask = _first_flip(enum, fi, gi)
+        table, rows, cols, _ = enum.table(mask)
+        v1, v2, v3, v4 = (  # acts[i] on the event, acts[j] off it
+            float(table[rows[j], cols[i]])
+            for i, j in ((fi, hi), (gi, hi), (fi, hj), (gi, hj))
+        )
         witness = Witness(
             f=enum.acts[fi].values,
             g=enum.acts[gi].values,
             h=enum.acts[hi].values,
             h_alt=enum.acts[hj].values,
             event=tuple(sorted(enum.events[mask].members)),
-            values=(
-                pasted(fi, hi),
-                pasted(gi, hi),
-                pasted(fi, hj),
-                pasted(gi, hj),
-            ),
-            margin=float(-diff[mask, hj]),
+            values=(v1, v2, v3, v4),
+            margin=v4 - v3,
         )
     phase = "grid"
     if witness is None:
@@ -302,7 +286,7 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
         t,
         "sure-thing",
         witness.to_dict() if witness else None,
-        {"acts": enum.count, "events": n_events, "witness_phase": phase},
+        {"acts": enum.count, "events": len(enum.events), "witness_phase": phase},
     )
 
 
@@ -394,22 +378,6 @@ def _one_sided_flip(
     )
 
 
-def _event_tables(
-    enum: _GridEnumeration, on_parts: list, off_parts: list
-):
-    """For each event whose table has two rows and two columns, yield every
-    act's on-part, the on-part keys a, the off-part keys h and the table
-    M[h, a] = values[h + a]: one column per on-part, one row per completion.
-    """
-    for on, off in zip(on_parts, off_parts):
-        # an act that is 0 off (on) the event is its own on-part (off-part)
-        keys = np.nonzero(off == 0)[0]
-        hs = np.nonzero(on == 0)[0]
-        if keys.size < 2 or hs.size < 2:
-            continue  # one column never flips; one row cannot hold both signs
-        yield on, keys, hs, enum.values[hs[:, None] + keys]
-
-
 def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Which columns b flip against ``column``: column - table[:, b] has an
     entry >= 0 (a premise) and one below -WITNESS_MARGIN (a violation)."""
@@ -417,53 +385,50 @@ def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (diff >= 0.0).any(axis=0) & (diff < -WITNESS_MARGIN).any(axis=0)
 
 
-def _first_flipping_pair(
-    enum: _GridEnumeration, on_parts: list, off_parts: list
-) -> tuple[int, int] | None:
+def _first_flipping_pair(enum: _GridEnumeration) -> tuple[int, int] | None:
     """The first ordered pair (f, g) of grid acts, in enumeration order,
-    whose comparison flips between two completions on some event.
-
-    On an event the diff of f against g depends only on their on-parts, so
-    f is the first act whose column flips against some column of some
-    event's table, and g the first act whose column flips against f's on
-    some event.  Each column is compared with its whole table, one column
-    at a time, so no temporary exceeds the table's g^n entries.
+    whose comparison flips between two completions on some event: f is the
+    first act whose column flips against another of some event's table, g
+    the first whose column f's flips against.  One column is compared at a
+    time, so no temporary exceeds the table's g^n entries; a table with one
+    row cannot hold both signs, so the full event is skipped.
     """
     flips = np.zeros(enum.count, dtype=bool)
-    for on, keys, _, table in _event_tables(enum, on_parts, off_parts):
-        by_key = np.zeros(enum.count, dtype=bool)
-        by_key[keys] = [
-            _flip_partners(table[:, [j]], table).any() for j in range(keys.size)
-        ]
-        flips |= by_key[on]
-    first = np.nonzero(flips)[0]
-    if first.size == 0:
+    for mask in range(enum.full):
+        table, _, cols, _ = enum.table(mask)
+        by_col = [_flip_partners(column, table).any() for column in table.T[:, :, None]]
+        flips |= np.array(by_col)[cols]
+    if not flips.any():
         return None
-    fi = int(first[0])
+    fi = int(flips.argmax())
     partners = np.zeros(enum.count, dtype=bool)
-    for on, keys, hs, table in _event_tables(enum, on_parts, off_parts):
-        by_key = np.zeros(enum.count, dtype=bool)
-        by_key[keys] = _flip_partners(enum.values[hs + on[fi]][:, None], table)
-        partners |= by_key[on]
-    return fi, int(np.nonzero(partners)[0][0])
+    for mask in range(enum.full):
+        table, _, cols, _ = enum.table(mask)
+        partners |= _flip_partners(table[:, cols[fi], None], table)[cols]
+    return fi, int(partners.argmax())
 
 
-def _first_flip(premise: np.ndarray, violation: np.ndarray):
-    """Lexicographically first (h, h_alt, event) with premise and violation
-    holding on the same event."""
-    n_events, count = premise.shape
-    for hi in range(count):
-        pm = premise[:, hi]
-        if not pm.any():
-            continue
-        joint = pm[:, None] & violation
-        cols = np.nonzero(joint.any(axis=0))[0]
-        if cols.size == 0:
-            continue
-        hj = int(cols[0])
-        mask = int(np.nonzero(joint[:, hj])[0][0])
-        return hi, hj, mask
-    return None
+def _first_flip(enum: _GridEnumeration, fi: int, gi: int) -> tuple[int, int, int]:
+    """Lexicographically first (h, h_alt, event) on which f = acts[fi] is
+    weakly above g = acts[gi] with completion h and below it by more than
+    the margin with h_alt.  The diff depends on a completion only through
+    its row, whose first act has the smallest index in it, so h and h_alt
+    are first acts of rows."""
+
+    def sides():  # per event: rows, first acts, premise and violation rows
+        for mask in range(len(enum.events)):
+            table, row, col, index = enum.table(mask)
+            diff = table[:, col[fi]] - table[:, col[gi]]
+            yield mask, row, index[:, 0], diff >= 0.0, diff < -WITNESS_MARGIN
+
+    hi = min(
+        first[p.argmax()] for _, _, first, p, v in sides() if p.any() and v.any()
+    )
+    hj = min(
+        first[v.argmax()] for _, row, first, p, v in sides() if p[row[hi]] and v.any()
+    )
+    mask = next(m for m, row, _, p, v in sides() if p[row[hi]] and v[row[hj]])
+    return int(hi), int(hj), mask
 
 
 def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:

@@ -8,7 +8,10 @@ bytes.
 
 Exit codes: 0 success, 2 schema/name-resolution failure, 3 utility
 regularity violation, 4 residual failure (also an audited functional that
-is not strictly monotone, so a conditioning bracket fails), 5 enumeration
+is not strictly monotone, so a conditioning bracket fails, and a number
+that leaves the float range: a utility curve that overflows, or a
+conditional expectation that saturates at the edge of the utility's image
+so that no finite Chisini mean exists in floating point), 5 enumeration
 cap exceeded, 6 non-nested partition chain, 7 continuity violation during
 repair.
 
@@ -31,6 +34,7 @@ from .errors import (
     ComplexityCapExceeded,
     ContinuityViolation,
     ModelFileError,
+    NumericRangeError,
     RegularityViolation,
 )
 from .family import ExpectationFamily, check_tower
@@ -382,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_REGULARITY
     except BisectionBracketFailure as exc:
         sys.stderr.write(f"error: functional is not strictly monotone: {exc}\n")
+        return EXIT_RESIDUAL
+    except NumericRangeError as exc:
+        sys.stderr.write(f"error: outside the float range: {exc}\n")
         return EXIT_RESIDUAL
     except ComplexityCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")

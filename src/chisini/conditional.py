@@ -28,6 +28,7 @@ from functools import cached_property
 from .errors import (
     EventNotInAlgebra,
     NotMeasurable,
+    NumericRangeError,
     PreconditionFailure,
 )
 from .spaces import (
@@ -123,7 +124,7 @@ def chisini_mean(
         anchor = min(atom)
         inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)
         if not inv.is_finite:
-            raise ArithmeticError(
+            raise NumericRangeError(
                 "conditional expectation left the projected image on atom "
                 f"{sorted(atom)}; inputs are numerically inconsistent"
             )

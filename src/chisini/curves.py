@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import NumericRangeError
 from .extended import NEG_INF, POS_INF, ExtendedReal
 
 #: Absolute tolerance of ``bisect_increasing`` on the solution variable.
@@ -98,7 +99,12 @@ class ExponentialCurve(Curve):
 
     def value(self, x: float) -> float:
         # expm1 keeps precision near 0 where 1 - exp(-gx) cancels
-        return -math.expm1(-self.gamma * x) / self.gamma
+        try:
+            return -math.expm1(-self.gamma * x) / self.gamma
+        except OverflowError:
+            raise NumericRangeError(
+                f"exponential curve with gamma={self.gamma:g} overflows at x={x:g}"
+            ) from None
 
     def lower_limit(self) -> ExtendedReal:
         if self.gamma < 0.0:
@@ -126,7 +132,12 @@ class PowerCurve(Curve):
     exponent: float
 
     def value(self, x: float) -> float:
-        return math.copysign(abs(x) ** self.exponent, x) if x != 0.0 else 0.0
+        try:
+            return math.copysign(abs(x) ** self.exponent, x) if x != 0.0 else 0.0
+        except OverflowError:
+            raise NumericRangeError(
+                f"power curve with exponent {self.exponent:g} overflows at x={x:g}"
+            ) from None
 
     def lower_limit(self) -> ExtendedReal:
         return NEG_INF
@@ -319,13 +330,13 @@ def right_continuous_inverse(
             break
         lo *= 2.0
     else:
-        raise ArithmeticError("could not bracket the inverse from below")
+        raise NumericRangeError("could not bracket the inverse from below")
     for _ in range(200):
         if curve.value(hi) > target:
             break
         hi *= 2.0
     else:
-        raise ArithmeticError("could not bracket the inverse from above")
+        raise NumericRangeError("could not bracket the inverse from above")
 
     lo, hi = bisect_increasing(curve.value, target, lo, hi)
     return 0.5 * (lo + hi)

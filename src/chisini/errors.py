@@ -37,6 +37,12 @@ class BisectionBracketFailure(ChisiniError):
     strict-monotonicity violation of the functional being probed."""
 
 
+class NumericRangeError(ChisiniError, ArithmeticError):
+    """A number left the float range: a utility curve overflowed, or a
+    value saturated at the edge of a curve's image, so that no finite
+    inverse exists in floating point."""
+
+
 class AdditivityCheckFailed(ChisiniError):
     """A functional flagged additive failed the additivity spot check."""
 

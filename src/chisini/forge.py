@@ -55,24 +55,21 @@ class SetFunctionalOracle:
     """Black-box V_A(f) with declared structural properties.
 
     Flags record which properties the producer vouches for: c1 (additive
-    set function, total mass defines a probability), c2 (masking:
-    V_A(f) = V_Omega(f 1_A)), c3 (strict monotonicity), c4 (pointwise
-    continuity).
+    set function, total mass defines a probability) and c2 (masking:
+    V_A(f) = V_Omega(f 1_A)).
     """
 
     space: FiniteSpace
     evaluator: Callable[[EventSet, Act], float]
     c1: bool = False
     c2: bool = False
-    c3: bool = False
-    c4: bool = False
 
     @classmethod
     def from_representation(cls, rep: AdditiveRepresentation) -> "SetFunctionalOracle":
         def evaluate(event: EventSet, f: Act) -> float:
             return rep.evaluate_on_event(event.members, f)
 
-        return cls(rep.space, evaluate, c1=True, c2=True, c3=True, c4=True)
+        return cls(rep.space, evaluate, c1=True, c2=True)
 
     def __call__(self, event: EventSet, f: Act) -> float:
         return float(self.evaluator(event, f))

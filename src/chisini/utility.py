@@ -35,6 +35,9 @@ from .errors import AdditivityCheckFailed, RegularityViolation, SpaceMismatchErr
 from .extended import NEG_INF, POS_INF, ExtendedReal
 from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra
 
+#: Relative tolerance of the additivity spot check, scaled by (1 + sup|f|).
+ADDITIVITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StateUtility:
@@ -170,7 +173,7 @@ class PreferenceFunctional:
         return float(self.evaluator(f))
 
 
-def spot_check_additivity(t: PreferenceFunctional, tol: float = 1e-9) -> None:
+def spot_check_additivity(t: PreferenceFunctional) -> None:
     """Probe the declared additivity on a handful of fixed splits."""
     n = t.space.size
     if n < 2:
@@ -189,7 +192,7 @@ def spot_check_additivity(t: PreferenceFunctional, tol: float = 1e-9) -> None:
         split = t(f.masked(EventSet(t.space, half))) + t(
             f.masked(EventSet(t.space, rest))
         )
-        if not abs(full - split) <= tol * (1.0 + f.sup_norm):
+        if not abs(full - split) <= ADDITIVITY_TOL * (1.0 + f.sup_norm):
             raise AdditivityCheckFailed(
                 f"functional {t.name!r} declared additive but "
                 f"V(A or B) differs from V(A)+V(B) by {abs(full - split):g}"

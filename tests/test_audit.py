@@ -1,6 +1,8 @@
 """Tests for the preference-functional audits: strict monotonicity, the
 sure-thing principle, conditionability and the equivalence harness."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from chisini.errors import (
     ComplexityCapExceeded,
     SpaceMismatchError,
 )
+from test_audit_digests import float_hex
 
 
 def uniform3():
@@ -52,23 +55,44 @@ def choquet_value(space, vals, exponent):
     return float(sv[-1] * nu[-1] + np.sum((sv[:-1] - sv[1:]) * nu[:-1]))
 
 
+def mean_variance_functional():
+    sp = FiniteSpace.uniform(["a", "b"])
+    w = np.asarray(sp.weights, dtype=float)
+
+    def mean_var(act):
+        v = np.asarray(act.values)
+        mean = float(w @ v)
+        return mean - (float(w @ (v * v)) - mean * mean)
+
+    return PreferenceFunctional(
+        space=sp, evaluator=mean_var, grid=(0.0, 1.0, 5.0), name="mean-var"
+    )
+
+
+#: evaluators on 2 uniform outcomes over grid (0, 1) that return NaN
+NAN_EVALUATORS = {
+    "nan-everywhere": lambda act: float("nan"),
+    "nan-at-top": lambda act: (
+        float("nan") if act.values == (1.0, 1.0) else sum(act.values)
+    ),
+}
+
+
+def nan_functional(name):
+    sp = FiniteSpace.uniform(["a", "b"])
+    return PreferenceFunctional(
+        space=sp, evaluator=NAN_EVALUATORS[name], grid=(0.0, 1.0), name=name
+    )
+
+
 class TestStrictMonotonicity:
     def test_expected_utility_passes(self):
         report = check_strict_monotonicity(eu(uniform3(), ExponentialCurve(1.0)))
         assert report.passed
 
     def test_mean_variance_fails(self):
-        sp = FiniteSpace.uniform(["a", "b"])
-        w = np.asarray(sp.weights, dtype=float)
-
-        def mean_var(act):
-            v = np.asarray(act.values)
-            mean = float(w @ v)
-            return mean - (float(w @ (v * v)) - mean * mean)
-
-        t = PreferenceFunctional(
-            space=sp, evaluator=mean_var, grid=(0.0, 1.0, 5.0), name="mean-var"
-        )
+        t = mean_variance_functional()
+        sp = t.space
         report = check_strict_monotonicity(t)
         check = report.check("strict-monotonicity")
         assert not check.passed
@@ -78,7 +102,7 @@ class TestStrictMonotonicity:
         back = w_["background"]
         act_x = Act(sp, tuple(w_["x"] if i in ev else back[i] for i in range(2)))
         act_y = Act(sp, tuple(w_["y"] if i in ev else back[i] for i in range(2)))
-        assert mean_var(act_x) <= mean_var(act_y)
+        assert t(act_x) <= t(act_y)
         assert w_["x"] > w_["y"]
 
     def test_max_coordinate_fails_strictness(self):
@@ -91,18 +115,11 @@ class TestStrictMonotonicity:
         report = check_strict_monotonicity(t)
         assert not report.passed
 
-    @pytest.mark.parametrize(
-        "evaluator",
-        [
-            lambda act: float("nan"),
-            lambda act: float("nan") if act.values == (1.0, 1.0) else sum(act.values),
-        ],
-        ids=["nan-everywhere", "nan-at-top"],
-    )
-    def test_nan_value_fails(self, evaluator):
-        sp = FiniteSpace.uniform(["a", "b"])
-        t = PreferenceFunctional(space=sp, evaluator=evaluator, grid=(0.0, 1.0))
-        check = check_strict_monotonicity(t).check("strict-monotonicity")
+    @pytest.mark.parametrize("name", list(NAN_EVALUATORS))
+    def test_nan_value_fails(self, name):
+        check = check_strict_monotonicity(nan_functional(name)).check(
+            "strict-monotonicity"
+        )
         assert not check.passed
         w_ = check.witness
         assert (w_["event"], w_["x"], w_["y"]) == ([0], 1.0, 0.0)
@@ -181,67 +198,102 @@ class TestSureThing:
         assert check_sure_thing(t).passed
 
 
+def grid_values(t):
+    """Every grid act's value tuple, in lexicographic order, and a dict from
+    each tuple to the functional's value on it."""
+    acts = list(product(t.grid, repeat=t.space.size))
+    return acts, {a: t(Act(t.space, a)) for a in acts}
+
+
 def brute_force_sure_thing(t):
     """The sure-thing audit with its grid phase as a loop over every ordered
-    (f, g) pair, each with its whole (event, completion) diff table; the
-    certainty-equivalent phase is the audit's own."""
-    enum = audit._GridEnumeration(t)
-    n_events = len(enum.events)
-    on_parts = [enum.on_part(mask) for mask in range(n_events)]
-    off_parts = [enum.off_part(mask) for mask in range(n_events)]
+    (f, g) pair of grid acts.  Each pasted act's value is looked up by its
+    value tuple, and (h, h_alt, event) comes from a plain lexicographic
+    loop; the certainty-equivalent phase is the audit's own."""
+    n = t.space.size
+    acts, value = grid_values(t)
+    events = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
+    # pasted[e, f, h]: the act that is acts[f] on events[e], acts[h] off it
+    pasted = np.array(
+        [
+            [
+                [value[tuple(f[i] if i in e else h[i] for i in range(n))] for h in acts]
+                for f in acts
+            ]
+            for e in events
+        ]
+    )
     witness = None
-    for fi in range(enum.count):
-        if witness is not None:
-            break
-        for gi in range(enum.count):
-            if fi == gi:
-                continue
-            diff = np.empty((n_events, enum.count), dtype=float)
-            for mask in range(n_events):
-                off = off_parts[mask]
-                diff[mask] = (
-                    enum.values[int(on_parts[mask][fi]) + off]
-                    - enum.values[int(on_parts[mask][gi]) + off]
-                )
-            premise = diff >= 0.0
-            violation = diff < -audit.WITNESS_MARGIN
-            if not violation.any():
-                continue
-            found = audit._first_flip(premise, violation)
-            if found is None:
-                continue
-            hi, hj, mask = found
-
-            def pasted(i, j):
-                return float(
-                    enum.values[int(on_parts[mask][i] + off_parts[mask][j])]
-                )
-
-            witness = audit.Witness(
-                f=enum.acts[fi].values,
-                g=enum.acts[gi].values,
-                h=enum.acts[hi].values,
-                h_alt=enum.acts[hj].values,
-                event=tuple(sorted(enum.events[mask].members)),
-                values=(
-                    pasted(fi, hi),
-                    pasted(gi, hi),
-                    pasted(fi, hj),
-                    pasted(gi, hj),
-                ),
-                margin=float(-diff[mask, hj]),
-            )
-            break
+    for fi, gi in permutations(range(len(acts)), 2):
+        diff = pasted[:, fi] - pasted[:, gi]
+        premise = diff >= 0.0
+        violation = diff < -audit.WITNESS_MARGIN
+        if not (premise.any(axis=1) & violation.any(axis=1)).any():
+            continue
+        hi, hj, e = next(
+            (h, h_alt, e)
+            for h in range(len(acts))
+            for h_alt in range(len(acts))
+            for e in range(len(events))
+            if premise[e, h] and violation[e, h_alt]
+        )
+        witness = audit.Witness(
+            f=acts[fi],
+            g=acts[gi],
+            h=acts[hi],
+            h_alt=acts[hj],
+            event=tuple(sorted(events[e])),
+            values=tuple(
+                float(pasted[e, i, j])
+                for i, j in ((fi, hi), (gi, hi), (fi, hj), (gi, hj))
+            ),
+            margin=float(-diff[e, hj]),
+        )
+        break
     phase = "grid"
     if witness is None:
-        witness = audit._certainty_equivalent_witness(enum)
+        witness = audit._certainty_equivalent_witness(audit._GridEnumeration(t))
         phase = "certainty-equivalent" if witness is not None else "none"
     return audit._report(
         t,
         "sure-thing",
         witness.to_dict() if witness else None,
-        {"acts": enum.count, "events": n_events, "witness_phase": phase},
+        {"acts": len(acts), "events": len(events), "witness_phase": phase},
     )
+
+
+def brute_force_strict_monotonicity(t):
+    """The monotonicity audit as a loop over every background act: each
+    non-null event in ascending bitmask order, each grid pair x > y (x
+    descending, then y ascending), each background in lexicographic order,
+    with values looked up by value tuple."""
+    n = t.space.size
+    acts, value = grid_values(t)
+    witness = None
+    checked = 0
+    for mask in range(1, 1 << n):
+        event = [i for i in range(n) if mask >> i & 1]
+        if t.space.probability(event) == 0.0:
+            continue
+        for xi in range(len(t.grid) - 1, -1, -1):
+            for yi in range(xi):
+                x, y = t.grid[xi], t.grid[yi]
+                for b in acts:
+                    vx = value[tuple(x if i in event else b[i] for i in range(n))]
+                    vy = value[tuple(y if i in event else b[i] for i in range(n))]
+                    checked += 1
+                    if not vx > vy and witness is None:
+                        witness = {
+                            "event": event,
+                            "x": x,
+                            "y": y,
+                            "background": list(b),
+                            "value_x": vx,
+                            "value_y": vy,
+                        }
+        if witness is not None:
+            break
+    return audit._report(t, "strict-monotonicity", witness, {"comparisons": checked})
 
 
 def sure_thing_outcome(audit_fn, t):
@@ -359,6 +411,56 @@ class TestSureThingOracle:
         t = random_grid_table(10, 3, 4, -0.7)
         witness = check_sure_thing(t).check("sure-thing").witness
         assert witness["f"] != [0.0, 0.0, 0.0]
+
+
+def _non_monotone_functionals():
+    return [
+        nan_functional(name) for name in NAN_EVALUATORS
+    ] + [
+        mean_variance_functional(),
+        PreferenceFunctional(
+            space=uniform3(),
+            evaluator=lambda act: max(act.values),
+            grid=(-1.0, 0.0, 1.0),
+            name="max",
+        ),
+        PreferenceFunctional(
+            space=FiniteSpace.uniform(["a", "b"]),
+            evaluator=lambda act: -sum(act.values),
+            grid=(0.0, 1.0, 2.0),
+            name="decreasing",
+        ),
+    ]
+
+
+class TestStrictMonotonicityOracle:
+    """Comparing two constant columns of each event's table gives the
+    report the loop over every background act gives, witness floats (and
+    NaNs, compared as float-hex) included."""
+
+    @staticmethod
+    def assert_matches(t):
+        expected = float_hex(brute_force_strict_monotonicity(t).to_dict())
+        assert float_hex(check_strict_monotonicity(t).to_dict()) == expected
+
+    @pytest.mark.parametrize(
+        "t",
+        _zoo_functionals()
+        + _choquet_functionals()
+        + _null_outcome_functionals()
+        + _non_monotone_functionals(),
+        ids=lambda t: t.name,
+    )
+    def test_matches_background_loop(self, t):
+        self.assert_matches(t)
+
+    @pytest.mark.parametrize(
+        "seed, n, g, bump, phase",
+        RANDOM_TABLES,
+        ids=[_table_name(*spec) for spec in RANDOM_TABLES],
+    )
+    def test_random_table_matches_background_loop(self, seed, n, g, bump, phase):
+        self.assert_matches(random_grid_table(seed, n, g, bump))
 
 
 class TestConditionable:

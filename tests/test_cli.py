@@ -327,6 +327,56 @@ class TestTower:
         assert "'weather2'" in err
 
 
+def entropic_variant(tmp_path, act=None, grid=None):
+    """models/entropic.json with its acts replaced by ``act`` (named "f")
+    or its audit grid replaced by ``grid``."""
+    with open(model("entropic.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if act is not None:
+        doc["acts"] = {"f": act}
+    if grid is not None:
+        doc["settings"]["grid"] = grid
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOutsideFloatRange:
+    """Saturation (exp(-40) below half an ulp of 1) and overflow
+    (exp(800)) exit 4 with one error line instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "act, argv",
+        [
+            ([40.0, 40.0], ["compute", "--partition", "trivial", "--act", "f"]),
+            ([-800.0, 0.0], ["compute", "--partition", "trivial", "--act", "f"]),
+            ([40.0, 40.0], ["tower", "--chain", "full", "trivial"]),
+            ([-800.0, 0.0], ["tower", "--chain", "full", "trivial"]),
+        ],
+        ids=["compute-saturates", "compute-overflows", "tower-saturates",
+             "tower-overflows"],
+    )
+    def test_entropic_extremes_exit_4(self, capsys, tmp_path, act, argv):
+        path = entropic_variant(tmp_path, act=act)
+        code, out, err = run(
+            capsys, argv[0], "--model", path, "--utility", "entropic", *argv[1:]
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: outside the float range: ")
+        assert err.count("\n") == 1
+
+    def test_audit_grid_overflow_exits_4(self, capsys, tmp_path):
+        path = entropic_variant(tmp_path, grid=[-800.0, 0.0, 1.0])
+        code, out, err = run(capsys, "audit", "--model", path, "--functional", "eu")
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: outside the float range: exponential curve with gamma=1 "
+            "overflows at x=-800\n"
+        )
+
+
 class TestRepair:
     def test_null_jump_repaired(self, capsys, tmp_path):
         out_model = tmp_path / "repaired.json"

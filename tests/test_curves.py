@@ -19,6 +19,7 @@ from chisini.curves import (
     merge_piecewise_linear,
     right_continuous_inverse,
 )
+from chisini.errors import ChisiniError, NumericRangeError
 
 
 class TestParametricFamilies:
@@ -51,6 +52,22 @@ class TestParametricFamilies:
         assert c.inverse_exact(8.0) == 2.0
         assert c.value(-2.0) == -8.0
         assert c.inverse_exact(-8.0) == -2.0
+
+    @pytest.mark.parametrize(
+        "curve, x",
+        [
+            (ExponentialCurve(1.0), -800.0),
+            (ExponentialCurve(-1.0), 800.0),
+            (PowerCurve(3.0), 1e120),
+            (PowerCurve(3.0), -1e120),
+        ],
+        ids=["exp", "exp-neg", "power", "power-neg"],
+    )
+    def test_overflow_is_a_typed_arithmetic_error(self, curve, x):
+        with pytest.raises(NumericRangeError, match="overflows") as raised:
+            curve.value(x)
+        assert isinstance(raised.value, ChisiniError)
+        assert isinstance(raised.value, ArithmeticError)
 
     def test_parameter_validation(self):
         assert ExponentialCurve(0.0).regularity_issues()
