@@ -42,6 +42,7 @@ from .spaces import (
 from .utility import (
     AdditiveRepresentation,
     PreferenceFunctional,
+    ProjectedUtility,
     ensure_regular,
     generalized_inverse,
     project_utility,
@@ -114,23 +115,7 @@ def chisini_mean(
 
     Raises RegularityViolation if the utility is not regular.
     """
-    ensure_regular(rep.utility)
-    h = conditional_expectation(rep.utility_act(f), algebra)
-    projected = project_utility(rep, algebra)
-    values = [0.0] * rep.space.size
-    for k, atom in enumerate(algebra.atoms):
-        if rep.space.probability(atom) == 0.0:
-            continue  # version choice: 0 on null atoms
-        anchor = min(atom)
-        inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)
-        if not inv.is_finite:
-            raise NumericRangeError(
-                "conditional expectation left the projected image on atom "
-                f"{sorted(atom)}; inputs are numerically inconsistent"
-            )
-        for i in atom:
-            values[i] = inv.value
-    g = Act(rep.space, tuple(values))
+    g = _solve_act(rep, f, _regular_projection(rep, f, algebra), solver)
     return ChisiniSolution(
         act=g,
         algebra=algebra,
@@ -143,6 +128,46 @@ def chisini_mean(
         f=f,
         cap=cap,
     )
+
+
+def _regular_projection(
+    rep: AdditiveRepresentation, f: Act, algebra: PartitionAlgebra
+) -> ProjectedUtility:
+    """``ensure_regular``, then ``project_utility``.
+
+    An algebra on another space fails the way the solve always failed
+    there, reading ``f`` first: on ``f``'s space, on its utilities, then
+    on the algebra's space.
+    """
+    ensure_regular(rep.utility)
+    if algebra.space != rep.space:
+        conditional_expectation(rep.utility_act(f), algebra)
+    return project_utility(rep, algebra)
+
+
+def _solve_act(
+    rep: AdditiveRepresentation, f: Act, projected: ProjectedUtility, solver: str
+) -> Act:
+    """The conditional Chisini mean's act alone, with no certificate, on the
+    algebra of ``projected``, which must be ``rep``'s regular projection."""
+    algebra = projected.algebra
+    h = conditional_expectation(rep.utility_act(f), algebra)
+    values = [0.0] * rep.space.size
+    for atom in algebra.atoms:
+        if rep.space.probability(atom) == 0.0:
+            continue  # version choice: 0 on null atoms
+        anchor = min(atom)
+        inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)
+        if not inv.is_finite:
+            raise NumericRangeError(
+                f"conditional expected utility {h.values[anchor]!r} on atom "
+                f"{sorted(atom)} rounded onto the "
+                f"{'upper' if inv.sign > 0 else 'lower'} bound of the projected "
+                "image, where the inverse is not a finite float"
+            )
+        for i in atom:
+            values[i] = inv.value
+    return Act(rep.space, tuple(values))
 
 
 def _residual_table(rep, f, g, algebra, cap):

@@ -317,28 +317,38 @@ def right_continuous_inverse(
     exists; otherwise (and always for mixtures) a monotone bisection runs to
     absolute tolerance ``BISECT_TOL`` on y.  Callers are responsible for the
     out-of-image branches, which belong to the extended-real inverse.
+
+    A probe whose value overflows reads as -inf below 0 and +inf above 0:
+    a regular curve is increasing through u(0) = 0, so its value there
+    lies beyond every float target on that side.
     """
     if use_closed_form:
         exact = curve.inverse_exact(target)
         if exact is not None:
             return exact
 
+    def probe(x: float) -> float:
+        try:
+            return curve.value(x)
+        except NumericRangeError:
+            return math.copysign(math.inf, x)
+
     # bracket: lo with value <= target, hi with value > target
     lo, hi = -1.0, 1.0
     for _ in range(200):
-        if curve.value(lo) <= target:
+        if probe(lo) <= target:
             break
         lo *= 2.0
     else:
         raise NumericRangeError("could not bracket the inverse from below")
     for _ in range(200):
-        if curve.value(hi) > target:
+        if probe(hi) > target:
             break
         hi *= 2.0
     else:
         raise NumericRangeError("could not bracket the inverse from above")
 
-    lo, hi = bisect_increasing(curve.value, target, lo, hi)
+    lo, hi = bisect_increasing(probe, target, lo, hi)
     return 0.5 * (lo + hi)
 
 

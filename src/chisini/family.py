@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .conditional import chisini_mean
+from .conditional import _regular_projection, _solve_act
+from .curves import MixtureCurve
 from .errors import EventNotInAlgebra, NotMeasurable
 from .reports import AuditReport, CheckResult
 from .spaces import (
@@ -35,13 +36,56 @@ from .spaces import (
     equal_up_to_null,
     paste,
 )
-from .utility import AdditiveRepresentation
+from .utility import AdditiveRepresentation, ProjectedUtility
 
 #: Number of terms in each constructed continuity sequence.
 CONTINUITY_TERMS = 64
 
 #: Final-defect threshold for the continuity proxy.
 CONTINUITY_FINAL_TOL = 1e-6
+
+#: Most probe values a family remembers per projected mixture curve.  The
+#: memo is emptied when it holds this many, so it never holds more; 512
+#: keeps most of the probes that a 64-term continuity sequence shares.
+PROBE_MEMO_SIZE = 512
+
+
+class _ProbeMemo(dict):
+    """A projected mixture curve whose ``value`` remembers its probes.
+
+    Mixtures have no closed-form inverse, so every solve bisects them, and
+    solves from one bracket probe the same points until their targets
+    separate.  The memo is a dict from probe to value: a remembered probe
+    is read without a Python call, and a new one is computed by
+    ``__missing__``.  ``value`` is pure, so a remembered probe is the
+    float the curve returns; a probe that raises is not remembered.
+    """
+
+    __slots__ = ("curve", "lower", "upper")
+
+    value = dict.__getitem__
+
+    def __init__(self, curve: MixtureCurve):
+        super().__init__()
+        self.curve = curve
+        self.lower = curve.lower_limit()
+        self.upper = curve.upper_limit()
+
+    def __missing__(self, x: float) -> float:
+        v = self.curve.value(x)
+        if len(self) >= PROBE_MEMO_SIZE:
+            self.clear()
+        self[x] = v
+        return v
+
+    def lower_limit(self):
+        return self.lower
+
+    def upper_limit(self):
+        return self.upper
+
+    def inverse_exact(self, y: float):
+        return self.curve.inverse_exact(y)
 
 
 @dataclass(frozen=True)
@@ -55,10 +99,30 @@ class ExpectationFamily:
 
     @classmethod
     def from_representation(cls, rep: AdditiveRepresentation) -> "ExpectationFamily":
-        """Build the family E_G = (projected utility)^{-1}(E[u(X)|G])."""
+        """Build the family E_G = (projected utility)^{-1}(E[u(X)|G]).
+
+        Each value is ``chisini_mean(rep, x, algebra).act``, computed
+        without the certificate that the family does not read.  The family
+        keeps the projected utility of each algebra it has solved on, with
+        every mixture curve behind a ``_ProbeMemo``.  Regularity is checked
+        only when an algebra is first seen; nothing is kept when the check
+        fails, so an irregular utility raises on every call.
+        """
+        projections: dict[PartitionAlgebra, ProjectedUtility] = {}
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
-            return chisini_mean(rep, x, algebra).act
+            projected = projections.get(algebra)
+            if projected is None:
+                plain = _regular_projection(rep, x, algebra)
+                projected = projections[algebra] = ProjectedUtility(
+                    rep,
+                    algebra,
+                    tuple(
+                        _ProbeMemo(c) if isinstance(c, MixtureCurve) else c
+                        for c in plain.atom_curves
+                    ),
+                )
+            return _solve_act(rep, x, projected, "auto")
 
         trivial = PartitionAlgebra.trivial(rep.space)
 
@@ -197,8 +261,9 @@ def audit_certainty_equivalent(
     terms = CONTINUITY_TERMS
     for base in bases:
         sampled = Act(fam.space, tuple(rng.choice([-1.0, 1.0], size=n)))
+        reference = fam.certainty_equivalent(base)
         for direction in (sampled, sampled * -1.0, *axes):
-            defects = _continuity_defects(fam, base, direction)
+            defects = _continuity_defects(fam, base, direction, reference)
             sequences += 1
             trend_ok = all(
                 defects[2 * k - 1] <= defects[k - 1] + 1e-12
@@ -231,8 +296,7 @@ def audit_certainty_equivalent(
     )
 
 
-def _continuity_defects(fam, base, direction):
-    reference = fam.certainty_equivalent(base)
+def _continuity_defects(fam, base, direction, reference):
     defects = []
     for n in range(1, CONTINUITY_TERMS + 1):
         shifted = base + direction * (2.0 ** (1 - n))

@@ -366,6 +366,28 @@ class TestOutsideFloatRange:
         assert err.startswith("error: outside the float range: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, atom",
+        [
+            (["compute", "--partition", "trivial", "--act", "f"], "[0, 1]"),
+            (["tower", "--chain", "full", "trivial"], "[0]"),
+        ],
+        ids=["compute", "tower"],
+    )
+    def test_saturation_names_the_rounded_bound(self, capsys, tmp_path, argv, atom):
+        # the Chisini mean of (40, 40) is 40, but 1 - exp(-40) rounds onto
+        # the entropic image's bound 1: the inputs are consistent
+        path = entropic_variant(tmp_path, act=[40.0, 40.0])
+        code, out, err = run(
+            capsys, argv[0], "--model", path, "--utility", "entropic", *argv[1:]
+        )
+        assert code == 4
+        assert err == (
+            "error: outside the float range: conditional expected utility 1.0 "
+            f"on atom {atom} rounded onto the upper bound of the projected "
+            "image, where the inverse is not a finite float\n"
+        )
+
     def test_audit_grid_overflow_exits_4(self, capsys, tmp_path):
         path = entropic_variant(tmp_path, grid=[-800.0, 0.0, 1.0])
         code, out, err = run(capsys, "audit", "--model", path, "--functional", "eu")

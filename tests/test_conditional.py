@@ -30,6 +30,7 @@ from chisini.errors import (
     ComplexityCapExceeded,
     EventNotInAlgebra,
     NotMeasurable,
+    NumericRangeError,
     PreconditionFailure,
     RegularityViolation,
 )
@@ -171,6 +172,31 @@ class TestChisiniMean:
         rep = AdditiveRepresentation(StateUtility.state_independent(sp, bad))
         with pytest.raises(RegularityViolation):
             chisini_mean(rep, Act(sp, (0.5, 1.0)), PartitionAlgebra.trivial(sp))
+
+    @pytest.mark.parametrize("gamma, c", [(1.0, -600.0), (-1.0, 600.0)])
+    def test_overflowing_bracket_probe_still_solves(self, gamma, c):
+        # the doubling bracket passes x = -1024 (or +1024), where the
+        # exponential part overflows; that probe reads as an infinity of
+        # its sign, so the fixpoint law holds for a constant act
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(gamma), LinearCurve(1.0)))
+        )
+        sol = chisini_mean(rep, Act.constant(sp, c), PartitionAlgebra.trivial(sp))
+        assert sol.act.values == (c, c)
+        assert sol.ok
+
+    def test_saturation_says_the_expectation_rounded_onto_the_bound(self):
+        # 1 - exp(-40) rounds to 1 = 1/gamma: the mean is 40, but the
+        # conditional expectation sits on the image's bound in floats
+        sp = FiniteSpace.uniform(["a", "b"])
+        with pytest.raises(NumericRangeError) as raised:
+            chisini_mean(exp_rep(sp), Act.constant(sp, 40.0), PartitionAlgebra.trivial(sp))
+        assert str(raised.value) == (
+            "conditional expected utility 1.0 on atom [0, 1] rounded onto the "
+            "upper bound of the projected image, where the inverse is not a "
+            "finite float"
+        )
 
     def test_residual_table_covers_all_unions(self):
         sp = FiniteSpace.uniform(["a", "b", "c", "d"])

@@ -23,8 +23,15 @@ from chisini import (
     check_tower,
     conditional_expectation,
 )
+from chisini.conditional import chisini_mean
 from chisini.curves import MixtureCurve, PiecewiseLinearCurve, right_continuous_inverse
-from chisini.errors import EventNotInAlgebra, NotMeasurable
+from chisini.errors import (
+    EventNotInAlgebra,
+    NotMeasurable,
+    RegularityViolation,
+    SpaceMismatchError,
+)
+from chisini.family import PROBE_MEMO_SIZE, _ProbeMemo
 
 
 def family(space, curve):
@@ -272,3 +279,167 @@ class TestCertaintyEquivalentAudit:
         check = report.check("pointwise-continuity")
         assert not check.passed
         assert check.witness["final_defect"] >= 1e-6
+
+
+KINKED = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), 2.0, 0.5)
+BENT = PiecewiseLinearCurve((-0.5, 0.0, 2.0), (-0.25, 0.0, 3.0), 0.5, 1.0)
+
+
+def random_family_model(rng, kind):
+    """A seeded space (some outcomes null when ``kind`` is "null"), one curve
+    per outcome of the kind's families, and three algebras: a random
+    partition, the singletons and the trivial one."""
+    n = int(rng.integers(2, 7))
+    weights = rng.dirichlet(np.ones(n))
+    if kind == "null":
+        weights[rng.random(n) < 0.35] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+    sp = FiniteSpace(tuple(f"w{i}" for i in range(n)), tuple(weights / weights.sum()))
+    pools = {
+        "mixture": (ExponentialCurve(0.4), ExponentialCurve(-1.3), PowerCurve(0.5),
+                    PowerCurve(2.5), LinearCurve(1.7)),
+        "knots": (KINKED, BENT, LinearCurve(0.6)),
+        "closed": (ExponentialCurve(0.7),),
+        "null": (ExponentialCurve(1.0), PowerCurve(3.0), KINKED),
+    }[kind]
+    curves = tuple(pools[int(k)] for k in rng.integers(0, len(pools), n))
+    blocks = {}
+    for i, k in zip(rng.permutation(n), rng.integers(0, n, n)):
+        blocks.setdefault(int(k), []).append(int(i))
+    algebras = (
+        PartitionAlgebra(sp, tuple(frozenset(b) for b in blocks.values())),
+        PartitionAlgebra(sp, tuple(frozenset([i]) for i in range(n))),
+        PartitionAlgebra.trivial(sp),
+    )
+    return AdditiveRepresentation(StateUtility(sp, curves)), algebras
+
+
+def hex_values(act):
+    return [v.hex() for v in act.values]
+
+
+class TestFastPathOracle:
+    """The family solves without the certificate, on a projection made once
+    per algebra and mixtures behind a probe memo; ``chisini_mean`` is the
+    independent reference and every float must match it exactly."""
+
+    @pytest.mark.parametrize(
+        "seed, kind", list(enumerate(["mixture", "knots", "closed", "null"]))
+    )
+    def test_family_matches_chisini_mean_float_hex(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            rep, algebras = random_family_model(rng, kind)
+            fam = ExpectationFamily.from_representation(rep)
+            n = rep.space.size
+            # 40 acts per algebra on one family: the mixture memos fill and
+            # clear, and later solves reuse probes of earlier ones
+            for _ in range(40):
+                x = Act(rep.space, tuple(rng.uniform(-3.0, 3.0, size=n)))
+                for alg in algebras:
+                    assert hex_values(fam.conditional(x, alg)) == hex_values(
+                        chisini_mean(rep, x, alg).act
+                    )
+                trivial = chisini_mean(rep, x, algebras[-1]).act.values[0]
+                assert fam.e0(x).hex() == trivial.hex()
+
+    def test_continuity_sequence_matches_chisini_mean(self):
+        # one sequence long enough to clear the memo several times
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        trivial = PartitionAlgebra.trivial(sp)
+        base, direction = Act(sp, (1.0, 0.0, 1.0)), Act(sp, (-1.0, 1.0, 1.0))
+        for k in range(200):
+            x = base + direction * (2.0 ** (1 - k % 64)) * (1.0 + k // 64)
+            assert fam.e0(x).hex() == chisini_mean(rep, x, trivial).act.values[0].hex()
+
+
+class TestProbeMemo:
+    def test_memo_returns_the_curve_values_within_its_bound(self):
+        curve = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), PowerCurve(3.0)))
+        memo = _ProbeMemo(curve)
+        for k in range(3 * PROBE_MEMO_SIZE + 7):
+            x = (k % (2 * PROBE_MEMO_SIZE)) / 97.0 - 5.0
+            assert memo.value(x) == curve.value(x)
+            assert 1 <= len(memo) <= PROBE_MEMO_SIZE
+        assert memo.lower_limit() == curve.lower_limit()
+        assert memo.upper_limit() == curve.upper_limit()
+        assert memo.inverse_exact(0.5) is None
+
+    def test_memo_stays_within_its_bound_during_an_audit(self, monkeypatch):
+        sizes = []
+        missing = _ProbeMemo.__missing__
+
+        def recorded(self, x):
+            v = missing(self, x)
+            sizes.append(len(self))
+            return v
+
+        monkeypatch.setattr(_ProbeMemo, "__missing__", recorded)
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        assert audit_certainty_equivalent(fam, (0.0, 1.0), trials=4, seed=7).passed
+        assert max(sizes) == PROBE_MEMO_SIZE  # the memo filled up ...
+        assert sizes.count(1) > 1  # ... and was emptied again
+
+    def test_overflowing_probe_reads_the_same_through_the_memo(self):
+        # the bracket's probe at x = -1024 overflows the exponential part;
+        # the memo keeps no value for it, so every solve reads it alike
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(1.0), LinearCurve(1.0)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        for c in (-600.0, -600.0, -650.0, -600.0):
+            x = Act.constant(sp, c)
+            assert fam.e0(x) == c
+            assert fam.e0(x) == chisini_mean(rep, x, PartitionAlgebra.trivial(sp)).act.values[0]
+
+    def test_irregular_utility_raises_on_every_call(self):
+        sp = FiniteSpace.uniform(["a", "b"])
+        flat = PiecewiseLinearCurve((0.0, 1.0, 2.0), (0.0, 1.0, 1.0))
+        fam = family(sp, flat)
+        x = Act(sp, (0.5, 1.0))
+        for _ in range(3):
+            with pytest.raises(RegularityViolation):
+                fam.e0(x)
+            with pytest.raises(RegularityViolation):
+                fam.conditional(x, PartitionAlgebra.from_labels(sp, [["a"], ["b"]]))
+
+    def test_algebra_on_another_space_fails_as_chisini_mean_does(self):
+        sp = FiniteSpace.uniform(["a", "b"])
+        other = FiniteSpace.uniform(["a", "b", "c"])
+        rep = AdditiveRepresentation(StateUtility.state_independent(sp, PowerCurve(3.0)))
+        fam = ExpectationFamily.from_representation(rep)
+        x = Act(sp, (0.5, 1.0))
+        for solve in (lambda alg: chisini_mean(rep, x, alg).act, lambda alg: fam.conditional(x, alg)):
+            with pytest.raises(SpaceMismatchError, match="do not share a finite space"):
+                solve(PartitionAlgebra.trivial(other))
+
+    def test_family_rebuilt_from_its_fields_keeps_working(self):
+        # a tracer rebuilds a family from its four fields around a wrapped e0
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        rebuilt = ExpectationFamily(
+            space=fam.space, evaluator=fam.evaluator, e0=lambda x: fam.e0(x), rep=fam.rep
+        )
+        alg = PartitionAlgebra.from_labels(sp, [["a", "c"], ["b"]])
+        for values in ((1.0, 0.0, -1.0), (0.3, 2.0, -0.5)):
+            x = Act(sp, values)
+            assert hex_values(rebuilt.conditional(x, alg)) == hex_values(
+                chisini_mean(rep, x, alg).act
+            )
+            assert rebuilt.certainty_equivalent(x) == chisini_mean(
+                rep, x, PartitionAlgebra.trivial(sp)
+            ).act.values[0]
+        assert audit_certainty_equivalent(rebuilt, (0.0, 1.0), trials=2).passed
