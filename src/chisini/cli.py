@@ -16,7 +16,8 @@ cap exceeded, 6 non-nested partition chain, 7 continuity violation during
 repair.
 
 The environment variable CHISINI_CAP (integer) overrides the atom-union
-enumeration cap used by residual tables and black-box verification.
+enumeration cap of the residual table that ``compute`` prints.  No other
+command reads it: the CLI runs no black-box verification.
 """
 
 from __future__ import annotations

@@ -299,6 +299,9 @@ def audit_certainty_equivalent(
 def _continuity_defects(fam, base, direction, reference):
     defects = []
     for n in range(1, CONTINUITY_TERMS + 1):
-        shifted = base + direction * (2.0 ** (1 - n))
+        s = 2.0 ** (1 - n)
+        shifted = Act(
+            base.space, tuple(b + d * s for b, d in zip(base.values, direction.values))
+        )
         defects.append(abs(fam.certainty_equivalent(shifted) - reference))
     return defects

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 from .curves import (
     Curve,
@@ -36,17 +35,24 @@ _TOP_KEYS = {
     "functionals",
     "settings",
 }
-_SETTINGS_KEYS = {"grid", "tolerance", "cap", "repair_epsilon", "repair_bound"}
-_FUNCTIONAL_KEYS = {"kind", "utility", "exponent", "values", "expect"}
 _EXPECT_KEYS = {"sure_thing", "conditionable"}
-_CURVE_KEYS = {
-    "family",
-    "scale",
-    "gamma",
-    "exponent",
-    "knots",
-    "slope_left",
-    "slope_right",
+
+#: Curve family -> (curve class, its one parameter, the parameter's
+#: default, or None where the parameter is required).  Knot tables are not
+#: a family: they are recognized by their "knots" field.
+_FAMILIES = {
+    "linear": (LinearCurve, "scale", 1.0),
+    "exponential": (ExponentialCurve, "gamma", None),
+    "power": (PowerCurve, "exponent", None),
+}
+_KNOT_KEYS = {"knots", "slope_left", "slope_right"}
+
+#: Functional kind -> the one field it requires besides "kind"; "expect"
+#: is allowed for every kind.
+_KINDS = {
+    "expected-utility": "utility",
+    "choquet": "exponent",
+    "grid-table": "values",
 }
 
 
@@ -109,10 +115,19 @@ def _resolve(table: dict, name: str, section: str):
     return table[name]
 
 
-def _require_keys(mapping: dict, allowed: set, required: set, path: str) -> None:
-    if not isinstance(mapping, dict):
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
         raise ModelFileError(path, "expected an object")
-    unknown = set(mapping) - allowed
+    return value
+
+
+def _section(doc: dict, name: str):
+    """The named entries of a top-level section; absent or null is empty."""
+    return _object(doc.get(name) or {}, f"$.{name}").items()
+
+
+def _require_keys(mapping: dict, allowed, required: set, path: str) -> None:
+    unknown = set(_object(mapping, path)).difference(allowed)
     if unknown:
         raise ModelFileError(
             f"{path}.{sorted(unknown)[0]}", "unknown field (schema is strict)"
@@ -142,14 +157,17 @@ def _number_list(values, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
-def _parse_curve(spec: dict, path: str) -> Curve:
-    _require_keys(spec, _CURVE_KEYS, set(), path)
-    if "knots" in spec:
-        for key in ("family", "scale", "gamma", "exponent"):
-            if key in spec:
-                raise ModelFileError(
-                    f"{path}.{key}", "knot tables take only slopes"
-                )
+def _entry(table: dict, key, path: str, what: str, other: str = ""):
+    if isinstance(key, str) and key in table:
+        return table[key]
+    raise ModelFileError(path, f"unknown {what} {key!r} ({' | '.join(table)}{other})")
+
+
+def _parse_curve(spec, path: str) -> Curve:
+    if "knots" in _object(spec, path):
+        stray = sorted(set(spec) - _KNOT_KEYS)
+        if stray:
+            raise ModelFileError(f"{path}.{stray[0]}", "knot tables take only slopes")
         knots = spec["knots"]
         _require_keys(knots, {"x", "u"}, {"x", "u"}, f"{path}.knots")
         xs = _number_list(knots["x"], f"{path}.knots.x")
@@ -163,33 +181,16 @@ def _parse_curve(spec: dict, path: str) -> Curve:
             )
         except ValueError as exc:
             raise ModelFileError(path, str(exc)) from None
-    family = spec.get("family")
-    if family == "linear":
-        return LinearCurve(_number(spec.get("scale", 1.0), f"{path}.scale"))
-    if family == "exponential":
-        if "gamma" not in spec:
-            raise ModelFileError(f"{path}.gamma", "required field missing")
-        return ExponentialCurve(_number(spec["gamma"], f"{path}.gamma"))
-    if family == "power":
-        if "exponent" not in spec:
-            raise ModelFileError(f"{path}.exponent", "required field missing")
-        return PowerCurve(_number(spec["exponent"], f"{path}.exponent"))
-    raise ModelFileError(
-        f"{path}.family",
-        f"unknown family {family!r} (linear | exponential | power, or knots)",
+    cls, param, default = _entry(
+        _FAMILIES, spec.get("family"), f"{path}.family", "family", ", or knots"
     )
+    _require_keys(spec, {"family", param}, {param} if default is None else set(), path)
+    return cls(_number(spec.get(param, default), f"{path}.{param}"))
 
 
 def _parse_utility(spec, space: FiniteSpace, path: str) -> StateUtility:
-    if not isinstance(spec, dict):
-        raise ModelFileError(path, "expected an object")
-    if "per_outcome" in spec:
-        extra = set(spec) - {"per_outcome"}
-        if extra:
-            raise ModelFileError(
-                f"{path}.{sorted(extra)[0]}",
-                "per_outcome utilities take no other fields",
-            )
+    if "per_outcome" in _object(spec, path):
+        _require_keys(spec, {"per_outcome"}, set(), path)
         curves = spec["per_outcome"]
         if not isinstance(curves, list) or len(curves) != space.size:
             raise ModelFileError(
@@ -225,11 +226,11 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelFileError("$.space", str(exc)) from None
 
     utilities = {}
-    for name, spec in (doc.get("utilities") or {}).items():
+    for name, spec in _section(doc, "utilities"):
         utilities[name] = _parse_utility(spec, space, f"$.utilities.{name}")
 
     partitions = {}
-    for name, blocks in (doc.get("partitions") or {}).items():
+    for name, blocks in _section(doc, "partitions"):
         path = f"$.partitions.{name}"
         if not isinstance(blocks, list):
             raise ModelFileError(path, "expected a list of outcome lists")
@@ -239,7 +240,7 @@ def parse_model(doc: dict) -> ModelFile:
             raise ModelFileError(path, str(exc)) from None
 
     acts = {}
-    for name, values in (doc.get("acts") or {}).items():
+    for name, values in _section(doc, "acts"):
         path = f"$.acts.{name}"
         parsed = _number_list(values, path)
         if len(parsed) != space.size:
@@ -249,43 +250,31 @@ def parse_model(doc: dict) -> ModelFile:
     settings = _parse_settings(doc.get("settings") or {}, "$.settings")
 
     functionals = {}
-    for name, spec in (doc.get("functionals") or {}).items():
+    for name, spec in _section(doc, "functionals"):
         path = f"$.functionals.{name}"
-        _require_keys(spec, _FUNCTIONAL_KEYS, {"kind"}, path)
-        kind = spec["kind"]
+        kind = _object(spec, path).get("kind")
+        key = _entry(_KINDS, kind, f"{path}.kind", "kind")
+        _require_keys(spec, {"kind", key, "expect"}, {key}, path)
+        value, value_path = spec[key], f"{path}.{key}"
         if kind == "expected-utility":
-            if "utility" not in spec:
-                raise ModelFileError(f"{path}.utility", "required field missing")
-            if spec["utility"] not in utilities:
-                raise ModelFileError(
-                    f"{path}.utility", f"unknown utility {spec['utility']!r}"
-                )
+            if not isinstance(value, str) or value not in utilities:
+                raise ModelFileError(value_path, f"unknown utility {value!r}")
         elif kind == "choquet":
-            if "exponent" not in spec:
-                raise ModelFileError(f"{path}.exponent", "required field missing")
-            spec = dict(spec, exponent=_number(spec["exponent"], f"{path}.exponent"))
-        elif kind == "grid-table":
-            if "values" not in spec:
-                raise ModelFileError(f"{path}.values", "required field missing")
-            values = _number_list(spec["values"], f"{path}.values")
-            want = len(settings.grid) ** space.size
-            if len(values) != want:
-                raise ModelFileError(
-                    f"{path}.values", f"expected {want} entries for the grid"
-                )
-            spec = dict(spec, values=values)
+            value = _number(value, value_path)
         else:
-            raise ModelFileError(
-                f"{path}.kind",
-                f"unknown kind {kind!r} "
-                "(expected-utility | choquet | grid-table)",
-            )
+            value = _number_list(value, value_path)
+            want = len(settings.grid) ** space.size
+            if len(value) != want:
+                raise ModelFileError(
+                    value_path, f"expected {want} entries for the grid"
+                )
+        spec = {**spec, key: value}
         if "expect" in spec:
             _require_keys(spec["expect"], _EXPECT_KEYS, set(), f"{path}.expect")
-            for key, value in spec["expect"].items():
-                if not isinstance(value, bool):
+            for verdict, flag in spec["expect"].items():
+                if not isinstance(flag, bool):
                     raise ModelFileError(
-                        f"{path}.expect.{key}", "expected true or false"
+                        f"{path}.expect.{verdict}", "expected true or false"
                     )
         functionals[name] = spec
 
@@ -300,32 +289,40 @@ def parse_model(doc: dict) -> ModelFile:
     )
 
 
+def _grid(values, path: str) -> tuple[float, ...]:
+    grid = tuple(sorted(_number_list(values, path)))
+    if len(set(grid)) != len(grid):
+        raise ModelFileError(path, "grid values must be distinct")
+    if len(grid) < 2:
+        raise ModelFileError(path, "expected at least two grid values")
+    return grid
+
+
+def _cap(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFileError(path, "expected an integer")
+    return value
+
+
+#: Setting -> its parser; the defaults live in ``Settings``.
+_SETTINGS = {
+    "grid": _grid,
+    "tolerance": _number,
+    "cap": _cap,
+    "repair_epsilon": _number,
+    "repair_bound": _number,
+}
+
+
 def _parse_settings(spec: dict, path: str) -> Settings:
-    _require_keys(spec, _SETTINGS_KEYS, set(), path)
-    kwargs: dict[str, Any] = {}
-    if "grid" in spec:
-        grid = tuple(sorted(_number_list(spec["grid"], f"{path}.grid")))
-        if len(set(grid)) != len(grid):
-            raise ModelFileError(f"{path}.grid", "grid values must be distinct")
-        if len(grid) < 2:
-            raise ModelFileError(f"{path}.grid", "expected at least two grid values")
-        kwargs["grid"] = grid
-    if "tolerance" in spec:
-        kwargs["tolerance"] = _number(spec["tolerance"], f"{path}.tolerance")
-    if "cap" in spec:
-        cap = spec["cap"]
-        if isinstance(cap, bool) or not isinstance(cap, int):
-            raise ModelFileError(f"{path}.cap", "expected an integer")
-        kwargs["cap"] = cap
-    if "repair_epsilon" in spec:
-        kwargs["repair_epsilon"] = _number(
-            spec["repair_epsilon"], f"{path}.repair_epsilon"
-        )
-    if "repair_bound" in spec:
-        kwargs["repair_bound"] = _number(
-            spec["repair_bound"], f"{path}.repair_bound"
-        )
-    return Settings(**kwargs)
+    _require_keys(spec, _SETTINGS, set(), path)
+    return Settings(
+        **{
+            key: parse(spec[key], f"{path}.{key}")
+            for key, parse in _SETTINGS.items()
+            if key in spec
+        }
+    )
 
 
 def load_model(path: str) -> ModelFile:
@@ -343,18 +340,15 @@ def load_model(path: str) -> ModelFile:
 
 def curve_to_spec(curve: Curve) -> dict:
     """Serialize a curve back into the model-file schema."""
-    if isinstance(curve, LinearCurve):
-        return {"family": "linear", "scale": curve.scale}
-    if isinstance(curve, ExponentialCurve):
-        return {"family": "exponential", "gamma": curve.gamma}
-    if isinstance(curve, PowerCurve):
-        return {"family": "power", "exponent": curve.exponent}
     if isinstance(curve, PiecewiseLinearCurve):
         return {
             "knots": {"x": list(curve.xs), "u": list(curve.us)},
             "slope_left": curve.slope_left,
             "slope_right": curve.slope_right,
         }
+    for family, (cls, param, _) in _FAMILIES.items():
+        if type(curve) is cls:
+            return {"family": family, param: getattr(curve, param)}
     raise ModelFileError("$", f"curve {type(curve).__name__} is not serializable")
 
 

@@ -164,15 +164,6 @@ class Act:
             )
         return Act(self.space, tuple(v + float(other) for v in self.values))
 
-    def __sub__(self, other):
-        if isinstance(other, Act):
-            _require_same_space(self.space, other.space)
-            return Act(
-                self.space,
-                tuple(a - b for a, b in zip(self.values, other.values)),
-            )
-        return Act(self.space, tuple(v - float(other) for v in self.values))
-
     def __mul__(self, scalar):
         return Act(self.space, tuple(v * float(scalar) for v in self.values))
 

@@ -67,19 +67,6 @@ class ValidationReport:
     ok: bool
     issues: tuple[RegularityIssue, ...]
 
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "issues": [
-                {
-                    "outcome": i.outcome,
-                    "coordinate": i.coordinate,
-                    "message": i.message,
-                }
-                for i in self.issues
-            ],
-        }
-
 
 def validate_regular(utility: StateUtility) -> ValidationReport:
     """Check every curve for normalization at 0, strict monotonicity and

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 
 import pytest
 
@@ -432,6 +433,62 @@ class TestRepair:
         )
         assert code == 7
         assert "ghost" in err
+
+
+class TestOutputPaths:
+    COMPUTE = (
+        "compute",
+        "--model", model("entropic.json"),
+        "--utility", "entropic",
+        "--act", "log-two",
+        "--partition", "trivial",
+    )
+
+    def test_table_prints_one_line_per_leaf(self, capsys):
+        code, out, _ = run(capsys, *self.COMPUTE)
+        assert code == 0
+        leaves = {}
+
+        def flatten(value, prefix):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    flatten(item, f"{prefix}{key}.")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    flatten(item, f"{prefix}{i}.")
+            else:
+                leaves[prefix[:-1]] = value
+
+        flatten(json.loads(out), "")
+        code, table, _ = run(capsys, *self.COMPUTE, "--table")
+        assert code == 0
+        lines = table.splitlines()
+        assert len(lines) == len(leaves)
+        rows = dict(line.split(" = ", 1) for line in lines)
+        assert sorted(rows) == sorted(leaves)
+        for key, rendered in rows.items():
+            assert json.loads(rendered) == leaves[key]
+            if isinstance(leaves[key], float):
+                assert rendered == format(leaves[key], ".12g")
+        assert rows["command"] == '"compute"'
+        assert rows["ok"] == "true"
+
+    def test_out_writes_the_printed_bytes(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *self.COMPUTE, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_repair_writes_next_to_the_model_by_default(self, capsys, tmp_path):
+        source = tmp_path / "repair.json"
+        shutil.copy(model("repair.json"), source)
+        code, out, _ = run(
+            capsys, "repair", "--model", str(source), "--utility", "haunted"
+        )
+        assert code == 0
+        written = tmp_path / "repair.repaired.json"
+        assert json.loads(out)["output_model"] == str(written)
+        assert "haunted-repaired" in json.loads(written.read_text())["utilities"]
 
 
 class TestDeterminism:
