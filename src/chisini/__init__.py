@@ -16,9 +16,6 @@ _EXPORTS = {
     "AuditReport": "reports",
     "CheckResult": "reports",
     "errors": "errors",
-    "ExtendedReal": "extended",
-    "NEG_INF": "extended",
-    "POS_INF": "extended",
     "Curve": "curves",
     "ExponentialCurve": "curves",
     "LinearCurve": "curves",

@@ -306,6 +306,17 @@ class _ChainNotNested(ChisiniError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """A flag value held to the model file's rule for the same settings."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chisini",
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", required=True, help="model file (JSON)")
     common.add_argument("--out", help="also write the report to this path")
     common.add_argument(
-        "--tol", type=float, default=None, help="override the model tolerance"
+        "--tol", type=_finite_float, default=None, help="override the model tolerance"
     )
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument(
@@ -360,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "repair", parents=[common], help="detect jumps and repair a utility"
     )
     repair.add_argument("--utility", required=True)
-    repair.add_argument("--epsilon", type=float, default=None)
-    repair.add_argument("--bound", type=float, default=None)
+    repair.add_argument("--epsilon", type=_finite_float, default=None)
+    repair.add_argument("--bound", type=_finite_float, default=None)
     return parser
 
 

@@ -158,15 +158,15 @@ def _solve_act(
             continue  # version choice: 0 on null atoms
         anchor = min(atom)
         inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)
-        if not inv.is_finite:
+        if not math.isfinite(inv):
             raise NumericRangeError(
                 f"conditional expected utility {h.values[anchor]!r} on atom "
                 f"{sorted(atom)} rounded onto the "
-                f"{'upper' if inv.sign > 0 else 'lower'} bound of the projected "
+                f"{'upper' if inv > 0 else 'lower'} bound of the projected "
                 "image, where the inverse is not a finite float"
             )
         for i in atom:
-            values[i] = inv.value
+            values[i] = inv
     return Act(rep.space, tuple(values))
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NumericRangeError
-from .extended import NEG_INF, POS_INF, ExtendedReal
 
 #: Absolute tolerance of ``bisect_increasing`` on the solution variable.
 BISECT_TOL = 1e-13
@@ -47,12 +46,14 @@ class Curve:
     def value(self, x: float) -> float:
         raise NotImplementedError
 
-    def lower_limit(self) -> ExtendedReal:
-        """Limit of the curve at -inf (lower endpoint of the open image)."""
+    def lower_limit(self) -> float:
+        """Limit of the curve at -inf (lower endpoint of the open image),
+        -math.inf when the curve is unbounded below."""
         raise NotImplementedError
 
-    def upper_limit(self) -> ExtendedReal:
-        """Limit of the curve at +inf (upper endpoint of the open image)."""
+    def upper_limit(self) -> float:
+        """Limit of the curve at +inf (upper endpoint of the open image),
+        math.inf when the curve is unbounded above."""
         raise NotImplementedError
 
     def inverse_exact(self, y: float):
@@ -76,11 +77,11 @@ class LinearCurve(Curve):
     def value(self, x: float) -> float:
         return self.scale * x
 
-    def lower_limit(self) -> ExtendedReal:
-        return NEG_INF
+    def lower_limit(self) -> float:
+        return -math.inf
 
-    def upper_limit(self) -> ExtendedReal:
-        return POS_INF
+    def upper_limit(self) -> float:
+        return math.inf
 
     def inverse_exact(self, y: float) -> float:
         return y / self.scale
@@ -106,15 +107,11 @@ class ExponentialCurve(Curve):
                 f"exponential curve with gamma={self.gamma:g} overflows at x={x:g}"
             ) from None
 
-    def lower_limit(self) -> ExtendedReal:
-        if self.gamma < 0.0:
-            return ExtendedReal.finite(1.0 / self.gamma)
-        return NEG_INF
+    def lower_limit(self) -> float:
+        return 1.0 / self.gamma if self.gamma < 0.0 else -math.inf
 
-    def upper_limit(self) -> ExtendedReal:
-        if self.gamma > 0.0:
-            return ExtendedReal.finite(1.0 / self.gamma)
-        return POS_INF
+    def upper_limit(self) -> float:
+        return 1.0 / self.gamma if self.gamma > 0.0 else math.inf
 
     def inverse_exact(self, y: float) -> float:
         return -math.log1p(-self.gamma * y) / self.gamma
@@ -139,11 +136,11 @@ class PowerCurve(Curve):
                 f"power curve with exponent {self.exponent:g} overflows at x={x:g}"
             ) from None
 
-    def lower_limit(self) -> ExtendedReal:
-        return NEG_INF
+    def lower_limit(self) -> float:
+        return -math.inf
 
-    def upper_limit(self) -> ExtendedReal:
-        return POS_INF
+    def upper_limit(self) -> float:
+        return math.inf
 
     def inverse_exact(self, y: float) -> float:
         return math.copysign(abs(y) ** (1.0 / self.exponent), y) if y != 0.0 else 0.0
@@ -207,11 +204,11 @@ class PiecewiseLinearCurve(Curve):
             return u1
         return u0 + (x - x0) * (u1 - u0) / (x1 - x0)
 
-    def lower_limit(self) -> ExtendedReal:
-        return NEG_INF if self.slope_left > 0.0 else ExtendedReal.finite(self.us[0])
+    def lower_limit(self) -> float:
+        return -math.inf if self.slope_left > 0.0 else self.us[0]
 
-    def upper_limit(self) -> ExtendedReal:
-        return POS_INF if self.slope_right > 0.0 else ExtendedReal.finite(self.us[-1])
+    def upper_limit(self) -> float:
+        return math.inf if self.slope_right > 0.0 else self.us[-1]
 
     def inverse_exact(self, y: float):
         if self.jumps(-math.inf, math.inf):
@@ -276,19 +273,19 @@ class MixtureCurve(Curve):
     def value(self, x: float) -> float:
         return sum(w * c.value(x) for w, c in zip(self.weights, self.parts))
 
-    def _limit(self, side: str) -> ExtendedReal:
+    def _limit(self, side: str) -> float:
+        # a plain loop, not sum(), which compensates floats from Python 3.12;
+        # an infinite limit carries its sign through, as no lower limit is
+        # +inf and no upper limit -inf
         total = 0.0
         for w, c in zip(self.weights, self.parts):
-            lim = c.lower_limit() if side == "lower" else c.upper_limit()
-            if not lim.is_finite:
-                return lim
-            total += w * lim.value
-        return ExtendedReal.finite(total)
+            total += w * (c.lower_limit() if side == "lower" else c.upper_limit())
+        return total
 
-    def lower_limit(self) -> ExtendedReal:
+    def lower_limit(self) -> float:
         return self._limit("lower")
 
-    def upper_limit(self) -> ExtendedReal:
+    def upper_limit(self) -> float:
         return self._limit("upper")
 
     def regularity_issues(self):
@@ -316,7 +313,8 @@ def right_continuous_inverse(
     With ``use_closed_form`` the family's exact inverse is used when one
     exists; otherwise (and always for mixtures) a monotone bisection runs to
     absolute tolerance ``BISECT_TOL`` on y.  Callers are responsible for the
-    out-of-image branches, which belong to the extended-real inverse.
+    out-of-image branches, where ``utility.generalized_inverse`` returns
+    -inf or +inf.
 
     A probe whose value overflows reads as -inf below 0 and +inf above 0:
     a regular curve is increasing through u(0) = 0, so its value there

@@ -26,6 +26,7 @@ The pipeline mirrors how a utility is dug out of a preference functional:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ from .errors import (
     OutOfGridRange,
     PropertyFlagMissing,
 )
-from .extended import POS_INF, ExtendedReal
 from .reports import AuditReport, CheckResult
 from .spaces import Act, EventSet, FiniteSpace
 from .utility import AdditiveRepresentation, StateUtility
@@ -309,7 +309,7 @@ class JumpReport:
     outcomes: tuple[str, ...]
     threshold: float
     jumps: tuple[tuple[tuple[float, float], ...], ...]
-    first_jump: tuple[ExtendedReal, ...]
+    first_jump: tuple[float, ...]
 
     def jumpy_outcomes(self) -> tuple[int, ...]:
         return tuple(i for i, js in enumerate(self.jumps) if js)
@@ -323,7 +323,7 @@ class JumpReport:
                     "jumps": [
                         {"location": x, "size": s} for x, s in self.jumps[i]
                     ],
-                    "first_jump": self.first_jump[i].as_float(),
+                    "first_jump": self.first_jump[i],
                 }
                 for i, o in enumerate(self.outcomes)
             ],
@@ -339,8 +339,10 @@ def detect_jumps(
     increments exceeding eps plus the continuity allowance; the reported
     size (increment minus allowance) is a lower bound on the true jump.
     """
-    if eps <= 0:
+    if not eps > 0:  # a NaN eps fails too
         raise ValueError("eps must be positive")
+    if math.isnan(bound):
+        raise ValueError("bound must not be NaN")
     per_outcome: list[tuple[tuple[float, float], ...]] = []
     if isinstance(source, StateUtility):
         outcomes = source.space.outcomes
@@ -363,14 +365,11 @@ def detect_jumps(
                 if keep[j + 1]:
                     found.append((location, float(diffs[j] - allow[j])))
             per_outcome.append(tuple(sorted(found)))
-    first = tuple(
-        ExtendedReal.finite(js[0][0]) if js else POS_INF for js in per_outcome
-    )
     return JumpReport(
         outcomes=tuple(outcomes),
         threshold=float(eps),
         jumps=tuple(per_outcome),
-        first_jump=first,
+        first_jump=tuple(float(js[0][0]) if js else math.inf for js in per_outcome),
     )
 
 

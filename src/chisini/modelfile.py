@@ -121,9 +121,10 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _section(doc: dict, name: str):
-    """The named entries of a top-level section; absent or null is empty."""
-    return _object(doc.get(name) or {}, f"$.{name}").items()
+def _section(doc: dict, name: str) -> dict:
+    """A top-level section; absent or null is empty."""
+    value = doc.get(name)
+    return _object({} if value is None else value, f"$.{name}")
 
 
 def _require_keys(mapping: dict, allowed, required: set, path: str) -> None:
@@ -226,11 +227,11 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelFileError("$.space", str(exc)) from None
 
     utilities = {}
-    for name, spec in _section(doc, "utilities"):
+    for name, spec in _section(doc, "utilities").items():
         utilities[name] = _parse_utility(spec, space, f"$.utilities.{name}")
 
     partitions = {}
-    for name, blocks in _section(doc, "partitions"):
+    for name, blocks in _section(doc, "partitions").items():
         path = f"$.partitions.{name}"
         if not isinstance(blocks, list):
             raise ModelFileError(path, "expected a list of outcome lists")
@@ -240,17 +241,17 @@ def parse_model(doc: dict) -> ModelFile:
             raise ModelFileError(path, str(exc)) from None
 
     acts = {}
-    for name, values in _section(doc, "acts"):
+    for name, values in _section(doc, "acts").items():
         path = f"$.acts.{name}"
         parsed = _number_list(values, path)
         if len(parsed) != space.size:
             raise ModelFileError(path, f"expected {space.size} values")
         acts[name] = Act(space, tuple(parsed))
 
-    settings = _parse_settings(doc.get("settings") or {}, "$.settings")
+    settings = _parse_settings(_section(doc, "settings"), "$.settings")
 
     functionals = {}
-    for name, spec in _section(doc, "functionals"):
+    for name, spec in _section(doc, "functionals").items():
         path = f"$.functionals.{name}"
         kind = _object(spec, path).get("kind")
         key = _entry(_KINDS, kind, f"{path}.kind", "kind")

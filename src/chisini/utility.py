@@ -20,6 +20,7 @@ it sits here, below the solver and the audits that both take it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -32,7 +33,6 @@ from .curves import (
     right_continuous_inverse,
 )
 from .errors import AdditivityCheckFailed, RegularityViolation, SpaceMismatchError
-from .extended import NEG_INF, POS_INF, ExtendedReal
 from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra
 
 #: Relative tolerance of the additivity spot check, scaled by (1 + sup|f|).
@@ -256,31 +256,32 @@ def project_utility(
     return ProjectedUtility(rep, algebra, tuple(atom_curves))
 
 
-def image_interval(pu: ProjectedUtility, outcome) -> tuple[ExtendedReal, ExtendedReal]:
-    """Open interval of values the projected curve attains at the outcome."""
+def image_interval(pu: ProjectedUtility, outcome) -> tuple[float, float]:
+    """Open interval of values the projected curve attains at the outcome;
+    an unbounded side is -math.inf or math.inf."""
     curve = pu.curve_at(outcome)
     return curve.lower_limit(), curve.upper_limit()
 
 
 def generalized_inverse(
     pu: ProjectedUtility, outcome, x: float, *, method: str = "auto"
-) -> ExtendedReal:
-    """Right-continuous inverse of the projected curve, extended-real valued.
+) -> float:
+    """Right-continuous inverse of the projected curve, valued in [-inf, +inf].
 
-    Three cases: +inf at or above the upper image endpoint, -inf at or
-    below the lower endpoint, and the unique preimage strictly inside the
-    open image.  ``method`` selects "auto" (closed form when the family has
-    one, bisection otherwise) or "bisect" (always bisection); the two paths
-    are independent solvers of the same equation.
+    Three cases: math.inf at or above the upper image endpoint, -math.inf
+    at or below the lower endpoint, and the unique preimage strictly inside
+    the open image.  The target ``x`` must be finite.  ``method`` selects
+    "auto" (closed form when the family has one, bisection otherwise) or
+    "bisect" (always bisection); the two paths are independent solvers of
+    the same equation.
     """
     if method not in ("auto", "bisect"):
         raise ValueError(f"unknown inversion method {method!r}")
     curve = pu.curve_at(outcome)
-    lower, upper = curve.lower_limit(), curve.upper_limit()
-    point = ExtendedReal.finite(x)
-    if point >= upper:
-        return POS_INF
-    if point <= lower:
-        return NEG_INF
-    y = right_continuous_inverse(curve, x, use_closed_form=(method == "auto"))
-    return ExtendedReal.finite(y)
+    if not math.isfinite(x):
+        raise ValueError(f"inversion target must be finite, got {x!r}")
+    if x >= curve.upper_limit():
+        return math.inf
+    if x <= curve.lower_limit():
+        return -math.inf
+    return right_continuous_inverse(curve, x, use_closed_form=(method == "auto"))

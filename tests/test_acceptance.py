@@ -421,18 +421,18 @@ def test_criterion_7_inverse_identities():
                 y = float(rng.uniform(-6.0, 6.0))
                 x = pu.value(outcome, y)
                 got = generalized_inverse(pu, outcome, x)
-                assert got.is_finite and abs(got.value - y) <= 1e-10
-                back = pu.value(outcome, got.value)
+                assert math.isfinite(got) and abs(got - y) <= 1e-10
+                back = pu.value(outcome, got)
                 assert abs(back - x) <= 1e-10
                 lo, hi = image_interval(pu, outcome)
-                if hi.is_finite:
-                    above = generalized_inverse(pu, outcome, hi.value + 0.25)
-                    at = generalized_inverse(pu, outcome, hi.value)
-                    assert above.sign == 1 and at.sign == 1
-                if lo.is_finite:
-                    below = generalized_inverse(pu, outcome, lo.value - 0.25)
-                    at = generalized_inverse(pu, outcome, lo.value)
-                    assert below.sign == -1 and at.sign == -1
+                if math.isfinite(hi):
+                    above = generalized_inverse(pu, outcome, hi + 0.25)
+                    at = generalized_inverse(pu, outcome, hi)
+                    assert above == math.inf and at == math.inf
+                if math.isfinite(lo):
+                    below = generalized_inverse(pu, outcome, lo - 0.25)
+                    at = generalized_inverse(pu, outcome, lo)
+                    assert below == -math.inf and at == -math.inf
                 checked += 1
 
 

@@ -435,6 +435,38 @@ class TestRepair:
         assert "ghost" in err
 
 
+class TestNonFiniteFlags:
+    """The flags that override model settings are held to the model file's
+    rule: a number that is not finite is refused with exit 2."""
+
+    COMPUTE = (
+        "compute", "--model", model("entropic.json"), "--utility", "entropic",
+        "--act", "log-two", "--partition", "trivial",
+    )
+    REPAIR = ("repair", "--model", model("repair.json"), "--utility", "haunted")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            REPAIR + ("--epsilon", "nan"),
+            REPAIR + ("--bound", "nan"),
+            REPAIR + ("--bound", "inf"),
+            COMPUTE + ("--tol", "inf"),
+            COMPUTE + ("--tol", "nan"),
+            COMPUTE + ("--tol=-inf",),
+        ],
+        ids=["nan-epsilon", "nan-bound", "inf-bound", "inf-tol", "nan-tol", "-inf-tol"],
+    )
+    def test_exits_2(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestOutputPaths:
     COMPUTE = (
         "compute",

@@ -27,8 +27,8 @@ class TestParametricFamilies:
         c = LinearCurve(2.0)
         assert c.value(3.0) == 6.0
         assert c.inverse_exact(6.0) == 3.0
-        assert not c.lower_limit().is_finite
-        assert not c.upper_limit().is_finite
+        assert not math.isfinite(c.lower_limit())
+        assert not math.isfinite(c.upper_limit())
 
     def test_exponential_value_matches_formula(self):
         c = ExponentialCurve(1.0)
@@ -36,10 +36,10 @@ class TestParametricFamilies:
         assert c.value(0.0) == 0.0
 
     def test_exponential_image(self):
-        assert ExponentialCurve(2.0).upper_limit().value == 0.5
-        assert not ExponentialCurve(2.0).lower_limit().is_finite
-        assert ExponentialCurve(-2.0).lower_limit().value == -0.5
-        assert not ExponentialCurve(-2.0).upper_limit().is_finite
+        assert ExponentialCurve(2.0).upper_limit() == 0.5
+        assert not math.isfinite(ExponentialCurve(2.0).lower_limit())
+        assert ExponentialCurve(-2.0).lower_limit() == -0.5
+        assert not math.isfinite(ExponentialCurve(-2.0).upper_limit())
 
     def test_exponential_inverse_round_trip(self):
         for gamma in (0.5, 1.0, 2.0, -1.3):
@@ -141,8 +141,29 @@ class TestMixture:
         m = MixtureCurve(
             (0.5, 0.5), (ExponentialCurve(1.0), ExponentialCurve(2.0))
         )
-        assert m.upper_limit().value == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
-        assert not m.lower_limit().is_finite
+        assert m.upper_limit() == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
+        assert not math.isfinite(m.lower_limit())
+
+    def test_one_unbounded_part_makes_the_limit_infinite(self):
+        for parts in (
+            (ExponentialCurve(1.0), LinearCurve(2.0)),
+            (LinearCurve(2.0), ExponentialCurve(1.0)),
+        ):
+            m = MixtureCurve((0.25, 0.75), parts)
+            assert m.upper_limit() == math.inf
+            assert m.lower_limit() == -math.inf
+
+    def test_bounded_limit_is_the_left_to_right_weighted_sum(self):
+        weights = (0.1, 0.2, 0.7)
+        gammas = (3.0, 3.0, 7.0)  # a compensated sum rounds these differently
+        total = 0.0
+        for w, g in zip(weights, gammas):
+            total += w * (1.0 / g)
+        assert total != math.fsum(w * (1.0 / g) for w, g in zip(weights, gammas))
+        m = MixtureCurve(weights, tuple(ExponentialCurve(g) for g in gammas))
+        assert m.upper_limit() == total
+        m = MixtureCurve(weights, tuple(ExponentialCurve(-g) for g in gammas))
+        assert m.lower_limit() == -total
 
     def test_bisection_inverse(self):
         m = MixtureCurve(

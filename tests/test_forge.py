@@ -245,14 +245,23 @@ class TestJumpDetection:
         u = StateUtility(sp, (STEP_AT_ZERO,))
         report = detect_jumps(u, eps=0.5, bound=2.0)
         assert report.jumps[0] == ((0.0, 1.0),)
-        assert report.first_jump[0].value == 0.0
+        assert report.first_jump[0] == 0.0
 
     def test_continuous_curves_have_no_jumps(self):
         sp = FiniteSpace.uniform(["a", "b"])
         u = StateUtility(sp, (ExponentialCurve(1.0), PowerCurve(3.0)))
         report = detect_jumps(u, eps=0.25, bound=4.0)
         assert all(js == () for js in report.jumps)
-        assert all(not tau.is_finite for tau in report.first_jump)
+        assert all(not math.isfinite(tau) for tau in report.first_jump)
+
+    @pytest.mark.parametrize(
+        "eps, bound", [(math.nan, 2.0), (0.5, math.nan)], ids=["nan-eps", "nan-bound"]
+    )
+    def test_nan_threshold_or_bound_is_refused(self, eps, bound):
+        # a NaN fails every comparison, which would report no jump at all
+        u = StateUtility(FiniteSpace.uniform(["a"]), (STEP_AT_ZERO,))
+        with pytest.raises(ValueError):
+            detect_jumps(u, eps=eps, bound=bound)
 
     def test_below_threshold_not_reported(self):
         sp = FiniteSpace.uniform(["a"])

@@ -56,7 +56,6 @@ NUMPY_FREE = (
     "curves",
     "utility",
     "conditional",
-    "extended",
     "errors",
     "reports",
     "modelfile",
@@ -97,13 +96,10 @@ EXPORTS = {
     "EventSet": "spaces",
     "ExpectationFamily": "family",
     "ExponentialCurve": "curves",
-    "ExtendedReal": "extended",
     "FiniteSpace": "spaces",
     "JumpReport": "forge",
     "LinearCurve": "curves",
     "MixtureCurve": "curves",
-    "NEG_INF": "extended",
-    "POS_INF": "extended",
     "PartitionAlgebra": "spaces",
     "PiecewiseLinearCurve": "curves",
     "PowerCurve": "curves",

@@ -15,6 +15,7 @@ from chisini.curves import (
 )
 from chisini.errors import ModelFileError
 from chisini.modelfile import (
+    Settings,
     _parse_curve,
     _parse_utility,
     curve_to_spec,
@@ -138,11 +139,29 @@ def test_stray_field_is_refused(section, name, value, path):
     assert "unknown field" in message
 
 
-@pytest.mark.parametrize("section", ["utilities", "partitions", "acts", "functionals"])
+SECTIONS = ["utilities", "partitions", "acts", "functionals", "settings"]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
 def test_non_object_section_is_refused(section):
-    doc = copy.deepcopy(BASE)
-    doc[section] = [1]
-    assert_refused(doc, f"$.{section}")
+    # only an absent or null section is empty: a falsy value is refused too
+    for value in ([1], False, 0, [], ""):
+        doc = copy.deepcopy(BASE)
+        doc[section] = value
+        message = assert_refused(doc, f"$.{section}")
+        assert message == f"$.{section}: expected an object"
+
+
+@pytest.mark.parametrize("how", ["absent", "null"])
+def test_absent_or_null_section_is_empty(how):
+    doc = {"version": BASE["version"], "space": copy.deepcopy(BASE["space"])}
+    if how == "null":
+        doc.update(dict.fromkeys(SECTIONS))
+    model = parse_model(doc)
+    assert (model.utilities, model.partitions, model.acts, model.functionals) == (
+        {}, {}, {}, {}
+    )
+    assert model.settings == Settings()
 
 
 def test_base_document_parses():

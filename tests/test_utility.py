@@ -203,11 +203,11 @@ class TestGeneralizedInverse:
             StateUtility.state_independent(sp, ExponentialCurve(1.0))
         )
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
-        assert not generalized_inverse(pu, "a", 2.0).is_finite  # above image
-        assert generalized_inverse(pu, "a", 2.0).sign == 1
+        assert not math.isfinite(generalized_inverse(pu, "a", 2.0))  # above image
+        assert generalized_inverse(pu, "a", 2.0) == math.inf
         inside = generalized_inverse(pu, "a", 0.5)
-        assert inside.is_finite
-        assert inside.value == pytest.approx(math.log(2.0), abs=1e-14)
+        assert math.isfinite(inside)
+        assert inside == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_lower_branch(self):
         sp = two_point()
@@ -215,8 +215,18 @@ class TestGeneralizedInverse:
             StateUtility.state_independent(sp, ExponentialCurve(-2.0))
         )
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
-        assert generalized_inverse(pu, "a", -0.5).sign == -1
-        assert generalized_inverse(pu, "a", -0.75).sign == -1
+        assert generalized_inverse(pu, "a", -0.5) == -math.inf
+        assert generalized_inverse(pu, "a", -0.75) == -math.inf
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_refused(self, x):
+        sp = two_point()
+        for curve in (ExponentialCurve(1.0), LinearCurve(2.0)):
+            rep = AdditiveRepresentation(StateUtility.state_independent(sp, curve))
+            pu = project_utility(rep, PartitionAlgebra.trivial(sp))
+            for method in ("auto", "bisect"):
+                with pytest.raises(ValueError):
+                    generalized_inverse(pu, "a", x, method=method)
 
     def test_cube_root(self):
         sp = two_point()
@@ -224,7 +234,7 @@ class TestGeneralizedInverse:
             StateUtility.state_independent(sp, PowerCurve(3.0))
         )
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
-        assert generalized_inverse(pu, 0, 8.0).value == 2.0
+        assert generalized_inverse(pu, 0, 8.0) == 2.0
 
     def test_inverse_identity_round_trip(self):
         sp = two_point()
@@ -234,7 +244,7 @@ class TestGeneralizedInverse:
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
         y = 1.7
         x = pu.value(0, y)
-        assert generalized_inverse(pu, 0, x).value == pytest.approx(y, abs=1e-12)
+        assert generalized_inverse(pu, 0, x) == pytest.approx(y, abs=1e-12)
 
     def test_image_interval_examples(self):
         sp = two_point()
@@ -248,10 +258,10 @@ class TestGeneralizedInverse:
             )
             pu = project_utility(rep, PartitionAlgebra.trivial(sp))
             lo, hi = image_interval(pu, "a")
-            assert lo.is_finite == lo_finite
-            assert hi.is_finite == hi_finite
+            assert math.isfinite(lo) == lo_finite
+            assert math.isfinite(hi) == hi_finite
             if hi_val is not None:
-                assert hi.value == pytest.approx(hi_val)
+                assert hi == pytest.approx(hi_val)
 
     def test_knot_table_image_is_full_line(self):
         sp = two_point()
@@ -259,7 +269,7 @@ class TestGeneralizedInverse:
         rep = AdditiveRepresentation(StateUtility.state_independent(sp, c))
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
         lo, hi = image_interval(pu, 0)
-        assert not lo.is_finite and not hi.is_finite
+        assert not math.isfinite(lo) and not math.isfinite(hi)
 
     def test_monotone_in_x(self):
         sp = two_point()
@@ -268,7 +278,7 @@ class TestGeneralizedInverse:
         )
         pu = project_utility(rep, PartitionAlgebra.trivial(sp))
         xs = np.linspace(-0.9, 1.4, 40)  # inside the mixture image
-        ys = [generalized_inverse(pu, 0, float(x)).value for x in xs]
+        ys = [generalized_inverse(pu, 0, float(x)) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
     def test_mixture_round_trip_both_solvers(self):
@@ -282,5 +292,5 @@ class TestGeneralizedInverse:
             x = pu.value(0, y)
             auto = generalized_inverse(pu, 0, x, method="auto")
             bis = generalized_inverse(pu, 0, x, method="bisect")
-            assert auto.value == pytest.approx(y, abs=1e-10)
-            assert bis.value == pytest.approx(y, abs=1e-10)
+            assert auto == pytest.approx(y, abs=1e-10)
+            assert bis == pytest.approx(y, abs=1e-10)
