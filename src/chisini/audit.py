@@ -33,15 +33,18 @@ subtractions for n outcomes and g grid values, against g^(2n) pairs times
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
-Each audit call builds its grid acts, events and value table once, and
-solves each (event, act) pair once: the off-event constant for A is the
-solve on the complement of A.
+Each audit call builds its grid acts, events and value table once.  A solve
+reads f only through f * 1_A and sup|f|, so it runs once per (event, f's
+values on the event, sup|f|) and every grid act sharing that key reuses it;
+the off-event constant for A is the solve on the complement of A.  Each
+solve also stores t(x * 1_A) at its solution, the residual that the
+conditionability search reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -115,9 +118,13 @@ class _GridEnumeration:
         self.g = len(t.grid)
         self.full = (1 << self.n) - 1
         self.acts = [Act(t.space, a) for a in product(t.grid, repeat=self.n)]
+        # bits[mask][i] is 1 iff outcome i lies in events[mask]
+        self.bits = [
+            [mask >> i & 1 for i in range(self.n)] for mask in range(self.full + 1)
+        ]
         self.events = [
-            EventSet(t.space, frozenset(i for i in range(self.n) if mask >> i & 1))
-            for mask in range(1 << self.n)
+            EventSet(t.space, frozenset(compress(range(self.n), bits)))
+            for bits in self.bits
         ]
         self.count = len(self.acts)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
@@ -140,23 +147,28 @@ class _GridEnumeration:
         rows[index], cols[index] = np.arange(shape[0])[:, None], np.arange(shape[1])
         return self.values[index], rows, cols, index
 
-    def constant(self, mask: int, ai: int) -> tuple[float, float, float, float]:
+    def constant(self, mask: int, ai: int) -> tuple[float, float, float, float, float]:
         """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection,
-        where A = events[mask] and f = acts[ai]; each pair is solved once,
-        and a bracket failure is raised again on every later request.
+        where A = events[mask] and f = acts[ai], and evaluate t(x * 1_A).
+
+        The solve reads f only through f * 1_A (the target) and sup|f| (the
+        bracket), so it is memoized on the mask, f's values on A and sup|f|:
+        every act sharing that key gets the same floats, or the same bracket
+        failure raised again, from one bisection.
 
         Requires x -> t(x * 1_A) to be nondecreasing with the target inside
         its values at +-(sup|f| + 1); a failed bracket signals a strict-
-        monotonicity violation upstream.  Returns (x, lo, hi, target) with
-        target = t(f * 1_A).  A flat map (null event) admits any solution and
-        returns x = lo = hi = 0.  Otherwise t(lo * 1_A) <= target <
-        t(hi * 1_A), so the endpoints are one-sided solutions with a
-        guaranteed comparison direction.
+        monotonicity violation upstream.  Returns (x, lo, hi, target, value)
+        with target = t(f * 1_A) and value = t(x * 1_A).  A flat map (null
+        event) admits any solution and returns x = lo = hi = 0.  Otherwise
+        t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
+        solutions with a guaranteed comparison direction.
         """
-        key = (mask, ai)
+        f = self.acts[ai]
+        key = (mask, tuple(compress(f.values, self.bits[mask])), f.sup_norm)
         if key not in self._constants:
             try:
-                self._constants[key] = self._solve(self.events[mask], self.acts[ai])
+                self._constants[key] = self._solve(self.events[mask], f)
             except BisectionBracketFailure as exc:
                 self._constants[key] = exc
         found = self._constants[key]
@@ -164,26 +176,34 @@ class _GridEnumeration:
             raise found.with_traceback(None)
         return found
 
-    def _solve(self, event: EventSet, f: Act) -> tuple[float, float, float, float]:
+    def _solve(
+        self, event: EventSet, f: Act
+    ) -> tuple[float, float, float, float, float]:
         t = self.t
         target = t(f.masked(event))
         hi = f.sup_norm + 1.0
         lo = -hi
         on = [i in event.members for i in range(self.n)]
 
-        def masked_value(x: float) -> float:
-            return t(Act(t.space, tuple(x if i else 0.0 for i in on)))
+        def masked(x: float) -> tuple[float, ...]:
+            return tuple(x if i else 0.0 for i in on)
+
+        def masked_value(x: float) -> float:  # x lies in the finite bracket
+            return t(Act._trusted(t.space, masked(x)))
 
         v_lo, v_hi = masked_value(lo), masked_value(hi)
         if v_lo == v_hi:
-            return 0.0, 0.0, 0.0, target
-        slack = 1e-12 * (1.0 + abs(target))
-        if not (v_lo <= target + slack and target - slack <= v_hi):
-            raise BisectionBracketFailure(
-                f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
-            )
-        lo, hi = bisect_increasing(masked_value, target, lo, hi)
-        return 0.5 * (lo + hi), lo, hi, target
+            x = lo = hi = 0.0
+        else:
+            slack = 1e-12 * (1.0 + abs(target))
+            if not (v_lo <= target + slack and target - slack <= v_hi):
+                raise BisectionBracketFailure(
+                    f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
+                )
+            lo, hi = bisect_increasing(masked_value, target, lo, hi)
+            x = 0.5 * (lo + hi)
+        # checked: x overflows when the bracket ends above half the float range
+        return x, lo, hi, target, t(Act(t.space, masked(x)))
 
 
 def _report(
@@ -306,8 +326,8 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
         complement = enum.events[enum.full ^ mask]
         for ai, f in enumerate(enum.acts):
             try:
-                x, x_lo, x_hi, _ = enum.constant(mask, ai)
-                y, y_lo, y_hi, _ = enum.constant(enum.full ^ mask, ai)
+                x, x_lo, x_hi, _, _ = enum.constant(mask, ai)
+                y, y_lo, y_hi, _, _ = enum.constant(enum.full ^ mask, ai)
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
             x_act = Act.constant(t.space, x)
@@ -443,17 +463,16 @@ def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, floa
     """
     t = enum.t
     event = enum.events[mask]
-    complement = enum.events[enum.full ^ mask]
     witness = None
     worst = 0.0
     for ai, f in enumerate(enum.acts):
-        x, _, _, on_target = enum.constant(mask, ai)
-        y, _, _, off_target = enum.constant(enum.full ^ mask, ai)
+        x, _, _, on_target, on_value = enum.constant(mask, ai)
+        y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
         g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
         tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
-        residuals = {
-            "event": abs(on_target - t(g.masked(event))),
-            "complement": abs(off_target - t(g.masked(complement))),
+        residuals = {  # g * 1_A = x * 1_A and g * 1_{A^c} = y * 1_{A^c}
+            "event": abs(on_target - on_value),
+            "complement": abs(off_target - off_value),
             "full": abs(float(enum.values[ai]) - t(g)),
         }
         resid = max(residuals.values())

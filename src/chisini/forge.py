@@ -257,7 +257,7 @@ def validate_grid_regularity(gu: DyadicGridUtility) -> AuditReport:
         row = gu.values[i]
         label = gu.space.outcomes[i]
         diffs = np.diff(row)
-        flat = np.nonzero(diffs <= 0.0)[0]
+        flat = np.nonzero(~(diffs > 0.0))[0]  # a NaN sample fails too
         if flat.size:
             strict_fail.append(
                 {"outcome": label, "weight": weights[i], "at": float(points[flat[0]])}

@@ -134,6 +134,16 @@ class Act:
     def constant(cls, space: FiniteSpace, c: float) -> "Act":
         return cls(space, tuple(float(c) for _ in range(space.size)))
 
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, values: tuple[float, ...]) -> "Act":
+        """An act built without the checks, for a tuple of finite floats, one
+        per outcome, that the caller guarantees (values selected from
+        checked acts, or finite search points)."""
+        act = object.__new__(cls)
+        object.__setattr__(act, "space", space)
+        object.__setattr__(act, "values", values)
+        return act
+
     @property
     def sup_norm(self) -> float:
         return float(max(abs(v) for v in self.values))
@@ -141,10 +151,10 @@ class Act:
     def masked(self, event: EventSet) -> "Act":
         """The act f*1_A: agrees with f on the event, 0 elsewhere."""
         _require_same_space(self.space, event.space)
-        values = [
+        values = tuple(
             v if i in event.members else 0.0 for i, v in enumerate(self.values)
-        ]
-        return Act(self.space, tuple(values))
+        )
+        return Act._trusted(self.space, values)
 
     def is_measurable(self, algebra: "PartitionAlgebra") -> bool:
         """True iff the act is constant on every atom of the partition."""
@@ -313,11 +323,11 @@ def paste(f: Act, g: Act, event: EventSet) -> Act:
     """The act equal to f on the event and to g off it."""
     _require_same_space(f.space, g.space)
     _require_same_space(f.space, event.space)
-    values = [
+    values = tuple(
         f.values[i] if i in event.members else g.values[i]
         for i in range(f.space.size)
-    ]
-    return Act(f.space, tuple(values))
+    )
+    return Act._trusted(f.space, values)
 
 
 def equal_up_to_null(a: Act, b: Act, tol: float = 0.0) -> bool:

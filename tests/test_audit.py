@@ -548,7 +548,7 @@ class TestConditionable:
         assert check.witness == witness
         assert check.details == {"worst_residual": worst}
 
-    def test_each_event_act_pair_is_bisected_once(self, monkeypatch):
+    def test_each_solve_key_is_bisected_once(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -557,14 +557,57 @@ class TestConditionable:
 
         monkeypatch.setattr("chisini.audit.bisect_increasing", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
+        acts = list(product(t.grid, repeat=3))
+
+        def keys(masks):
+            # a solve reads f only through f * 1_A and sup|f|
+            return {
+                (mask, tuple(v if mask >> i & 1 else 0.0 for i, v in enumerate(f)),
+                 max(map(abs, f)))
+                for mask in masks
+                for f in acts
+            }
+
         check_conditionable_all_events(t)
-        # 27 grid acts on each of the 7 nonempty events (the empty event's
-        # map is flat and needs no bisection)
-        assert len(calls) == 7 * 27
+        # the 7 nonempty events (the empty event's map is flat and needs
+        # no bisection): 87 keys among 7 * 27 (event, act) pairs
+        assert len(calls) == len(keys(range(1, 8))) == 87
         calls.clear()
         check_sure_thing(t)
         # the certainty-equivalent phase covers the 6 proper events
-        assert len(calls) == 6 * 27
+        assert len(calls) == len(keys(range(1, 7))) == 60
+
+
+def _oracle_functionals():
+    return [
+        eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0), name="eu"),
+        _null_outcome_functionals()[0],
+        choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)),
+        random_grid_table(4, 3, 3),  # not monotone: some brackets fail
+    ]
+
+
+class TestConstantSolveOracle:
+    """The memoized constant solve against a direct solve of each pair."""
+
+    @pytest.mark.parametrize("t", _oracle_functionals(), ids=lambda t: t.name)
+    def test_memo_matches_direct_solve(self, t):
+        def outcome(solve, *args):  # the floats, or the failure's message
+            try:
+                return float_hex(solve(*args))
+            except BisectionBracketFailure as exc:
+                return str(exc)
+
+        enum = audit._GridEnumeration(t)
+        failures = 0
+        for mask, event in enumerate(enum.events):
+            for ai, f in enumerate(enum.acts):
+                direct = outcome(enum._solve, event, f)
+                assert outcome(enum.constant, mask, ai) == direct, (mask, ai)
+                failures += isinstance(direct, str)
+        assert len(enum._constants) < len(enum.events) * enum.count
+        if t.name.startswith("table"):
+            assert 0 < failures < len(enum.events) * enum.count
 
 
 class TestEquivalenceHarness:

@@ -216,6 +216,19 @@ class TestGridValidation:
         assert not check.passed
         assert check.details["failing_weight"] == pytest.approx(0.5)
 
+    def test_nan_sample_fails_strict_increase(self):
+        sp = FiniteSpace.uniform(["a", "b"])
+        grid = DyadicGrid(2, 1.0)
+        points = grid.points()
+        holed = points.copy()
+        holed[3] = np.nan
+        gu = DyadicGridUtility(sp, grid, np.vstack([holed, points]))
+        assert gu.theta == {1}
+        check = validate_grid_regularity(gu).check("grid-strict-increase")
+        assert not check.passed
+        assert check.witness == {"outcome": "a", "weight": 0.5, "at": float(points[2])}
+        assert check.details["failing_weight"] == 0.5
+
     def test_jump_on_null_outcome_has_zero_failing_weight(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
         grid = DyadicGrid(2, 1.0)

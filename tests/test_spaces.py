@@ -61,6 +61,30 @@ class TestAct:
         with pytest.raises(ValueError, match="act values must be finite"):
             Act(uniform4(), (0.0, bad, 1.0, 2.0))
 
+    @pytest.mark.parametrize("values", [(0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0)])
+    def test_rejects_wrong_length(self, values):
+        with pytest.raises(ValueError, match="one value per outcome"):
+            Act(uniform4(), values)
+
+    @given(st.lists(st.integers(0, 3), min_size=0, max_size=4, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_masked_and_paste_equal_checked_acts(self, members):
+        # both build their result unchecked from values of checked acts
+        sp = uniform4()
+        f, g = Act(sp, (1, -2.5, 3, 0)), Act(sp, (9, 8, -7, 6.25))
+        event = EventSet(sp, frozenset(members))
+        for act in (f.masked(event), paste(f, g, event)):
+            checked = Act(sp, act.values)
+            assert type(act) is Act
+            assert act == checked and hash(act) == hash(checked)
+            assert all(type(v) is float for v in act.values)
+
+    def test_trusted_constructor_is_private(self):
+        import chisini
+
+        assert "_trusted" not in chisini._EXPORTS
+        assert not hasattr(chisini, "_trusted")
+
 
 class TestConditionalExpectation:
     def test_atom_means(self):
