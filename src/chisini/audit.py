@@ -176,6 +176,11 @@ class _GridEnumeration:
             raise found.with_traceback(None)
         return found
 
+    def two_level(self, event: EventSet, x: float, y: float) -> Act:
+        """x on the event, y off it; unchecked, as both are finite."""
+        values = tuple(x if i in event.members else y for i in range(self.n))
+        return Act._trusted(self.t.space, values)
+
     def _solve(
         self, event: EventSet, f: Act
     ) -> tuple[float, float, float, float, float]:
@@ -183,13 +188,9 @@ class _GridEnumeration:
         target = t(f.masked(event))
         hi = f.sup_norm + 1.0
         lo = -hi
-        on = [i in event.members for i in range(self.n)]
-
-        def masked(x: float) -> tuple[float, ...]:
-            return tuple(x if i else 0.0 for i in on)
 
         def masked_value(x: float) -> float:  # x lies in the finite bracket
-            return t(Act._trusted(t.space, masked(x)))
+            return t(self.two_level(event, x, 0.0))
 
         v_lo, v_hi = masked_value(lo), masked_value(hi)
         if v_lo == v_hi:
@@ -203,7 +204,7 @@ class _GridEnumeration:
             lo, hi = bisect_increasing(masked_value, target, lo, hi)
             x = 0.5 * (lo + hi)
         # checked: x overflows when the bracket ends above half the float range
-        return x, lo, hi, target, t(Act(t.space, masked(x)))
+        return x, lo, hi, target, t(Act(t.space, self.two_level(event, x, 0.0).values))
 
 
 def _report(
@@ -331,7 +332,7 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
             x_act = Act.constant(t.space, x)
-            g = paste(x_act, Act.constant(t.space, y), event)
+            g = enum.two_level(event, x, y)
             tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
             tf = float(enum.values[ai])
             if abs(tf - t(g)) <= tol:
@@ -468,7 +469,7 @@ def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, floa
     for ai, f in enumerate(enum.acts):
         x, _, _, on_target, on_value = enum.constant(mask, ai)
         y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
-        g = paste(Act.constant(t.space, x), Act.constant(t.space, y), event)
+        g = enum.two_level(event, x, y)
         tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
         residuals = {  # g * 1_A = x * 1_A and g * 1_{A^c} = y * 1_{A^c}
             "event": abs(on_target - on_value),

@@ -17,12 +17,15 @@ repair.
 
 The environment variable CHISINI_CAP (integer) overrides the atom-union
 enumeration cap of the residual table that ``compute`` prints.  No other
-command reads it: the CLI runs no black-box verification.
+command reads it: the CLI runs no black-box verification.  CHISINI_CAP and
+the flags ``--tol``, ``--epsilon`` and ``--bound`` obey the domain of the
+setting they override, checked by that setting's model-file parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -39,7 +42,7 @@ from .errors import (
     RegularityViolation,
 )
 from .family import ExpectationFamily, check_tower
-from .modelfile import ModelFile, load_model, utility_to_spec
+from .modelfile import _SETTINGS, ModelFile, load_model, utility_to_spec
 from .spaces import conditional_expectation
 
 EXIT_OK = 0
@@ -121,16 +124,6 @@ def _emit(report: dict, as_table: bool, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _union_cap(model: ModelFile) -> int:
-    env = os.environ.get("CHISINI_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ModelFileError("CHISINI_CAP", f"not an integer: {env!r}") from None
-    return model.settings.cap
-
-
 def cmd_validate(model: ModelFile, args) -> tuple[dict, int]:
     report = {
         "command": "validate",
@@ -149,14 +142,13 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
     rep = model.representation(args.utility)
     f = model.act(args.act)
     algebra = model.partition(args.partition)
-    tol = args.tol if args.tol is not None else model.settings.tolerance
     solution = chisini_mean(
         rep,
         f,
         algebra,
         solver=args.solver,
-        tol_scale=tol,
-        cap=_union_cap(model),
+        tol_scale=model.settings.tolerance,
+        cap=model.settings.cap,
     )
     h = conditional_expectation(rep.utility_act(f), algebra)
     # the report prints the union table, so it is judged by that table's
@@ -231,12 +223,11 @@ def cmd_tower(model: ModelFile, args) -> tuple[dict, int]:
                 f"partition chain is not coarsening-ordered at {coarse_name!r}"
             )
     fam = ExpectationFamily.from_representation(rep)
-    tol = args.tol if args.tol is not None else model.settings.tolerance
     acts_report = []
     all_ok = True
     for name in sorted(model.acts):
         x = model.act(name)
-        budget = tol * (1.0 + x.sup_norm)
+        budget = model.settings.tolerance * (1.0 + x.sup_norm)
         links = []
         for alg_name, algebra in zip(args.chain, chain):
             defect = check_tower(fam, x, algebra)
@@ -271,8 +262,7 @@ def cmd_repair(model: ModelFile, args) -> tuple[dict, int]:
     from .forge import detect_jumps, repair_continuous
 
     utility = model.utility(args.utility)
-    eps = args.epsilon if args.epsilon is not None else model.settings.repair_epsilon
-    bound = args.bound if args.bound is not None else model.settings.repair_bound
+    eps, bound = model.settings.repair_epsilon, model.settings.repair_bound
     jumps = detect_jumps(utility, eps, bound)
     repaired = repair_continuous(utility, jumps, model.space.weights)
     repaired_name = f"{args.utility}-repaired"
@@ -306,15 +296,30 @@ class _ChainNotNested(ChisiniError):
     pass
 
 
-def _finite_float(text: str) -> float:
-    """A flag value held to the model file's rule for the same settings."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _setting_flag(parser, flag: str, name: str, **kwargs) -> None:
+    """A flag overriding setting ``name``, parsed by that setting's parser,
+    so that a value outside its domain is a usage error naming the flag."""
+
+    def parse(text: str):
+        try:
+            return _SETTINGS[name](text, flag)
+        except ModelFileError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
+
+    parser.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=parse, **kwargs)
+
+
+def _overrides(args) -> dict:
+    """The settings overridden by the flags and, for ``compute``, CHISINI_CAP."""
+    found = {k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}
+    env = os.environ.get("CHISINI_CAP")
+    if args.subcommand == "compute" and env is not None:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ModelFileError("CHISINI_CAP", f"not an integer: {env!r}") from None
+        found["cap"] = _SETTINGS["cap"](cap, "CHISINI_CAP")
+    return found
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="model file (JSON)")
     common.add_argument("--out", help="also write the report to this path")
-    common.add_argument(
-        "--tol", type=_finite_float, default=None, help="override the model tolerance"
-    )
+    _setting_flag(common, "--tol", "tolerance", help="override the model tolerance")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument(
         "--json", dest="table", action="store_false", default=False,
@@ -371,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         "repair", parents=[common], help="detect jumps and repair a utility"
     )
     repair.add_argument("--utility", required=True)
-    repair.add_argument("--epsilon", type=_finite_float, default=None)
-    repair.add_argument("--bound", type=_finite_float, default=None)
+    _setting_flag(repair, "--epsilon", "repair_epsilon")
+    _setting_flag(repair, "--bound", "repair_bound")
     return parser
 
 
@@ -389,6 +392,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         model = load_model(args.model)
+        settings = dataclasses.replace(model.settings, **_overrides(args))
+        model = dataclasses.replace(model, settings=settings)
         report, code = _COMMANDS[args.subcommand](model, args)
     except ModelFileError as exc:
         sys.stderr.write(f"error: {exc}\n")

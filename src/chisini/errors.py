@@ -80,4 +80,5 @@ class ModelFileError(ChisiniError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")

@@ -174,7 +174,7 @@ def _local_allowances(increments: np.ndarray) -> np.ndarray:
 def _allowance_violations(row: np.ndarray) -> list[int]:
     increments = np.diff(row)
     allow = _local_allowances(increments)
-    return [int(i) for i in np.nonzero(increments > allow)[0]]
+    return [int(i) for i in np.nonzero(~(increments <= allow))[0]]  # NaN fails too
 
 
 def extract_utility(
@@ -337,7 +337,9 @@ def detect_jumps(
 
     Knot tables yield exact locations and sizes.  Sampled grids flag
     increments exceeding eps plus the continuity allowance; the reported
-    size (increment minus allowance) is a lower bound on the true jump.
+    size (increment minus allowance) is a lower bound on the true jump.  A
+    grid with a non-finite sample is refused, since no jump could be located
+    or sized at it.
     """
     if not eps > 0:  # a NaN eps fails too
         raise ValueError("eps must be positive")
@@ -353,6 +355,8 @@ def detect_jumps(
             per_outcome.append(tuple(sorted(found)))
     else:
         outcomes = source.space.outcomes
+        if not np.isfinite(source.values).all():
+            raise ValueError("grid samples must be finite")
         points = source.grid.points()
         keep = np.abs(points) <= bound
         for i in range(source.space.size):

@@ -299,19 +299,27 @@ def _grid(values, path: str) -> tuple[float, ...]:
     return grid
 
 
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if number <= 0.0:
+        raise ModelFileError(path, f"expected a number > 0, got {value!r}")
+    return number
+
+
 def _cap(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFileError(path, "expected an integer")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ModelFileError(path, f"expected an integer >= 1, got {value!r}")
     return value
 
 
-#: Setting -> its parser; the defaults live in ``Settings``.
+#: Setting -> its parser, which checks the setting's domain; the defaults
+#: live in ``Settings``.  The CLI flags and CHISINI_CAP parse through it too.
 _SETTINGS = {
     "grid": _grid,
-    "tolerance": _number,
+    "tolerance": _positive,
     "cap": _cap,
-    "repair_epsilon": _number,
-    "repair_bound": _number,
+    "repair_epsilon": _positive,
+    "repair_bound": _positive,
 }
 
 

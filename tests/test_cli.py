@@ -467,6 +467,81 @@ class TestNonFiniteFlags:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestSettingDomains:
+    """The flags, CHISINI_CAP and the model file's settings are parsed by
+    one parser per setting, which checks its domain: a tolerance, epsilon
+    or bound must be > 0 and a cap an integer >= 1, else the run exits 2."""
+
+    COMPUTE = TestNonFiniteFlags.COMPUTE
+    CAPPED = (
+        "compute", "--model", model("partition.json"), "--utility", "linear",
+        "--act", "payoff", "--partition", "fine",
+    )
+    REPAIR = TestNonFiniteFlags.REPAIR
+
+    @pytest.mark.parametrize(
+        "argv, settings, cap, named",
+        [
+            (REPAIR + ("--epsilon", "0"), {}, None, "--epsilon"),
+            (COMPUTE + ("--tol", "0"), {}, None, "--tol"),
+            (COMPUTE + ("--tol=-1",), {}, None, "--tol"),
+            (REPAIR + ("--bound=-1",), {}, None, "--bound"),
+            (REPAIR + ("--bound=0",), {}, None, "--bound"),
+            (CAPPED, {}, "-3", "CHISINI_CAP"),
+            (CAPPED, {}, "0", "CHISINI_CAP"),
+            (REPAIR, {"repair_epsilon": 0}, None, "$.settings.repair_epsilon"),
+            (COMPUTE, {"tolerance": -1}, None, "$.settings.tolerance"),
+            (CAPPED, {"cap": -3}, None, "$.settings.cap"),
+            (CAPPED, {"cap": 0}, None, "$.settings.cap"),
+            (REPAIR, {"repair_bound": -1}, None, "$.settings.repair_bound"),
+        ],
+        ids=[
+            "epsilon-0", "tol-0", "tol-negative", "bound-negative", "bound-0",
+            "env-cap-negative", "env-cap-0", "file-epsilon-0",
+            "file-tolerance-negative", "file-cap-negative", "file-cap-0",
+            "file-bound-negative",
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, monkeypatch, argv, settings, cap, named):
+        argv = list(argv)
+        if settings:
+            where = argv.index("--model") + 1
+            doc = json.loads(open(argv[where], encoding="utf-8").read())
+            doc.setdefault("settings", {}).update(settings)
+            argv[where] = str(tmp_path / "model.json")
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+        if cap is None:
+            monkeypatch.delenv("CHISINI_CAP", raising=False)
+        else:
+            monkeypatch.setenv("CHISINI_CAP", cap)
+        out = tmp_path / "out.json"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # a bad flag is a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert named in captured.err
+        assert not out.exists()
+
+    def test_bad_cap_env_is_read_by_compute_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHISINI_CAP", "abc")
+        code, out, _ = run(capsys, "validate", "--model", model("partition.json"))
+        assert code == 0
+        assert json.loads(out)["command"] == "validate"
+
+    def test_flag_override_leaves_the_written_settings(self, capsys, tmp_path):
+        written = tmp_path / "repaired.json"
+        code, out, _ = run(
+            capsys, *self.REPAIR, "--epsilon", "0.3", "--out", str(written)
+        )
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 0.3
+        source = json.loads(open(model("repair.json"), encoding="utf-8").read())
+        assert json.loads(written.read_text())["settings"] == source["settings"]
+
+
 class TestOutputPaths:
     COMPUTE = (
         "compute",

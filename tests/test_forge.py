@@ -229,6 +229,21 @@ class TestGridValidation:
         assert check.witness == {"outcome": "a", "weight": 0.5, "at": float(points[2])}
         assert check.details["failing_weight"] == 0.5
 
+    def test_nan_sample_fails_right_continuity_and_jump_scan(self):
+        # every comparison with a NaN increment is false, so a `>` test
+        # passed the row; the negated test flags it, and the scan refuses it
+        sp = FiniteSpace.uniform(["a", "b"])
+        grid = DyadicGrid(2, 1.0)
+        points = grid.points()
+        holed = points.copy()
+        holed[2] = np.nan
+        gu = DyadicGridUtility(sp, grid, np.vstack([holed, points]))
+        check = validate_grid_regularity(gu).check("grid-right-continuity")
+        assert not check.passed
+        assert check.details["failing_outcomes"] == ["a"]
+        with pytest.raises(ValueError, match="grid samples must be finite"):
+            detect_jumps(gu, 0.1, 1.0)
+
     def test_jump_on_null_outcome_has_zero_failing_weight(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
         grid = DyadicGrid(2, 1.0)

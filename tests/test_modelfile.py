@@ -3,6 +3,7 @@
 serializers used by ``chisini repair`` round-trip through the parser."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from chisini.curves import (
 )
 from chisini.errors import ModelFileError
 from chisini.modelfile import (
+    _SETTINGS,
     Settings,
     _parse_curve,
     _parse_utility,
@@ -83,6 +85,14 @@ INVALID = [
     ("duplicate-grid", "settings", "grid", [0.0, 0.0, 1.0], "$.settings.grid"),
     ("fractional-cap", "settings", "cap", 2.5, "$.settings.cap"),
     ("boolean-cap", "settings", "cap", True, "$.settings.cap"),
+    ("zero-cap", "settings", "cap", 0, "$.settings.cap"),
+    ("negative-cap", "settings", "cap", -3, "$.settings.cap"),
+    ("zero-tolerance", "settings", "tolerance", 0, "$.settings.tolerance"),
+    ("negative-tolerance", "settings", "tolerance", -1, "$.settings.tolerance"),
+    ("zero-repair-epsilon", "settings", "repair_epsilon", 0,
+     "$.settings.repair_epsilon"),
+    ("negative-repair-bound", "settings", "repair_bound", -1,
+     "$.settings.repair_bound"),
     ("unknown-setting", "settings", "seed", 1, "$.settings.seed"),
     ("short-table", "functionals", "f", {"kind": "grid-table", "values": [1.0]},
      "$.functionals.f.values"),
@@ -162,6 +172,15 @@ def test_absent_or_null_section_is_empty(how):
         {}, {}, {}, {}
     )
     assert model.settings == Settings()
+
+
+def test_settings_table_matches_the_dataclass():
+    # a setting missing from the table would skip the shared domain check
+    assert set(_SETTINGS) == {f.name for f in dataclasses.fields(Settings)}
+    for key, parse in _SETTINGS.items():
+        default = getattr(Settings(), key)
+        raw = list(default) if isinstance(default, tuple) else default
+        assert parse(raw, f"$.settings.{key}") == default
 
 
 def test_base_document_parses():
