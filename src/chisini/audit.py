@@ -43,6 +43,7 @@ conditionability search reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress, product
 
@@ -64,6 +65,9 @@ WITNESS_MARGIN = 1e-9
 #: Hard caps for exhaustive act enumeration.
 MAX_OUTCOMES = 6
 MAX_GRID = 5
+
+#: Capacity rows a Choquet functional keeps: every rank order at the cap.
+CAPACITY_ROWS = math.factorial(MAX_OUTCOMES)
 
 
 @dataclass(frozen=True)
@@ -575,18 +579,35 @@ def choquet_functional(
     Exponent 1 recovers plain expectation; any other exponent makes the
     functional rank-dependent and, in general, breaks the sure-thing
     principle because the complementary payoff affects the ranking.
+
+    The capacity row nu_k = P(top k outcomes)**exponent of a rank order is
+    computed once, by the numpy expression whose floats the audit digests
+    pin, and kept for every later act of that order: the memo holds every
+    rank order at the outcome cap, and is cleared when full on a larger
+    space.  Each act's sum runs in Python.
     """
     weights = np.asarray(space.weights, dtype=float)
+    ranks = range(space.size)
+    rows: dict[tuple[int, ...], list[float]] = {}
 
     def evaluate(f: Act) -> float:
-        values = np.asarray(f.values, dtype=float)
-        order = np.argsort(-values, kind="stable")
-        sorted_vals = values[order]
-        cum = np.cumsum(weights[order])
-        nu = cum ** capacity_exponent
-        total = sorted_vals[-1] * nu[-1]
-        total += float(np.sum((sorted_vals[:-1] - sorted_vals[1:]) * nu[:-1]))
-        return float(total)
+        values = f.values
+        # a stable sort, ties in outcome order, as np.argsort(-values, kind="stable")
+        order = tuple(sorted(ranks, key=values.__getitem__, reverse=True))
+        nu = rows.get(order)
+        if nu is None:
+            if len(rows) >= CAPACITY_ROWS:
+                rows.clear()
+            nu = rows[order] = (np.cumsum(weights[list(order)]) ** capacity_exponent).tolist()
+        v = [values[i] for i in order]
+        last = len(v) - 1
+        if last >= 8:  # np.sum adds pairwise from 8 terms on
+            s = float(np.sum([(v[k] - v[k + 1]) * nu[k] for k in range(last)]))
+        else:  # np.sum's order below 8 terms; sum() compensates from Python 3.12
+            s = 0.0
+            for k in range(last):
+                s += (v[k] - v[k + 1]) * nu[k]
+        return v[-1] * nu[-1] + s
 
     return PreferenceFunctional(
         space=space,

@@ -17,9 +17,12 @@ repair.
 
 The environment variable CHISINI_CAP (integer) overrides the atom-union
 enumeration cap of the residual table that ``compute`` prints.  No other
-command reads it: the CLI runs no black-box verification.  CHISINI_CAP and
-the flags ``--tol``, ``--epsilon`` and ``--bound`` obey the domain of the
-setting they override, checked by that setting's model-file parser.
+command reads it: the CLI runs no black-box verification.  Every command
+takes ``--model``, ``--out`` and ``--json``/``--table``; ``--tol`` belongs
+to ``compute`` and ``tower``, the commands that read the tolerance, and
+``--epsilon`` and ``--bound`` to ``repair``.  CHISINI_CAP and these flags
+obey the domain of the setting they override, checked by that setting's
+model-file parser.
 """
 
 from __future__ import annotations
@@ -334,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, help="model file (JSON)")
     common.add_argument("--out", help="also write the report to this path")
-    _setting_flag(common, "--tol", "tolerance", help="override the model tolerance")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument(
         "--json", dest="table", action="store_false", default=False,
@@ -356,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--solver", choices=("auto", "bisect"), default="auto"
     )
+    _setting_flag(compute, "--tol", "tolerance", help="override the model tolerance")
 
     audit = sub.add_parser(
         "audit", parents=[common], help="axiom audit of a functional"
@@ -369,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     tower.add_argument(
         "--chain", nargs="+", required=True, help="partition names, fine to coarse"
     )
+    _setting_flag(tower, "--tol", "tolerance", help="override the model tolerance")
 
     repair = sub.add_parser(
         "repair", parents=[common], help="detect jumps and repair a utility"

@@ -159,7 +159,8 @@ def _strictly_increasing(row: np.ndarray) -> bool:
 
 def _local_allowances(increments: np.ndarray) -> np.ndarray:
     """Continuity allowance per increment: twice the larger neighbouring
-    increment (a local Lipschitz estimate times the step), plus a floor."""
+    increment (a local Lipschitz estimate times the step), plus a floor;
+    NaN when either neighbour is NaN, whichever side it is on."""
     n = increments.size
     allow = np.empty(n)
     for i in range(n):
@@ -168,7 +169,7 @@ def _local_allowances(increments: np.ndarray) -> np.ndarray:
             neighbours.append(increments[i - 1])
         if i + 1 < n:
             neighbours.append(increments[i + 1])
-        allow[i] = 2.0 * max(neighbours) if neighbours else np.inf
+        allow[i] = 2.0 * np.max(neighbours) if neighbours else np.inf
     return allow + ALLOWANCE_FLOOR
 
 def _allowance_violations(row: np.ndarray) -> list[int]:

@@ -46,13 +46,22 @@ def eu(space, curve, grid=(-1.0, 0.0, 1.0), name="eu"):
     return expected_utility_functional(rep, grid, name=name)
 
 
-def choquet_value(space, vals, exponent):
-    w = np.asarray(space.weights, dtype=float)
-    v = np.asarray(vals, dtype=float)
-    order = np.argsort(-v, kind="stable")
-    sv = v[order]
-    nu = np.cumsum(w[order]) ** exponent
-    return float(sv[-1] * nu[-1] + np.sum((sv[:-1] - sv[1:]) * nu[:-1]))
+def numpy_choquet(weights, capacity_exponent):
+    """The Choquet integral against P(A)**exponent as one numpy expression
+    per act: the oracle of ``choquet_functional``'s evaluator."""
+    weights = np.asarray(weights, dtype=float)
+
+    def evaluate(vals):
+        values = np.asarray(vals, dtype=float)
+        order = np.argsort(-values, kind="stable")
+        sorted_vals = values[order]
+        cum = np.cumsum(weights[order])
+        nu = cum ** capacity_exponent
+        total = sorted_vals[-1] * nu[-1]
+        total += float(np.sum((sorted_vals[:-1] - sorted_vals[1:]) * nu[:-1]))
+        return float(total)
+
+    return evaluate
 
 
 def mean_variance_functional():
@@ -160,10 +169,11 @@ class TestSureThing:
         def pasted(x, h):
             return [x[i] if i in ev else h[i] for i in range(3)]
 
-        t1 = choquet_value(sp, pasted(w["f"], w["h"]), 2.0)
-        t2 = choquet_value(sp, pasted(w["g"], w["h"]), 2.0)
-        t3 = choquet_value(sp, pasted(w["f"], w["h_alt"]), 2.0)
-        t4 = choquet_value(sp, pasted(w["g"], w["h_alt"]), 2.0)
+        choquet = numpy_choquet(sp.weights, 2.0)
+        t1 = choquet(pasted(w["f"], w["h"]))
+        t2 = choquet(pasted(w["g"], w["h"]))
+        t3 = choquet(pasted(w["f"], w["h_alt"]))
+        t4 = choquet(pasted(w["g"], w["h_alt"]))
         assert t1 >= t2
         assert t4 - t3 > 1e-9
         assert [t1, t2, t3, t4] == pytest.approx(w["values"], abs=1e-14)
@@ -196,6 +206,72 @@ class TestSureThing:
             name="tanh-of-eu",
         )
         assert check_sure_thing(t).passed
+
+
+def capacity_rows(t):
+    """The capacity-row memo of a Choquet functional's evaluator."""
+    (rows,) = [
+        cell.cell_contents
+        for cell in t.evaluator.__closure__
+        if isinstance(cell.cell_contents, dict)
+    ]
+    return rows
+
+
+class TestChoquetEvaluator:
+    """The evaluator sorts in Python, reads one capacity row per rank order
+    and sums left to right; the numpy expression is its oracle, float for
+    float, on both sides of np.sum's 8-term pairwise threshold."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_numpy_oracle(self, n):
+        rng = np.random.default_rng(n)
+        # skewed weights; every third outcome, the first included, is null
+        raw = [0.0 if i % 3 == 0 and n > 1 else rng.random() ** 3 for i in range(n)]
+        sp = FiniteSpace([f"w{i}" for i in range(n)], [r / sum(raw) for r in raw])
+        draws = (
+            lambda: rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0], size=n),
+            lambda: rng.uniform(-50.0, 50.0, size=n),
+            lambda: rng.uniform(-1e-3, 1e-3, size=n),
+        )
+        for p in (0.5, 1.0, 2.0, 3.7):
+            t = choquet_functional(sp, p)
+            oracle = numpy_choquet(sp.weights, p)
+            for draw in draws:
+                for _ in range(100):
+                    values = draw().tolist()
+                    got = t(Act(sp, values))
+                    assert float_hex(got) == float_hex(oracle(values)), values
+
+    def test_one_capacity_row_per_rank_order(self, monkeypatch):
+        fills = []
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            fills.append(args)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        sp = uniform3()
+        t = choquet_functional(sp, 2.0)
+        t(Act(sp, (3.0, 1.0, 2.0)))
+        t(Act(sp, (30.0, -1.0, 0.5)))
+        assert len(fills) == 1
+        t(Act(sp, (1.0, 3.0, 2.0)))
+        assert len(fills) == 2
+
+    def test_memo_holds_at_most_every_order_at_the_cap(self):
+        assert audit.CAPACITY_ROWS == 720
+        sp = FiniteSpace.uniform([f"w{i}" for i in range(audit.MAX_OUTCOMES + 1)])
+        t = choquet_functional(sp, 2.0)
+        oracle = numpy_choquet(sp.weights, 2.0)
+        rows = capacity_rows(t)
+        peak = 0
+        for perm in permutations(range(sp.size)):
+            values = [float(v) for v in perm]
+            assert float_hex(t(Act(sp, values))) == float_hex(oracle(values))
+            peak = max(peak, len(rows))
+        assert peak == audit.CAPACITY_ROWS
 
 
 def grid_values(t):

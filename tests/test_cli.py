@@ -525,6 +525,35 @@ class TestSettingDomains:
         assert named in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "--model", model("partition.json")),
+            ("audit", "--model", model("audit_zoo.json"), "--functional", "choquet-squared"),
+            REPAIR,
+        ],
+        ids=["validate", "audit", "repair"],
+    )
+    def test_tol_is_refused_where_unread(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: chisini ")
+        assert "unrecognized arguments: --tol 5" in captured.err
+
+    def test_tol_overrides_the_tower_budget(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "tower", "--model", model("partition.json"), "--utility", "mixed",
+            "--chain", "fine", "weather", "coarse", "--tol", "0.5",
+        )
+        assert code == 0
+        payoff = json.loads(out)["acts"][0]
+        assert payoff["act"] == "payoff"
+        assert payoff["tolerance"] == 0.5 * (1.0 + 2.0)  # sup|payoff| = 2
+
     def test_bad_cap_env_is_read_by_compute_only(self, capsys, monkeypatch):
         monkeypatch.setenv("CHISINI_CAP", "abc")
         code, out, _ = run(capsys, "validate", "--model", model("partition.json"))

@@ -35,6 +35,7 @@ from chisini.errors import (
     OutOfGridRange,
     PropertyFlagMissing,
 )
+from chisini.forge import _allowance_violations
 
 STEP_AT_ZERO = PiecewiseLinearCurve(
     (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0), 1.0, 1.0
@@ -243,6 +244,21 @@ class TestGridValidation:
         assert check.details["failing_outcomes"] == ["a"]
         with pytest.raises(ValueError, match="grid samples must be finite"):
             detect_jumps(gu, 0.1, 1.0)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_nan_sample_flags_two_increments_on_each_side(self, k):
+        # the allowance of an increment beside a NaN increment is NaN on
+        # either side, so the flagged run does not depend on where the NaN is
+        sp = FiniteSpace.uniform(["a"])
+        grid = DyadicGrid(2, 1.0)
+        points = grid.points()
+        holed = points.copy()
+        holed[k] = np.nan
+        first = max(k - 2, 0)
+        assert _allowance_violations(holed) == list(range(first, min(k + 2, 8)))
+        gu = DyadicGridUtility(sp, grid, holed[None, :])
+        check = validate_grid_regularity(gu).check("grid-right-continuity")
+        assert check.witness["at"] == float(points[first + 1])
 
     def test_jump_on_null_outcome_has_zero_failing_weight(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
