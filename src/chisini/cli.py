@@ -392,6 +392,19 @@ _COMMANDS = {
 }
 
 
+#: Error type -> (stderr prefix, exit code); the first matching type wins,
+#: and any other error propagates.
+_ERRORS = {
+    ModelFileError: ("", EXIT_RESOLUTION),
+    RegularityViolation: ("utility not regular: ", EXIT_REGULARITY),
+    BisectionBracketFailure: ("functional is not strictly monotone: ", EXIT_RESIDUAL),
+    NumericRangeError: ("outside the float range: ", EXIT_RESIDUAL),
+    ComplexityCapExceeded: ("", EXIT_CAP),
+    _ChainNotNested: ("", EXIT_CHAIN),
+    ContinuityViolation: ("", EXIT_CONTINUITY),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -399,27 +412,10 @@ def main(argv=None) -> int:
         settings = dataclasses.replace(model.settings, **_overrides(args))
         model = dataclasses.replace(model, settings=settings)
         report, code = _COMMANDS[args.subcommand](model, args)
-    except ModelFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOLUTION
-    except RegularityViolation as exc:
-        sys.stderr.write(f"error: utility not regular: {exc}\n")
-        return EXIT_REGULARITY
-    except BisectionBracketFailure as exc:
-        sys.stderr.write(f"error: functional is not strictly monotone: {exc}\n")
-        return EXIT_RESIDUAL
-    except NumericRangeError as exc:
-        sys.stderr.write(f"error: outside the float range: {exc}\n")
-        return EXIT_RESIDUAL
-    except ComplexityCapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
-    except _ChainNotNested as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHAIN
-    except ContinuityViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONTINUITY
+    except tuple(_ERRORS) as exc:
+        prefix, code = next(v for kind, v in _ERRORS.items() if isinstance(exc, kind))
+        sys.stderr.write(f"error: {prefix}{exc}\n")
+        return code
     out_path = args.out if args.subcommand != "repair" else None
     _emit(report, args.table, out_path)
     return code

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .curves import LinearCurve, PiecewiseLinearCurve
 from .errors import (
     ContinuityViolation,
@@ -89,7 +87,7 @@ class SetFunctionalOracle:
             for i in range(self.space.size)
         ]
         total = sum(raw)
-        if total <= 0.0 or any(w < 0.0 for w in raw):
+        if not (total > 0.0 and math.isfinite(total) and all(w >= 0.0 for w in raw)):
             raise PropertyFlagMissing(
                 "oracle mass at the unit act does not define a probability"
             )
@@ -106,18 +104,23 @@ class DyadicGrid:
     def __post_init__(self):
         if not MIN_LEVEL <= self.level <= MAX_LEVEL:
             raise ValueError(f"level must lie in [{MIN_LEVEL}, {MAX_LEVEL}]")
+        if not math.isfinite(self.bound):
+            raise ValueError("bound must be finite")
         if self.bound <= 0:
             raise ValueError("bound must be positive")
         if float(self.bound * 2 ** self.level) != int(self.bound * 2 ** self.level):
             raise ValueError("bound must be a dyadic number at this level")
+        # every level fits at the default bound of 8
+        if self.zero_index > 8 * 2 ** MAX_LEVEL:
+            raise ValueError(f"grid has more than 2**{MAX_LEVEL + 4} + 1 points")
 
     @property
     def step(self) -> float:
         return 2.0 ** (-self.level)
 
-    def points(self) -> np.ndarray:
-        k = int(self.bound * 2 ** self.level)
-        return np.arange(-k, k + 1, dtype=float) * self.step
+    def points(self) -> tuple[float, ...]:
+        step = self.step
+        return tuple(i * step for i in range(-self.zero_index, self.zero_index + 1))
 
     @property
     def zero_index(self) -> int:
@@ -125,7 +128,8 @@ class DyadicGrid:
 
 
 class DyadicGridUtility:
-    """Per-outcome utility samples on a dyadic grid.
+    """Per-outcome utility samples on a dyadic grid, one tuple of floats
+    per outcome.
 
     ``theta`` is the set of outcomes passing the grid-scale regularity
     checks; the right-continuous envelope falls back to the identity off
@@ -137,45 +141,48 @@ class DyadicGridUtility:
     """
 
     def __init__(self, space: FiniteSpace, grid: DyadicGrid, values):
-        values = np.asarray(values, dtype=float)
-        expected = (space.size, grid.points().size)
-        if values.shape != expected:
+        values = tuple(tuple(float(v) for v in row) for row in values)
+        expected = (space.size, 2 * grid.zero_index + 1)
+        if len(values) != space.size or any(len(row) != expected[1] for row in values):
             raise ValueError(f"values must have shape {expected}")
         self.space = space
         self.grid = grid
         self.values = values
-        self.values.setflags(write=False)
+        # each row's increments and continuity allowances, read by theta,
+        # the regularity report, the jump scan and the repair
+        self._increments = tuple(
+            tuple(b - a for a, b in zip(row, row[1:])) for row in values
+        )
+        self._allowances = tuple(_local_allowances(d) for d in self._increments)
         self.theta = frozenset(
             i
-            for i in range(space.size)
-            if _strictly_increasing(values[i])
-            and not _allowance_violations(values[i])
+            for i, (d, allow) in enumerate(zip(self._increments, self._allowances))
+            if _strictly_increasing(d) and not _allowance_violations(d, allow)
         )
 
 
-def _strictly_increasing(row: np.ndarray) -> bool:
-    return bool(np.all(np.diff(row) > 0.0))
+def _strictly_increasing(increments: tuple[float, ...]) -> bool:
+    return all(d > 0.0 for d in increments)
 
 
-def _local_allowances(increments: np.ndarray) -> np.ndarray:
+def _local_allowances(increments: tuple[float, ...]) -> tuple[float, ...]:
     """Continuity allowance per increment: twice the larger neighbouring
     increment (a local Lipschitz estimate times the step), plus a floor;
-    NaN when either neighbour is NaN, whichever side it is on."""
-    n = increments.size
-    allow = np.empty(n)
-    for i in range(n):
-        neighbours = []
-        if i > 0:
-            neighbours.append(increments[i - 1])
-        if i + 1 < n:
-            neighbours.append(increments[i + 1])
-        allow[i] = 2.0 * np.max(neighbours) if neighbours else np.inf
-    return allow + ALLOWANCE_FLOOR
+    NaN when either neighbour is NaN, whichever side it is on (``max``
+    keeps its first argument against a NaN, so a NaN on the right is
+    taken explicitly).  A grid row has at least two increments, so each
+    has a neighbour."""
+    padded = (-math.inf, *increments, -math.inf)
+    return tuple(
+        2.0 * (right if math.isnan(right) else max(left, right)) + ALLOWANCE_FLOOR
+        for left, right in zip(padded, padded[2:])
+    )
 
-def _allowance_violations(row: np.ndarray) -> list[int]:
-    increments = np.diff(row)
-    allow = _local_allowances(increments)
-    return [int(i) for i in np.nonzero(~(increments <= allow))[0]]  # NaN fails too
+
+def _allowance_violations(
+    increments: tuple[float, ...], allow: tuple[float, ...]
+) -> list[int]:
+    return [j for j, (d, a) in enumerate(zip(increments, allow)) if not d <= a]  # NaN fails too
 
 
 def extract_utility(
@@ -197,15 +204,15 @@ def extract_utility(
         )
     weights = oracle.singleton_weights()
     points = grid.points()
-    space = FiniteSpace(oracle.space.outcomes, weights)
-    values = np.zeros((space.size, points.size))
-    for i in range(space.size):
-        if weights[i] == 0.0:
-            continue
+    values = []
+    for i, w in enumerate(weights):
         singleton = EventSet(oracle.space, frozenset({i}))
-        for j, q in enumerate(points):
-            values[i, j] = oracle(singleton, Act.constant(oracle.space, q)) / weights[i]
-    return DyadicGridUtility(space, grid, values)
+        values.append(
+            [0.0] * len(points)
+            if w == 0.0
+            else [oracle(singleton, Act.constant(oracle.space, q)) / w for q in points]
+        )
+    return DyadicGridUtility(FiniteSpace(oracle.space.outcomes, weights), grid, values)
 
 
 def build_u_plus(gu: DyadicGridUtility, outcome, x: float) -> float:
@@ -222,12 +229,10 @@ def build_u_plus(gu: DyadicGridUtility, outcome, x: float) -> float:
     idx = gu.space.index_of(outcome)
     if idx not in gu.theta:
         return float(x)
-    points = gu.grid.points()
-    ceil = int(np.searchsorted(points, x, side="left"))
-    row = gu.values[idx]
-    # the row may be non-monotone off theta, but on theta the ceiling value
-    # is exactly the infimum over [x, bound]
-    return float(row[ceil])
+    # scaling by 2**level is exact, so its ceiling is the grid ceiling's
+    # offset from 0; on theta the ceiling value is exactly the infimum over
+    # [x, bound]
+    return gu.values[idx][gu.grid.zero_index + math.ceil(x * 2 ** gu.grid.level)]
 
 
 def evaluate_envelope(gu: DyadicGridUtility, f: Act) -> float:
@@ -254,31 +259,26 @@ def validate_grid_regularity(gu: DyadicGridUtility) -> AuditReport:
     gap_fail: list[dict] = []
     zero_fail: list[dict] = []
     points = gu.grid.points()
-    for i in range(gu.space.size):
-        row = gu.values[i]
-        label = gu.space.outcomes[i]
-        diffs = np.diff(row)
-        flat = np.nonzero(~(diffs > 0.0))[0]  # a NaN sample fails too
-        if flat.size:
-            strict_fail.append(
-                {"outcome": label, "weight": weights[i], "at": float(points[flat[0]])}
-            )
-        bad = _allowance_violations(row)
+    zero = gu.grid.zero_index
+    rows = zip(gu.space.outcomes, weights, gu.values, gu._increments, gu._allowances)
+    for label, weight, row, diffs, allow in rows:
+        # a NaN sample fails too
+        flat = next((j for j, d in enumerate(diffs) if not d > 0.0), None)
+        if flat is not None:
+            strict_fail.append({"outcome": label, "weight": weight, "at": points[flat]})
+        bad = _allowance_violations(diffs, allow)
         if bad:
-            allow = _local_allowances(diffs)
             gap_fail.append(
                 {
                     "outcome": label,
-                    "weight": weights[i],
-                    "at": float(points[bad[0] + 1]),
-                    "increment": float(diffs[bad[0]]),
-                    "allowance": float(allow[bad[0]]),
+                    "weight": weight,
+                    "at": points[bad[0] + 1],
+                    "increment": diffs[bad[0]],
+                    "allowance": allow[bad[0]],
                 }
             )
-        if row[gu.grid.zero_index] != 0.0:
-            zero_fail.append(
-                {"outcome": label, "weight": weights[i], "value": float(row[gu.grid.zero_index])}
-            )
+        if row[zero] != 0.0:
+            zero_fail.append({"outcome": label, "weight": weight, "value": row[zero]})
 
     def result(name, failures):
         failing_weight = float(sum(f["weight"] for f in failures))
@@ -348,30 +348,24 @@ def detect_jumps(
         raise ValueError("bound must not be NaN")
     per_outcome: list[tuple[tuple[float, float], ...]] = []
     if isinstance(source, StateUtility):
-        outcomes = source.space.outcomes
         for curve in source.curves:
             found = [
                 (x, size) for x, size in curve.jumps(-bound, bound) if size > eps
             ]
             per_outcome.append(tuple(sorted(found)))
     else:
-        outcomes = source.space.outcomes
-        if not np.isfinite(source.values).all():
+        if not all(math.isfinite(v) for row in source.values for v in row):
             raise ValueError("grid samples must be finite")
         points = source.grid.points()
-        keep = np.abs(points) <= bound
-        for i in range(source.space.size):
-            row = source.values[i]
-            diffs = np.diff(row)
-            allow = _local_allowances(diffs)
-            found = []
-            for j in np.nonzero(diffs > eps + allow)[0]:
-                location = float(points[j + 1])
-                if keep[j + 1]:
-                    found.append((location, float(diffs[j] - allow[j])))
+        for diffs, allow in zip(source._increments, source._allowances):
+            found = [
+                (points[j + 1], d - a)
+                for j, (d, a) in enumerate(zip(diffs, allow))
+                if d > eps + a and abs(points[j + 1]) <= bound
+            ]
             per_outcome.append(tuple(sorted(found)))
     return JumpReport(
-        outcomes=tuple(outcomes),
+        outcomes=tuple(source.space.outcomes),
         threshold=float(eps),
         jumps=tuple(per_outcome),
         first_jump=tuple(float(js[0][0]) if js else math.inf for js in per_outcome),
@@ -403,14 +397,10 @@ def repair_continuous(
     points = source.grid.points()
     jumpy = set(report.jumpy_outcomes())
     curves = []
-    for i in range(source.space.size):
-        degenerate = weights[i] == 0.0 and not _strictly_increasing(
-            source.values[i]
-        )
+    for i, (row, diffs) in enumerate(zip(source.values, source._increments)):
+        degenerate = weights[i] == 0.0 and not _strictly_increasing(diffs)
         if i in jumpy or degenerate:
             curves.append(LinearCurve(1.0))
         else:
-            curves.append(
-                PiecewiseLinearCurve.from_samples(points, source.values[i])
-            )
+            curves.append(PiecewiseLinearCurve.from_samples(points, row))
     return StateUtility(source.space, tuple(curves))

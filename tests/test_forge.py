@@ -35,7 +35,7 @@ from chisini.errors import (
     OutOfGridRange,
     PropertyFlagMissing,
 )
-from chisini.forge import _allowance_violations
+from chisini.forge import MAX_LEVEL, _allowance_violations
 
 STEP_AT_ZERO = PiecewiseLinearCurve(
     (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0), 1.0, 1.0
@@ -75,7 +75,7 @@ class TestExtraction:
         for _ in range(20):
             f = Act(sp, tuple(rng.choice(points, size=2)))
             idx = [int(np.searchsorted(points, v)) for v in f.values]
-            recovered = float(sum(w[i] * gu.values[i, idx[i]] for i in range(2)))
+            recovered = float(sum(w[i] * gu.values[i][idx[i]] for i in range(2)))
             assert recovered == pytest.approx(rep.evaluate(f), abs=1e-12)
 
     def test_plain_expectation_gives_identity(self):
@@ -98,7 +98,7 @@ class TestExtraction:
         gu = extract_utility(
             SetFunctionalOracle.from_representation(rep), DyadicGrid(2, 1.0)
         )
-        assert np.all(gu.values[1] == 0.0)
+        assert all(v == 0.0 for v in gu.values[1])
 
     def test_flags_required(self):
         sp = FiniteSpace.uniform(["a", "b"])
@@ -129,31 +129,89 @@ class TestExtraction:
                 lhs = oracle(event, Act.constant(sp, float(q)))
                 idx = list(members)
                 rhs = float(
-                    np.sum(w[idx] * gu.values[idx, np.searchsorted(grid.points(), q)])
+                    np.sum(w[idx] * np.asarray(gu.values)[idx, np.searchsorted(grid.points(), q)])
                 )
                 assert abs(lhs - rhs) <= 1e-10
+
+
+class TestOracleWeights:
+    @pytest.mark.parametrize("mass", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_singleton_mass_is_refused(self, mass):
+        # every comparison with a NaN is false, so the probability check
+        # states what must hold, and an infinite mass makes the total NaN
+        sp = FiniteSpace.uniform(["a", "b"])
+        oracle = SetFunctionalOracle(
+            sp, lambda e, f: mass if 0 in e.members else 1.0, c1=True, c2=True
+        )
+        with pytest.raises(PropertyFlagMissing):
+            oracle.singleton_weights()
+        with pytest.raises(PropertyFlagMissing):
+            extract_utility(oracle, DyadicGrid(2, 1.0))
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, 1e300])
+    def test_non_finite_or_huge_bound_is_refused(self, bound):
+        with pytest.raises(ValueError, match="bound must be finite|more than 2"):
+            DyadicGrid(2, bound)
+
+    def test_every_level_fits_at_the_default_bound(self):
+        # built only: the largest grid's points would take about 0.5 GB
+        grid = DyadicGrid(MAX_LEVEL)
+        assert 2 * grid.zero_index + 1 == 2**24 + 1
+        with pytest.raises(ValueError, match=r"more than 2\*\*24 \+ 1 points"):
+            DyadicGrid(MAX_LEVEL, 8.0 + 2.0**-MAX_LEVEL)
+
+    def test_shape_check_does_not_build_the_points(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("points() was built")
+
+        monkeypatch.setattr(DyadicGrid, "points", refuse)
+        with pytest.raises(ValueError, match="values must have shape"):
+            DyadicGridUtility(FiniteSpace.uniform(["a"]), DyadicGrid(MAX_LEVEL), [[0.0]])
+
+    def test_points_and_values_are_float_tuples(self):
+        grid = DyadicGrid(2, 1.0)
+        gu = DyadicGridUtility(FiniteSpace.uniform(["a"]), grid, np.zeros((1, 9)))
+        assert grid.points() == (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0)
+        assert gu.values == ((0.0,) * 9,)
+        assert all(type(v) is float for v in grid.points() + gu.values[0])
 
 
 class TestEnvelope:
     def test_grid_ceiling(self):
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(level=2, bound=1.0)
-        gu = DyadicGridUtility(sp, grid, grid.points()[None, :])
+        gu = DyadicGridUtility(sp, grid, [grid.points()])
         assert build_u_plus(gu, "a", 0.3) == 0.5
         assert build_u_plus(gu, "a", 0.25) == 0.25  # exact grid point
 
     def test_identity_off_theta(self):
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(level=1, bound=1.0)
-        flat = np.zeros((1, grid.points().size))
+        flat = np.zeros((1, len(grid.points())))
         gu = DyadicGridUtility(sp, grid, flat)
         assert gu.theta == frozenset()
         assert build_u_plus(gu, "a", 0.3) == 0.3
 
+    @pytest.mark.parametrize("level", [1, 3, 7])
+    def test_grid_ceiling_matches_searchsorted(self, level):
+        # the exact scaled ceiling against a binary search over the points
+        sp = FiniteSpace.uniform(["a"])
+        grid = DyadicGrid(level=level, bound=2.0)
+        points = grid.points()
+        gu = DyadicGridUtility(sp, grid, [points])
+        rng = np.random.default_rng(level)
+        queries = [*points, -0.0, 5e-324, -5e-324, *rng.uniform(-2.0, 2.0, size=50)]
+        queries += [q + d for q in points[1:-1] for d in (-1e-12, 1e-12)]
+        for x in queries:
+            want = points[int(np.searchsorted(points, x, side="left"))]
+            assert build_u_plus(gu, "a", float(x)).hex() == want.hex()
+
     def test_out_of_range(self):
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(level=2, bound=1.0)
-        gu = DyadicGridUtility(sp, grid, grid.points()[None, :])
+        gu = DyadicGridUtility(sp, grid, [grid.points()])
         with pytest.raises(OutOfGridRange):
             build_u_plus(gu, "a", 1.5)
 
@@ -207,7 +265,7 @@ class TestGridValidation:
     def test_flat_segment_on_half_weight_outcome(self):
         sp = FiniteSpace(("a", "b"), (0.5, 0.5))
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         good = points.copy()
         bad = points.copy()
         bad[points > 0.4] = bad[np.searchsorted(points, 0.4)]  # flatten the top
@@ -220,7 +278,7 @@ class TestGridValidation:
     def test_nan_sample_fails_strict_increase(self):
         sp = FiniteSpace.uniform(["a", "b"])
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         holed = points.copy()
         holed[3] = np.nan
         gu = DyadicGridUtility(sp, grid, np.vstack([holed, points]))
@@ -235,7 +293,7 @@ class TestGridValidation:
         # passed the row; the negated test flags it, and the scan refuses it
         sp = FiniteSpace.uniform(["a", "b"])
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         holed = points.copy()
         holed[2] = np.nan
         gu = DyadicGridUtility(sp, grid, np.vstack([holed, points]))
@@ -251,19 +309,20 @@ class TestGridValidation:
         # either side, so the flagged run does not depend on where the NaN is
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         holed = points.copy()
         holed[k] = np.nan
         first = max(k - 2, 0)
-        assert _allowance_violations(holed) == list(range(first, min(k + 2, 8)))
         gu = DyadicGridUtility(sp, grid, holed[None, :])
+        flagged = _allowance_violations(gu._increments[0], gu._allowances[0])
+        assert flagged == list(range(first, min(k + 2, 8)))
         check = validate_grid_regularity(gu).check("grid-right-continuity")
         assert check.witness["at"] == float(points[first + 1])
 
     def test_jump_on_null_outcome_has_zero_failing_weight(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         jumpy = points + (points >= 0.5) * 1.0
         gu = DyadicGridUtility(sp, grid, np.vstack([points, jumpy]))
         report = validate_grid_regularity(gu)
@@ -274,7 +333,7 @@ class TestGridValidation:
     def test_allowance_is_reported(self):
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(2, 1.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         jumpy = points + (points >= 0.5) * 1.0
         gu = DyadicGridUtility(sp, grid, jumpy[None, :])
         check = validate_grid_regularity(gu).check("grid-right-continuity")
@@ -318,7 +377,7 @@ class TestJumpDetection:
     def test_grid_jump_detection_is_lower_bound(self):
         sp = FiniteSpace.uniform(["a"])
         grid = DyadicGrid(4, 2.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         jumpy = points + (points >= 0.0) * 1.0
         gu = DyadicGridUtility(sp, grid, jumpy[None, :])
         report = detect_jumps(gu, eps=0.5, bound=2.0)
@@ -368,7 +427,7 @@ class TestRepair:
     def test_grid_source_repairs_to_state_utility(self):
         sp = FiniteSpace(("a", "b"), (1.0, 0.0))
         grid = DyadicGrid(3, 2.0)
-        points = grid.points()
+        points = np.asarray(grid.points())
         jumpy = points + (points >= 0.5) * 1.0
         gu = DyadicGridUtility(sp, grid, np.vstack([points, jumpy]))
         report = detect_jumps(gu, eps=0.5, bound=2.0)

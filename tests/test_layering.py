@@ -60,10 +60,12 @@ NUMPY_FREE = (
     "reports",
     "modelfile",
     "family",
+    "forge",
     "cli",
 )
 
 #: The commands that compute the paper's objects; none builds an array.
+#: ``repair`` is added per test, with its written model under ``tmp_path``.
 ARRAY_FREE_COMMANDS = [
     ["validate", "--model", "models/partition.json"],
     ["validate", "--model", "models/audit_zoo.json"],
@@ -173,15 +175,22 @@ def test_solver_path_imports_no_numpy():
     assert result == []
 
 
-def test_array_free_commands_load_no_numpy():
+def test_array_free_commands_load_no_numpy(tmp_path):
+    commands = ARRAY_FREE_COMMANDS + [
+        [
+            "repair", "--model", "models/repair.json", "--utility", "haunted",
+            "--out", str(tmp_path / "repaired.json"),
+        ],
+    ]
     result = run_fresh(
         "import json, sys\n"
         "from chisini.cli import main\n"
-        f"codes = [main(argv) for argv in {ARRAY_FREE_COMMANDS!r}]\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
         "print()\n"
         "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
     )
-    assert result == {"codes": [0] * len(ARRAY_FREE_COMMANDS), "numpy": False}
+    assert result == {"codes": [0] * len(commands), "numpy": False}
+    assert "haunted-repaired" in json.loads((tmp_path / "repaired.json").read_text())["utilities"]
 
 
 def test_lazy_exports_are_the_eager_ones():
