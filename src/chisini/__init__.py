@@ -4,8 +4,8 @@ audits and constructive utility extraction/repair.
 
 Each public name is listed once, in ``_EXPORTS``, with the submodule that
 defines it.  ``import chisini`` loads no submodule: a name is imported on
-first access (PEP 562), so code that never touches the audits, the forge
-or the certainty-equivalent audit never imports numpy.
+first access (PEP 562), so code that never touches the audits or the
+certainty-equivalent audit never imports numpy.
 """
 
 import importlib

@@ -142,9 +142,9 @@ class DyadicGridUtility:
 
     def __init__(self, space: FiniteSpace, grid: DyadicGrid, values):
         values = tuple(tuple(float(v) for v in row) for row in values)
-        expected = (space.size, 2 * grid.zero_index + 1)
-        if len(values) != space.size or any(len(row) != expected[1] for row in values):
-            raise ValueError(f"values must have shape {expected}")
+        width = 2 * grid.zero_index + 1
+        if len(values) != space.size or any(len(row) != width for row in values):
+            raise ValueError(f"values must have shape {(space.size, width)}")
         self.space = space
         self.grid = grid
         self.values = values
