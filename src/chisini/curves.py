@@ -255,7 +255,15 @@ class PiecewiseLinearCurve(Curve):
 
 @dataclass(frozen=True)
 class MixtureCurve(Curve):
-    """Probability-weighted average of curves (weights positive, sum 1)."""
+    """Probability-weighted average of curves (weights positive, sum 1).
+
+    ``value`` reads a term table fixed at construction, one
+    ``(kind, weight, a, b)`` per part: kind 0 is an exponential curve
+    (a = -gamma, b = gamma), 1 a power curve (a = exponent), 2 a linear
+    curve (a = scale) and 3 any other curve (a = its bound ``value``).
+    Each term repeats its family's ``value`` expression, so the floats are
+    those of ``sum(w * c.value(x) ...)``, which stays the overflow path.
+    """
 
     weights: tuple[float, ...]
     parts: tuple[Curve, ...]
@@ -269,9 +277,27 @@ class MixtureCurve(Curve):
         if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_terms", tuple(
+            (0, w, -c.gamma, c.gamma) if type(c) is ExponentialCurve
+            else (1, w, c.exponent, None) if type(c) is PowerCurve
+            else (2, w, c.scale, None) if type(c) is LinearCurve
+            else (3, w, c.value, None)
+            for w, c in zip(weights, self.parts)
+        ))
 
     def value(self, x: float) -> float:
-        return sum(w * c.value(x) for w, c in zip(self.weights, self.parts))
+        try:
+            return sum([
+                w * (-math.expm1(a * x) / b) if kind == 0
+                else w * (math.copysign(abs(x) ** a, x) if x != 0.0 else 0.0)
+                if kind == 1
+                else w * (a * x) if kind == 2
+                else w * a(x)
+                for kind, w, a, b in self._terms
+            ])
+        except OverflowError:
+            # each part's own value raises its typed error
+            return sum(w * c.value(x) for w, c in zip(self.weights, self.parts))
 
     def _limit(self, side: str) -> float:
         # a plain loop, not sum(), which compensates floats from Python 3.12;

@@ -32,7 +32,12 @@ from .curves import (
     merge_piecewise_linear,
     right_continuous_inverse,
 )
-from .errors import AdditivityCheckFailed, RegularityViolation, SpaceMismatchError
+from .errors import (
+    AdditivityCheckFailed,
+    NumericRangeError,
+    RegularityViolation,
+    SpaceMismatchError,
+)
 from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra
 
 #: Relative tolerance of the additivity spot check, scaled by (1 + sup|f|).
@@ -104,12 +109,22 @@ class AdditiveRepresentation:
         return self.utility.space
 
     def utility_act(self, f: Act) -> Act:
-        """The random outcome w -> u(w, f(w)) as an act."""
+        """The random outcome w -> u(w, f(w)) as an act.
+
+        Raises NumericRangeError, naming the outcome, where a utility value
+        is not a finite float.
+        """
         self._check_space(f)
         values = tuple(
             c.value(v) for c, v in zip(self.utility.curves, f.values)
         )
-        return Act(self.space, values)
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, u in enumerate(values) if not math.isfinite(u))
+            raise NumericRangeError(
+                f"utility of outcome {self.space.outcomes[i]!r} at "
+                f"x={f.values[i]:g} is {values[i]!r}, not a finite float"
+            )
+        return Act._trusted(self.space, values)
 
     def evaluate(self, f: Act) -> float:
         self._check_space(f)

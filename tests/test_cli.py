@@ -389,6 +389,34 @@ class TestOutsideFloatRange:
             "image, where the inverse is not a finite float\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--partition", "weather", "--act", "huge"],
+            ["compute", "--partition", "fine", "--act", "huge"],
+            ["tower", "--chain", "fine", "weather", "coarse"],
+        ],
+        ids=["compute-weather", "compute-fine", "tower"],
+    )
+    def test_overflowing_linear_utility_exits_4(self, capsys, tmp_path, argv):
+        # 2 * 1e308 is inf without an OverflowError: the utility act is
+        # refused before any solve
+        with open(model("partition.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["utilities"]["steep"] = {"family": "linear", "scale": 2.0}
+        doc["acts"]["huge"] = [1e308, 1e308, 1e308, 1e308]
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, argv[0], "--model", str(path), "--utility", "steep", *argv[1:]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: outside the float range: utility of outcome 'rain' at "
+            "x=1e+308 is inf, not a finite float\n"
+        )
+
     def test_audit_grid_overflow_exits_4(self, capsys, tmp_path):
         path = entropic_variant(tmp_path, grid=[-800.0, 0.0, 1.0])
         code, out, err = run(capsys, "audit", "--model", path, "--functional", "eu")

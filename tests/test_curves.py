@@ -1,12 +1,14 @@
 """Tests for the scalar curve families and their inverses."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisini import (
+    Curve,
     ExponentialCurve,
     LinearCurve,
     MixtureCurve,
@@ -190,6 +192,142 @@ class TestMixture:
             a = right_continuous_inverse(c, y, use_closed_form=True)
             b = right_continuous_inverse(c, y, use_closed_form=False)
             assert abs(a - b) < 1e-12
+
+
+class _Sinh(Curve):
+    """A curve outside the closed families, whose value raises a plain
+    OverflowError beyond |x| ~ 710."""
+
+    def value(self, x):
+        return math.sinh(x)
+
+
+class _SteepLinear(LinearCurve):
+    """A subclass whose value is not its parent's: the table must call it."""
+
+    def value(self, x):
+        return 2.0 * self.scale * x
+
+
+_JUMP = PiecewiseLinearCurve((-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.5, 1.5), 1.0, 2.0)
+
+
+def _oracle(m: MixtureCurve, x: float) -> float:
+    """The mixture's value part by part, through each part's own ``value``."""
+    return sum(w * c.value(x) for w, c in zip(m.weights, m.parts))
+
+
+def _random_part(rng: random.Random, depth: int = 0) -> Curve:
+    kind = rng.randrange(7 if depth == 0 else 6)
+    if kind == 0:
+        return ExponentialCurve(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0))
+    if kind == 1:
+        return PowerCurve(rng.uniform(0.3, 4.0))
+    if kind == 2:
+        return LinearCurve(rng.uniform(0.2, 3.0))
+    if kind == 3:
+        return _Sinh()
+    if kind == 4:
+        return _SteepLinear(rng.uniform(0.2, 3.0))
+    if kind == 5:
+        return _JUMP
+    return _random_mixture(rng, depth + 1)
+
+
+def _random_mixture(rng: random.Random, depth: int = 0) -> MixtureCurve:
+    parts = tuple(_random_part(rng, depth) for _ in range(rng.randint(1, 6)))
+    raw = [rng.uniform(0.1, 1.0) for _ in parts]
+    return MixtureCurve(tuple(r / sum(raw) for r in raw), parts)
+
+
+def _outcome(fn, x):
+    """``fn(x)`` as float hex, or the type and message of what it raised."""
+    try:
+        return fn(x).hex()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+#: ±0, subnormals, grid points and every bracket probe ±2**k to the top
+#: of the float range, where each family overflows in turn.
+_XS = (
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+    + [i / 8.0 for i in range(-24, 25)]
+    + [s * 2.0**k for k in range(1024) for s in (1.0, -1.0)]
+)
+
+
+class TestMixtureTermTable:
+    """``MixtureCurve.value`` reads a table built at construction; the sum of
+    each part's own ``value`` is its oracle, to the bit."""
+
+    def test_every_family_matches_the_oracle(self):
+        rng = random.Random(15)
+        mixtures = [_random_mixture(rng) for _ in range(60)]
+        mixtures.append(
+            MixtureCurve(
+                (0.1, 0.15, 0.2, 0.1, 0.15, 0.2, 0.1),
+                (ExponentialCurve(1.0), ExponentialCurve(-0.5), PowerCurve(3.0),
+                 LinearCurve(1.5), _Sinh(), _SteepLinear(0.5), _JUMP),
+            )
+        )
+        raised = 0
+        for m in mixtures:
+            for x in _XS:
+                got = _outcome(m.value, x)
+                assert got == _outcome(lambda x: _oracle(m, x), x), (m, x)
+                raised += isinstance(got, tuple)
+        assert raised > 0  # the overflow path was taken
+
+    @pytest.mark.parametrize(
+        "part, x, error",
+        [
+            (ExponentialCurve(1.0), -800.0, NumericRangeError),
+            (ExponentialCurve(-2.0), 400.0, NumericRangeError),
+            (PowerCurve(3.0), 1e120, NumericRangeError),
+            (_Sinh(), -800.0, OverflowError),
+        ],
+        ids=["exp", "exp-neg", "power", "sinh"],
+    )
+    def test_overflow_raises_the_parts_error(self, part, x, error):
+        m = MixtureCurve((0.25, 0.25, 0.5), (LinearCurve(1.0), _JUMP, part))
+        with pytest.raises(error) as oracle:
+            part.value(x)
+        with pytest.raises(error) as raised:
+            m.value(x)
+        assert type(raised.value) is type(oracle.value)
+        assert str(raised.value) == str(oracle.value)
+
+    def test_table_is_not_a_field(self):
+        m = MixtureCurve((0.5, 0.5), (_SteepLinear(1.0), LinearCurve(1.0)))
+        twin = MixtureCurve((0.5, 0.5), (_SteepLinear(1.0), LinearCurve(1.0)))
+        assert m == twin and hash(m) == hash(twin)
+        assert repr(m) == (
+            "MixtureCurve(weights=(0.5, 0.5), parts=(_SteepLinear(scale=1.0), "
+            "LinearCurve(scale=1.0)))"
+        )
+
+    def test_inverse_matches_the_oracle_inverse(self):
+        class Oracle(Curve):
+            def __init__(self, m):
+                self.m = m
+
+            def value(self, x):
+                return _oracle(self.m, x)
+
+        rng = random.Random(1515)
+        solved = 0
+        for _ in range(240):
+            m = _random_mixture(rng)
+            for y in (rng.uniform(-3.0, 3.0), rng.uniform(-40.0, 40.0), 0.0):
+                # a target on a saturated bound fails to bracket, both ways
+                target = _oracle(m, y)
+                got = _outcome(lambda t: right_continuous_inverse(m, t), target)
+                assert got == _outcome(
+                    lambda t: right_continuous_inverse(Oracle(m), t), target
+                )
+                solved += isinstance(got, str)
+        assert solved >= 600
 
 
 class TestBisectIncreasing:

@@ -24,7 +24,7 @@ from chisini import (
     validate_regular,
 )
 from chisini.curves import MixtureCurve
-from chisini.errors import RegularityViolation
+from chisini.errors import NumericRangeError, RegularityViolation
 
 
 def two_point():
@@ -58,6 +58,20 @@ class TestEvaluator:
             StateUtility.state_independent(two_point(), LinearCurve())
         )
         assert rep.evaluate(Act(two_point(), (1.0, 3.0))) == 2.0
+
+    @pytest.mark.parametrize("values", [(1.0, 1e308), (-1e308, 1e308)])
+    def test_overflowing_utility_act_is_a_range_error(self, values):
+        # 2 * 1e308 is inf without an OverflowError: the act is refused
+        # with the first outcome whose utility is not finite
+        space = two_point()
+        rep = AdditiveRepresentation(
+            StateUtility(space, (LinearCurve(1.0), LinearCurve(2.0)))
+        )
+        with pytest.raises(NumericRangeError) as raised:
+            rep.utility_act(Act(space, values))
+        assert str(raised.value) == (
+            "utility of outcome 'b' at x=1e+308 is inf, not a finite float"
+        )
 
     def test_zero_act_evaluates_to_zero(self):
         for curve in (LinearCurve(), ExponentialCurve(1.3), PowerCurve(2.5)):
