@@ -34,10 +34,11 @@ subtractions for n outcomes and g grid values, against g^(2n) pairs times
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
 Each audit call builds its grid acts, events and value table once.  A solve
-reads f only through f * 1_A and sup|f|, so it runs once per (event, f's
-values on the event, sup|f|) and every grid act sharing that key reuses it;
-the off-event constant for A is the solve on the complement of A.  Each
-solve also stores t(x * 1_A) at its solution, the residual that the
+reads f only through f * 1_A and sup|f|, so an ``lru_cache`` keeps it per
+(event, f's values on the event, sup|f|) and every grid act sharing that
+key reuses it; a failed bracket is not kept and fails again.  The
+off-event constant for A is the solve on the complement of A.  Each solve
+also returns t(x * 1_A) at its solution, the residual that the
 conditionability search reads.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import compress, product
 
 import numpy as np
@@ -66,7 +68,7 @@ WITNESS_MARGIN = 1e-9
 MAX_OUTCOMES = 6
 MAX_GRID = 5
 
-#: Capacity rows a Choquet functional keeps: every rank order at the cap.
+#: Capacity rows a Choquet functional caches: every rank order at the cap.
 CAPACITY_ROWS = math.factorial(MAX_OUTCOMES)
 
 
@@ -132,7 +134,8 @@ class _GridEnumeration:
         ]
         self.count = len(self.acts)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
-        self._constants: dict = {}
+        # a function of the key alone, so the cache holds no reference to self
+        self._solve = lru_cache(maxsize=None)(partial(_solve_constant, t))
 
     def table(self, mask: int) -> tuple[np.ndarray, ...]:
         """The value table of events[mask], a mode matricization of the
@@ -152,63 +155,59 @@ class _GridEnumeration:
         return self.values[index], rows, cols, index
 
     def constant(self, mask: int, ai: int) -> tuple[float, float, float, float, float]:
-        """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection,
-        where A = events[mask] and f = acts[ai], and evaluate t(x * 1_A).
-
-        The solve reads f only through f * 1_A (the target) and sup|f| (the
-        bracket), so it is memoized on the mask, f's values on A and sup|f|:
-        every act sharing that key gets the same floats, or the same bracket
-        failure raised again, from one bisection.
-
-        Requires x -> t(x * 1_A) to be nondecreasing with the target inside
-        its values at +-(sup|f| + 1); a failed bracket signals a strict-
-        monotonicity violation upstream.  Returns (x, lo, hi, target, value)
-        with target = t(f * 1_A) and value = t(x * 1_A).  A flat map (null
-        event) admits any solution and returns x = lo = hi = 0.  Otherwise
-        t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
-        solutions with a guaranteed comparison direction.
-        """
+        """:func:`_solve_constant` on A = events[mask] and f = acts[ai],
+        cached on its key: every act with the same values on A and the same
+        sup|f| gets the same floats from one bisection.  A failed bracket is
+        not cached, and raises again on every call."""
         f = self.acts[ai]
-        key = (mask, tuple(compress(f.values, self.bits[mask])), f.sup_norm)
-        if key not in self._constants:
-            try:
-                self._constants[key] = self._solve(self.events[mask], f)
-            except BisectionBracketFailure as exc:
-                self._constants[key] = exc
-        found = self._constants[key]
-        if isinstance(found, BisectionBracketFailure):
-            raise found.with_traceback(None)
-        return found
+        return self._solve(mask, tuple(compress(f.values, self.bits[mask])), f.sup_norm)
 
     def two_level(self, event: EventSet, x: float, y: float) -> Act:
         """x on the event, y off it; unchecked, as both are finite."""
         values = tuple(x if i in event.members else y for i in range(self.n))
         return Act._trusted(self.t.space, values)
 
-    def _solve(
-        self, event: EventSet, f: Act
-    ) -> tuple[float, float, float, float, float]:
-        t = self.t
-        target = t(f.masked(event))
-        hi = f.sup_norm + 1.0
-        lo = -hi
 
-        def masked_value(x: float) -> float:  # x lies in the finite bracket
-            return t(self.two_level(event, x, 0.0))
+def _solve_constant(
+    t: PreferenceFunctional, mask: int, on: tuple[float, ...], sup: float
+) -> tuple[float, float, float, float, float]:
+    """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection, where
+    A is the event with outcome bitmask ``mask``, ``on`` holds f's values on
+    A in outcome order and ``sup`` is sup|f|; evaluate t(x * 1_A).
 
-        v_lo, v_hi = masked_value(lo), masked_value(hi)
-        if v_lo == v_hi:
-            x = lo = hi = 0.0
-        else:
-            slack = 1e-12 * (1.0 + abs(target))
-            if not (v_lo <= target + slack and target - slack <= v_hi):
-                raise BisectionBracketFailure(
-                    f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
-                )
-            lo, hi = bisect_increasing(masked_value, target, lo, hi)
-            x = 0.5 * (lo + hi)
-        # checked: x overflows when the bracket ends above half the float range
-        return x, lo, hi, target, t(Act(t.space, self.two_level(event, x, 0.0).values))
+    Requires x -> t(x * 1_A) to be nondecreasing with the target inside
+    its values at +-(sup|f| + 1); a failed bracket signals a strict-
+    monotonicity violation upstream.  Returns (x, lo, hi, target, value)
+    with target = t(f * 1_A) and value = t(x * 1_A).  A flat map (null
+    event) admits any solution and returns x = lo = hi = 0.  Otherwise
+    t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
+    solutions with a guaranteed comparison direction.
+    """
+    bits = [mask >> i & 1 for i in range(t.space.size)]
+    values = iter(on)
+    target = t(Act._trusted(t.space, tuple(next(values) if b else 0.0 for b in bits)))
+    hi = sup + 1.0
+    lo = -hi
+
+    def masked(x: float) -> tuple[float, ...]:
+        return tuple(x if b else 0.0 for b in bits)
+
+    def masked_value(x: float) -> float:  # x lies in the finite bracket
+        return t(Act._trusted(t.space, masked(x)))
+
+    v_lo, v_hi = masked_value(lo), masked_value(hi)
+    if v_lo == v_hi:
+        x = lo = hi = 0.0
+    else:
+        slack = 1e-12 * (1.0 + abs(target))
+        if not (v_lo <= target + slack and target - slack <= v_hi):
+            raise BisectionBracketFailure(
+                f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
+            )
+        lo, hi = bisect_increasing(masked_value, target, lo, hi)
+        x = 0.5 * (lo + hi)
+    # checked: x overflows when the bracket ends above half the float range
+    return x, lo, hi, target, t(Act(t.space, masked(x)))
 
 
 def _report(
@@ -581,24 +580,22 @@ def choquet_functional(
     principle because the complementary payoff affects the ranking.
 
     The capacity row nu_k = P(top k outcomes)**exponent of a rank order is
-    computed once, by the numpy expression whose floats the audit digests
-    pin, and kept for every later act of that order: the memo holds every
-    rank order at the outcome cap, and is cleared when full on a larger
-    space.  Each act's sum runs in Python.
+    computed by the numpy expression whose floats the audit digests pin,
+    behind an LRU cache that holds every rank order at the outcome cap.
+    Each act's sum runs in Python.
     """
     weights = np.asarray(space.weights, dtype=float)
     ranks = range(space.size)
-    rows: dict[tuple[int, ...], list[float]] = {}
+
+    @lru_cache(CAPACITY_ROWS)
+    def capacity_row(order: tuple[int, ...]) -> list[float]:
+        return (np.cumsum(weights[list(order)]) ** capacity_exponent).tolist()
 
     def evaluate(f: Act) -> float:
         values = f.values
         # a stable sort, ties in outcome order, as np.argsort(-values, kind="stable")
         order = tuple(sorted(ranks, key=values.__getitem__, reverse=True))
-        nu = rows.get(order)
-        if nu is None:
-            if len(rows) >= CAPACITY_ROWS:
-                rows.clear()
-            nu = rows[order] = (np.cumsum(weights[list(order)]) ** capacity_exponent).tolist()
+        nu = capacity_row(order)
         v = [values[i] for i in order]
         last = len(v) - 1
         if last >= 8:  # np.sum adds pairwise from 8 terms on

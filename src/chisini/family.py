@@ -21,6 +21,7 @@ to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -44,48 +45,35 @@ CONTINUITY_TERMS = 64
 #: Final-defect threshold for the continuity proxy.
 CONTINUITY_FINAL_TOL = 1e-6
 
-#: Most probe values a family remembers per projected mixture curve.  The
-#: memo is emptied when it holds this many, so it never holds more; 512
-#: keeps most of the probes that a 64-term continuity sequence shares.
+#: Most probe values a family remembers per projected mixture curve, the
+#: most recently used ones; 512 keeps most of the probes that a 64-term
+#: continuity sequence shares.
 PROBE_MEMO_SIZE = 512
 
 
-class _ProbeMemo(dict):
+class _ProbeMemo:
     """A projected mixture curve whose ``value`` remembers its probes.
 
     Mixtures have no closed-form inverse, so every solve bisects them, and
     solves from one bracket probe the same points until their targets
-    separate.  The memo is a dict from probe to value: a remembered probe
-    is read without a Python call, and a new one is computed by
-    ``__missing__``.  ``value`` is pure, so a remembered probe is the
-    float the curve returns; a probe that raises is not remembered.
+    separate.  ``value`` is the curve's, behind an LRU cache of
+    ``PROBE_MEMO_SIZE`` probes; it is pure, so a remembered probe is the
+    float the curve returns, and a probe that raises is not remembered.
     """
 
-    __slots__ = ("curve", "lower", "upper")
-
-    value = dict.__getitem__
+    __slots__ = ("value", "lower", "upper", "inverse_exact")
 
     def __init__(self, curve: MixtureCurve):
-        super().__init__()
-        self.curve = curve
+        self.value = lru_cache(PROBE_MEMO_SIZE)(curve.value)
         self.lower = curve.lower_limit()
         self.upper = curve.upper_limit()
-
-    def __missing__(self, x: float) -> float:
-        v = self.curve.value(x)
-        if len(self) >= PROBE_MEMO_SIZE:
-            self.clear()
-        self[x] = v
-        return v
+        self.inverse_exact = curve.inverse_exact
 
     def lower_limit(self):
         return self.lower
 
     def upper_limit(self):
         return self.upper
-
-    def inverse_exact(self, y: float):
-        return self.curve.inverse_exact(y)
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,6 @@ def audit_certainty_equivalent(
     grid = tuple(sorted(float(v) for v in grid))
     rng = np.random.default_rng(seed)
     n = fam.space.size
-    lo, hi = min(grid), max(grid)
 
     backgrounds = [
         Act(fam.space, tuple(rng.choice(grid, size=n)))

@@ -109,11 +109,13 @@ class AdditiveRepresentation:
         return self.utility.space
 
     def utility_act(self, f: Act) -> Act:
-        """The random outcome w -> u(w, f(w)) as an act.
+        """The random outcome w -> u(w, f(w)) as an act; a utility value
+        that is not a finite float raises NumericRangeError."""
+        return Act._trusted(self.space, self._utilities(f))
 
-        Raises NumericRangeError, naming the outcome, where a utility value
-        is not a finite float.
-        """
+    def _utilities(self, f: Act) -> tuple[float, ...]:
+        """Each outcome's utility u(w, f(w)); raises NumericRangeError,
+        naming the outcome, where one is not a finite float."""
         self._check_space(f)
         values = tuple(
             c.value(v) for c, v in zip(self.utility.curves, f.values)
@@ -124,16 +126,21 @@ class AdditiveRepresentation:
                 f"utility of outcome {self.space.outcomes[i]!r} at "
                 f"x={f.values[i]:g} is {values[i]!r}, not a finite float"
             )
-        return Act._trusted(self.space, values)
+        return values
 
     def evaluate(self, f: Act) -> float:
+        """T(f) = sum_w p(w) u(w, f(w)); a utility value that is not a
+        finite float raises NumericRangeError, as in utility_act."""
         self._check_space(f)
-        return float(
+        total = float(
             sum(
                 p * c.value(v)
                 for p, c, v in zip(self.space.weights, self.utility.curves, f.values)
             )
         )
+        if not math.isfinite(total):
+            self._utilities(f)  # raises, naming the first such outcome
+        return total
 
     def evaluate_on_event(self, members: Iterable[int], f: Act) -> float:
         """V_A(f); equals evaluate(f * 1_A) since every curve is 0 at 0."""

@@ -1,6 +1,8 @@
 """Tests for the preference-functional audits: strict monotonicity, the
 sure-thing principle, conditionability and the equivalence harness."""
 
+import gc
+import weakref
 from itertools import permutations, product
 
 import numpy as np
@@ -34,7 +36,7 @@ from chisini.errors import (
     ComplexityCapExceeded,
     SpaceMismatchError,
 )
-from test_audit_digests import float_hex
+from hexfloats import float_hex
 
 
 def uniform3():
@@ -209,11 +211,11 @@ class TestSureThing:
 
 
 def capacity_rows(t):
-    """The capacity-row memo of a Choquet functional's evaluator."""
+    """The capacity-row cache of a Choquet functional's evaluator."""
     (rows,) = [
         cell.cell_contents
         for cell in t.evaluator.__closure__
-        if isinstance(cell.cell_contents, dict)
+        if hasattr(cell.cell_contents, "cache_info")
     ]
     return rows
 
@@ -259,6 +261,8 @@ class TestChoquetEvaluator:
         assert len(fills) == 1
         t(Act(sp, (1.0, 3.0, 2.0)))
         assert len(fills) == 2
+        info = capacity_rows(t).cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
     def test_memo_holds_at_most_every_order_at_the_cap(self):
         assert audit.CAPACITY_ROWS == 720
@@ -270,8 +274,9 @@ class TestChoquetEvaluator:
         for perm in permutations(range(sp.size)):
             values = [float(v) for v in perm]
             assert float_hex(t(Act(sp, values))) == float_hex(oracle(values))
-            peak = max(peak, len(rows))
+            peak = max(peak, rows.cache_info().currsize)
         assert peak == audit.CAPACITY_ROWS
+        assert rows.cache_info().misses == 5040  # each of the 7! orders fills once
 
 
 def grid_values(t):
@@ -664,7 +669,7 @@ def _oracle_functionals():
 
 
 class TestConstantSolveOracle:
-    """The memoized constant solve against a direct solve of each pair."""
+    """The cached constant solve against an uncached solve of each pair."""
 
     @pytest.mark.parametrize("t", _oracle_functionals(), ids=lambda t: t.name)
     def test_memo_matches_direct_solve(self, t):
@@ -675,15 +680,34 @@ class TestConstantSolveOracle:
                 return str(exc)
 
         enum = audit._GridEnumeration(t)
+        pairs = len(enum.events) * enum.count
         failures = 0
-        for mask, event in enumerate(enum.events):
+        for mask in range(len(enum.events)):
             for ai, f in enumerate(enum.acts):
-                direct = outcome(enum._solve, event, f)
+                on = tuple(v for i, v in enumerate(f.values) if mask >> i & 1)
+                sup = max(map(abs, f.values))
+                direct = outcome(audit._solve_constant, t, mask, on, sup)
                 assert outcome(enum.constant, mask, ai) == direct, (mask, ai)
                 failures += isinstance(direct, str)
-        assert len(enum._constants) < len(enum.events) * enum.count
+        assert enum._solve.cache_info().currsize < pairs
         if t.name.startswith("table"):
-            assert 0 < failures < len(enum.events) * enum.count
+            assert 0 < failures < pairs
+
+    def test_enumeration_is_freed_without_the_cycle_collector(self):
+        enum = audit._GridEnumeration(random_grid_table(4, 3, 3))
+        for mask in range(len(enum.events)):
+            for ai in range(enum.count):
+                try:
+                    enum.constant(mask, ai)
+                except BisectionBracketFailure:
+                    pass
+        freed = weakref.ref(enum)
+        gc.disable()
+        try:
+            del enum  # reference counting alone must free it
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestEquivalenceHarness:

@@ -41,6 +41,7 @@ from chisini import (
     grid_table_functional,
 )
 from chisini.errors import ChisiniError
+from hexfloats import float_hex
 
 DIGESTS = Path(__file__).with_name("audit_digests.json")
 
@@ -50,17 +51,6 @@ ENTRY_POINTS = {
     "conditionable_all_events": check_conditionable_all_events,
     "equivalence_harness": equivalence_harness,
 }
-
-
-def float_hex(value):
-    """``value`` with every float replaced by its ``float.hex`` string."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: float_hex(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [float_hex(v) for v in value]
-    return value
 
 
 def dump(entry_point, t) -> str:

@@ -284,6 +284,27 @@ class TestAudit:
         assert err.startswith("error: ")
         assert "not strictly monotone" in err
 
+    def test_overflowing_utility_exits_4(self, capsys, tmp_path):
+        # 2 * 1e308 is inf: the additivity spot check must not read it
+        doc = json.loads(open(model("partition.json"), encoding="utf-8").read())
+        doc["utilities"]["double"] = {"family": "linear", "scale": 2.0}
+        doc["functionals"]["eu-double"] = {
+            "kind": "expected-utility",
+            "utility": "double",
+        }
+        doc["settings"]["grid"] = [0.0, 1.0, 1e308]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "audit", "--model", str(path), "--functional", "eu-double"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: outside the float range: utility of outcome 'sun' at "
+            "x=1e+308 is inf, not a finite float\n"
+        )
+
 
 class TestTower:
     def test_nested_chain_ok(self, capsys):

@@ -31,6 +31,7 @@ from chisini.errors import (
     RegularityViolation,
     SpaceMismatchError,
 )
+from chisini import family as family_module
 from chisini.family import PROBE_MEMO_SIZE, _ProbeMemo
 
 
@@ -334,7 +335,7 @@ class TestFastPathOracle:
             fam = ExpectationFamily.from_representation(rep)
             n = rep.space.size
             # 40 acts per algebra on one family: the mixture memos fill and
-            # clear, and later solves reuse probes of earlier ones
+            # evict, and later solves reuse probes of earlier ones
             for _ in range(40):
                 x = Act(rep.space, tuple(rng.uniform(-3.0, 3.0, size=n)))
                 for alg in algebras:
@@ -345,7 +346,7 @@ class TestFastPathOracle:
                 assert fam.e0(x).hex() == trivial.hex()
 
     def test_continuity_sequence_matches_chisini_mean(self):
-        # one sequence long enough to clear the memo several times
+        # one sequence long enough for the memo to evict probes many times
         sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
         rep = AdditiveRepresentation(
             StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
@@ -365,29 +366,32 @@ class TestProbeMemo:
         for k in range(3 * PROBE_MEMO_SIZE + 7):
             x = (k % (2 * PROBE_MEMO_SIZE)) / 97.0 - 5.0
             assert memo.value(x) == curve.value(x)
-            assert 1 <= len(memo) <= PROBE_MEMO_SIZE
+            assert 1 <= memo.value.cache_info().currsize <= PROBE_MEMO_SIZE
+        assert memo.value.cache_info().maxsize == PROBE_MEMO_SIZE
         assert memo.lower_limit() == curve.lower_limit()
         assert memo.upper_limit() == curve.upper_limit()
         assert memo.inverse_exact(0.5) is None
 
     def test_memo_stays_within_its_bound_during_an_audit(self, monkeypatch):
-        sizes = []
-        missing = _ProbeMemo.__missing__
+        memos = []
 
-        def recorded(self, x):
-            v = missing(self, x)
-            sizes.append(len(self))
-            return v
+        def recorded(curve):
+            memos.append(_ProbeMemo(curve))
+            return memos[-1]
 
-        monkeypatch.setattr(_ProbeMemo, "__missing__", recorded)
+        monkeypatch.setattr(family_module, "_ProbeMemo", recorded)
         sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
         rep = AdditiveRepresentation(
             StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
         )
         fam = ExpectationFamily.from_representation(rep)
         assert audit_certainty_equivalent(fam, (0.0, 1.0), trials=4, seed=7).passed
-        assert max(sizes) == PROBE_MEMO_SIZE  # the memo filled up ...
-        assert sizes.count(1) > 1  # ... and was emptied again
+        (memo,) = memos  # one mixture: the trivial algebra's single atom
+        info = memo.value.cache_info()
+        # an LRU cache never shrinks: it filled up and stayed at its bound ...
+        assert info.currsize == info.maxsize == PROBE_MEMO_SIZE
+        # ... while it forgot probes to take new ones
+        assert info.misses > PROBE_MEMO_SIZE and info.hits > 0
 
     def test_overflowing_probe_reads_the_same_through_the_memo(self):
         # the bracket's probe at x = -1024 overflows the exponential part;

@@ -40,19 +40,9 @@ from chisini import (
     check_tower,
 )
 from chisini.errors import ChisiniError
+from hexfloats import float_hex
 
 DIGESTS = Path(__file__).with_name("family_digests.json")
-
-
-def float_hex(value):
-    """``value`` with every float replaced by its ``float.hex`` string."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: float_hex(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [float_hex(v) for v in value]
-    return value
 
 
 def digest(run) -> str:

@@ -51,6 +51,7 @@ from chisini import (
     validate_grid_regularity,
 )
 from chisini.errors import ChisiniError
+from hexfloats import float_hex
 
 DIGESTS = Path(__file__).with_name("forge_digests.json")
 
@@ -58,17 +59,6 @@ SEEDS = (7, 11, 23)
 GRIDS = ((2, 1.0), (3, 2.0), (5, 1.5))
 TINY = 5e-324
 MIN_NORMAL = 2.2250738585072014e-308
-
-
-def float_hex(value):
-    """``value`` with every float replaced by its ``float.hex`` string."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: float_hex(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [float_hex(v) for v in value]
-    return value
 
 
 def attempt(run, *args):

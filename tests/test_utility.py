@@ -73,6 +73,20 @@ class TestEvaluator:
             "utility of outcome 'b' at x=1e+308 is inf, not a finite float"
         )
 
+    @pytest.mark.parametrize("values", [(1.0, 1e308), (-1e308, 1e308)])
+    def test_overflowing_evaluation_is_a_range_error(self, values):
+        # evaluate refuses the act as utility_act does, instead of
+        # returning inf or nan
+        space = two_point()
+        rep = AdditiveRepresentation(
+            StateUtility(space, (LinearCurve(1.0), LinearCurve(2.0)))
+        )
+        with pytest.raises(NumericRangeError) as raised:
+            rep.evaluate(Act(space, values))
+        assert str(raised.value) == (
+            "utility of outcome 'b' at x=1e+308 is inf, not a finite float"
+        )
+
     def test_zero_act_evaluates_to_zero(self):
         for curve in (LinearCurve(), ExponentialCurve(1.3), PowerCurve(2.5)):
             rep = AdditiveRepresentation(
