@@ -23,6 +23,13 @@ Inversion is closed-form whenever the family allows it; otherwise
 ``bisect_increasing`` (the one monotone bisection, shared with the audits)
 computing inf{y : u(y) > target}, which is globally convergent and agrees
 with the true inverse on continuous strictly increasing curves.
+
+A mixture of regular closed-family parts is nondecreasing in floats (its
+``monotone`` flag).  There an Illinois regula falsi (Dowell & Jarratt,
+BIT 11, 1971) first narrows a pair u(a) <= target < u(b), and bisection
+skips each probe whose comparison that pair implies (the ``known``
+contract of ``bisect_increasing``): every float is the plain loop's, from
+about a third of its probes.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ _BISECT_MAX_ITER = 400
 
 class Curve:
     """Common interface; concrete families override the hooks they can."""
+
+    #: True when ``value`` is nondecreasing in floats, so that inversion may
+    #: skip the probes a known bracket decides (see ``bisect_increasing``).
+    monotone = False
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -263,6 +274,11 @@ class MixtureCurve(Curve):
     curve (a = scale) and 3 any other curve (a = its bound ``value``).
     Each term repeats its family's ``value`` expression, so the floats are
     those of ``sum(w * c.value(x) ...)``, which stays the overflow path.
+
+    ``monotone`` is set when every part is a regular curve of kind 0-2:
+    ``expm1``, ``pow``, products and quotients by positive constants and a
+    left-to-right sum (``sum`` on Python 3.11; 3.12 compensates it) all
+    round monotonically, so ``value`` is nondecreasing in floats.
     """
 
     weights: tuple[float, ...]
@@ -276,13 +292,18 @@ class MixtureCurve(Curve):
             raise ValueError("mixture weights must be positive")
         if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("mixture weights must sum to 1")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_terms", tuple(
+        terms = tuple(
             (0, w, -c.gamma, c.gamma) if type(c) is ExponentialCurve
             else (1, w, c.exponent, None) if type(c) is PowerCurve
             else (2, w, c.scale, None) if type(c) is LinearCurve
             else (3, w, c.value, None)
             for w, c in zip(weights, self.parts)
+        )
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "monotone", all(
+            t[0] < 3 and not c.regularity_issues()
+            for t, c in zip(terms, self.parts)
         ))
 
     def value(self, x: float) -> float:
@@ -345,6 +366,9 @@ def right_continuous_inverse(
     A probe whose value overflows reads as -inf below 0 and +inf above 0:
     a regular curve is increasing through u(0) = 0, so its value there
     lies beyond every float target on that side.
+
+    On a ``monotone`` curve, the bracket's probes and ``_illinois`` give
+    bisection its ``known`` pair.
     """
     if use_closed_form:
         exact = curve.inverse_exact(target)
@@ -357,32 +381,86 @@ def right_continuous_inverse(
         except NumericRangeError:
             return math.copysign(math.inf, x)
 
-    # bracket: lo with value <= target, hi with value > target
+    # bracket: lo with value <= target, hi with value > target; (a, fa) and
+    # (b, fb) are the tightest probes on each side
     lo, hi = -1.0, 1.0
+    b = fb = None
     for _ in range(200):
-        if probe(lo) <= target:
+        fa = probe(lo)
+        if fa <= target:
             break
+        b, fb = lo, fa
         lo *= 2.0
     else:
         raise NumericRangeError("could not bracket the inverse from below")
+    a = lo
     for _ in range(200):
-        if probe(hi) > target:
+        v = probe(hi)
+        if v > target:
             break
+        a, fa = hi, v
         hi *= 2.0
     else:
         raise NumericRangeError("could not bracket the inverse from above")
+    if b is None:
+        b, fb = hi, v
 
-    lo, hi = bisect_increasing(probe, target, lo, hi)
+    known = _illinois(probe, target, a, fa, b, fb) if curve.monotone else None
+    lo, hi = bisect_increasing(probe, target, lo, hi, known)
     return 0.5 * (lo + hi)
 
 
+def _illinois(
+    fn: Callable[[float], float], target: float,
+    a: float, fa: float, b: float, fb: float,
+) -> tuple[float, float]:
+    """Narrow fa = fn(a) <= target < fn(b) = fb by the Illinois method:
+    regula falsi, where the value at an end kept twice in a row moves
+    halfway to ``target``.  A step bisects unless fb > fa with both finite
+    (a saturated curve can leave fa == fb once an end has moved).  At most
+    12 steps run, and none below a width of ``BISECT_TOL``, where
+    bisection probes anyway.
+    """
+    side = 0
+    for _ in range(12):
+        if b - a <= BISECT_TOL:
+            break
+        x = 0.5 * (a + b)
+        if 0.0 < fb - fa < math.inf:
+            secant = a + (b - a) * ((target - fa) / (fb - fa))
+            if a < secant < b:
+                x = secant
+        if not a < x < b:
+            break
+        v = fn(x)
+        if v > target:
+            b, fb = x, v
+            if side > 0:
+                fa = 0.5 * (fa + target)
+            side = 1
+        else:
+            a, fa = x, v
+            if side < 0:
+                fb = 0.5 * (fb + target)
+            side = -1
+    return a, b
+
+
 def bisect_increasing(
-    fn: Callable[[float], float], target: float, lo: float, hi: float
+    fn: Callable[[float], float], target: float, lo: float, hi: float,
+    known: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Bisect a nondecreasing ``fn`` for ``target``; returns the final bracket.
 
     If fn(lo) <= target < fn(hi) holds on entry it holds on return, so the
     endpoints are one-sided solutions with a known comparison direction.
+
+    ``known`` is an optional evaluated pair (a, b) with fn(a) <= target <
+    fn(b), for an ``fn`` that is nondecreasing in floats.  A midpoint at or
+    below a then compares as not above ``target``, and one at or above b as
+    above it, so its probe is skipped whenever the updated bracket is still
+    wider than ``BISECT_TOL``: only narrower steps read the value itself.
+    The iterates are those of the loop without ``known``.
     """
     # terminate on the solution interval AND the equation residual: maps
     # with unbounded inverse slope (e.g. odd roots at 0) need the interval
@@ -390,10 +468,17 @@ def bisect_increasing(
     # step functions never satisfy the residual at all (the loop then runs
     # to float resolution, which is the correct inf).
     value_tol = 1e-12 * (1.0 + abs(target))
+    a, b = known or (-math.inf, math.inf)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution
             break
+        if mid <= a and hi - mid > BISECT_TOL:
+            lo = mid
+            continue
+        if mid >= b and mid - lo > BISECT_TOL:
+            hi = mid
+            continue
         v = fn(mid)
         if v > target:
             hi = mid

@@ -54,20 +54,24 @@ PROBE_MEMO_SIZE = 512
 class _ProbeMemo:
     """A projected mixture curve whose ``value`` remembers its probes.
 
-    Mixtures have no closed-form inverse, so every solve bisects them, and
-    solves from one bracket probe the same points until their targets
-    separate.  ``value`` is the curve's, behind an LRU cache of
-    ``PROBE_MEMO_SIZE`` probes; it is pure, so a remembered probe is the
-    float the curve returns, and a probe that raises is not remembered.
+    Mixtures have no closed-form inverse, so every solve probes them: all
+    solves of one curve share the doubling bracket's probes, and the
+    certainty-equivalent audit solves the same or nearby targets again,
+    which repeat the guided and bisection probes too.  ``value`` is the
+    curve's, behind an LRU cache of ``PROBE_MEMO_SIZE`` probes; it is pure,
+    so a remembered probe is the float the curve returns, and a probe that
+    raises is not remembered.  The image limits are read once, and
+    ``inverse_exact`` and ``monotone`` are the curve's.
     """
 
-    __slots__ = ("value", "lower", "upper", "inverse_exact")
+    __slots__ = ("value", "lower", "upper", "inverse_exact", "monotone")
 
     def __init__(self, curve: MixtureCurve):
         self.value = lru_cache(PROBE_MEMO_SIZE)(curve.value)
         self.lower = curve.lower_limit()
         self.upper = curve.upper_limit()
         self.inverse_exact = curve.inverse_exact
+        self.monotone = curve.monotone
 
     def lower_limit(self):
         return self.lower

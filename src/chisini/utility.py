@@ -154,7 +154,8 @@ class AdditiveRepresentation:
         )
 
     def _check_space(self, f: Act) -> None:
-        if f.space != self.space:
+        # identity first: the dataclass != compares every field of the space
+        if f.space is not self.space and f.space != self.space:
             raise SpaceMismatchError("act and representation spaces differ")
 
 

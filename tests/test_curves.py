@@ -217,14 +217,18 @@ def _oracle(m: MixtureCurve, x: float) -> float:
     return sum(w * c.value(x) for w, c in zip(m.weights, m.parts))
 
 
-def _random_part(rng: random.Random, depth: int = 0) -> Curve:
-    kind = rng.randrange(7 if depth == 0 else 6)
+def _closed_part(rng: random.Random, kind: int) -> Curve:
     if kind == 0:
         return ExponentialCurve(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0))
     if kind == 1:
         return PowerCurve(rng.uniform(0.3, 4.0))
-    if kind == 2:
-        return LinearCurve(rng.uniform(0.2, 3.0))
+    return LinearCurve(rng.uniform(0.2, 3.0))
+
+
+def _random_part(rng: random.Random, depth: int = 0) -> Curve:
+    kind = rng.randrange(7 if depth == 0 else 6)
+    if kind < 3:
+        return _closed_part(rng, kind)
     if kind == 3:
         return _Sinh()
     if kind == 4:
@@ -236,6 +240,26 @@ def _random_part(rng: random.Random, depth: int = 0) -> Curve:
 
 def _random_mixture(rng: random.Random, depth: int = 0) -> MixtureCurve:
     parts = tuple(_random_part(rng, depth) for _ in range(rng.randint(1, 6)))
+    return _weighted(rng, parts)
+
+
+def _closed_mixture(rng: random.Random) -> MixtureCurve:
+    """Closed-family parts only; a third are one-signed exponentials, whose
+    image has a finite bound."""
+    if rng.random() < 1.0 / 3.0:
+        sign = rng.choice((-1.0, 1.0))
+        parts = tuple(
+            ExponentialCurve(sign * rng.uniform(0.2, 3.0))
+            for _ in range(rng.randint(1, 6))
+        )
+    else:
+        parts = tuple(
+            _closed_part(rng, rng.randrange(3)) for _ in range(rng.randint(1, 6))
+        )
+    return _weighted(rng, parts)
+
+
+def _weighted(rng: random.Random, parts: tuple[Curve, ...]) -> MixtureCurve:
     raw = [rng.uniform(0.1, 1.0) for _ in parts]
     return MixtureCurve(tuple(r / sum(raw) for r in raw), parts)
 
@@ -330,6 +354,119 @@ class TestMixtureTermTable:
         assert solved >= 600
 
 
+class _Probed(Curve):
+    """``curve``'s values under a chosen ``monotone`` flag; records probes."""
+
+    def __init__(self, curve: Curve, monotone: bool):
+        self.curve, self.monotone, self.probes = curve, monotone, []
+
+    def value(self, x):
+        self.probes.append(x)
+        return self.curve.value(x)
+
+
+class _SubExponential(ExponentialCurve):
+    """Its parent's floats, but not its type: a kind-3 part."""
+
+
+#: u = x in exact arithmetic, but the segment ending at the knot (0, 0)
+#: rounds to +1.4e-17 just below it: not nondecreasing in floats.
+_KNOTS = PiecewiseLinearCurve((-0.1, 0.0, 1.0), (-0.1, 0.0, 1.0))
+
+
+def _targets(rng: random.Random, m: MixtureCurve) -> list[float]:
+    """Random targets, ±0, subnormals, one and two ulps inside each finite
+    image bound and the bound itself, and targets that only an overflowing
+    probe brackets (or none does)."""
+    targets = [
+        rng.uniform(-3.0, 3.0), m.value(rng.uniform(-40.0, 40.0)),
+        0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    ]
+    for bound in (m.lower_limit(), m.upper_limit()):
+        if math.isfinite(bound):
+            inside = math.nextafter(bound, 0.0)
+            targets += [inside, math.nextafter(inside, 0.0), bound]
+    return targets + [-1e300, 1e300, 1.7e308]
+
+
+class TestGuidedBisection:
+    """A ``monotone`` mixture's inverse skips the probes a known pair
+    decides; its floats and errors are the plain loop's."""
+
+    def test_closed_mixtures_match_the_plain_loop(self):
+        # saturated exponentials one ulp inside a bound reach fa == fb in
+        # the Illinois steps, which must then fall back to the midpoint
+        rng = random.Random(17)
+        cases, differ, raised = 0, [], 0
+        for _ in range(1000):
+            m = _closed_mixture(rng)
+            assert m.monotone
+            for target in _targets(rng, m):
+                got = _outcome(lambda t: right_continuous_inverse(m, t), target)
+                plain = _Probed(m, False)
+                want = _outcome(lambda t: right_continuous_inverse(plain, t), target)
+                if got != want:
+                    differ.append((m, target, got, want))
+                cases += 1
+                raised += isinstance(want, tuple)
+        assert cases >= 10_000
+        assert 500 <= raised <= cases - 8_000
+        assert differ == []
+
+    def test_guide_cuts_the_probes(self):
+        rng = random.Random(1717)
+        guided = plain = 0
+        for _ in range(50):
+            m = _closed_mixture(rng)
+            target = m.value(rng.uniform(-3.0, 3.0))
+            g, p = _Probed(m, True), _Probed(m, False)
+            assert right_continuous_inverse(g, target) == right_continuous_inverse(
+                p, target
+            )
+            guided += len(g.probes)
+            plain += len(p.probes)
+        assert guided < plain / 2
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            _KNOTS,
+            MixtureCurve((0.5, 0.5), (ExponentialCurve(2.0), PowerCurve(3.0))),
+            _SubExponential(1.5),
+            LinearCurve(-1.0),
+        ],
+        ids=["knot-table", "nested-mixture", "subclass", "irregular"],
+    )
+    def test_other_parts_take_the_plain_loop(self, part, monkeypatch):
+        m = MixtureCurve((0.5, 0.5), (ExponentialCurve(1.0), part))
+        assert not m.monotone
+        probes = []
+        value = MixtureCurve.value
+
+        def recorded(self, x):
+            if self is m:
+                probes.append(x)
+            return value(self, x)
+
+        monkeypatch.setattr(MixtureCurve, "value", recorded)
+        for target in (1.08e-300, 5e-324, 0.0, 0.4, -0.7):
+            del probes[:]
+            got = _outcome(lambda t: right_continuous_inverse(m, t), target)
+            seen = probes[:]
+            plain = _Probed(m, False)
+            assert got == _outcome(
+                lambda t: right_continuous_inverse(plain, t), target
+            )
+            assert seen == plain.probes
+
+    def test_a_knot_table_would_mislead_the_guide(self):
+        assert _KNOTS.value(math.nextafter(0.0, -1.0)) > 0.0 == _KNOTS.value(0.0)
+        m = MixtureCurve((0.5, 0.5), (ExponentialCurve(1.0), _KNOTS))
+        for target in (1.08e-300, 5e-324):
+            forced = right_continuous_inverse(_Probed(m, True), target)
+            assert forced != right_continuous_inverse(m, target)
+
+
 class TestBisectIncreasing:
     """On return fn(lo) <= target < fn(hi): the audits take the endpoints
     as one-sided solutions whose comparison direction is known."""
@@ -359,6 +496,21 @@ class TestBisectIncreasing:
             lo, hi = bisect_increasing(m.value, target, -4.0, 4.0)
             assert m.value(lo) <= target < m.value(hi)
             assert hi - lo <= BISECT_TOL
+
+
+    def test_known_pair_skips_probes_only(self):
+        m = MixtureCurve((0.3, 0.7), (ExponentialCurve(1.0), PowerCurve(3.0)))
+        target = m.value(0.4)
+        a, b = 0.39, 0.41
+        assert m.value(a) <= target < m.value(b)
+        plain, guided = _Probed(m, False), _Probed(m, False)
+        want = bisect_increasing(plain.value, target, -4.0, 4.0)
+        assert bisect_increasing(guided.value, target, -4.0, 4.0, (a, b)) == want
+        assert set(guided.probes) < set(plain.probes)
+        # a skipped midpoint lies outside (a, b); the probes inside are kept
+        assert [x for x in plain.probes if a < x < b] == [
+            x for x in guided.probes if a < x < b
+        ]
 
 
 class TestMerge:

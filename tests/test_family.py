@@ -372,6 +372,17 @@ class TestProbeMemo:
         assert memo.upper_limit() == curve.upper_limit()
         assert memo.inverse_exact(0.5) is None
 
+    def test_memo_forwards_the_monotone_flag(self):
+        closed = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), PowerCurve(3.0)))
+        knots = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0))
+        mixed = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), knots))
+        assert _ProbeMemo(closed).monotone and not _ProbeMemo(mixed).monotone
+        for curve in (closed, mixed):
+            for target in (-0.3, 0.0, 0.6):
+                assert right_continuous_inverse(
+                    _ProbeMemo(curve), target
+                ) == right_continuous_inverse(curve, target)
+
     def test_memo_stays_within_its_bound_during_an_audit(self, monkeypatch):
         memos = []
 

@@ -2,6 +2,7 @@
 generalized inverse."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,11 @@ from chisini import (
     validate_regular,
 )
 from chisini.curves import MixtureCurve
-from chisini.errors import NumericRangeError, RegularityViolation
+from chisini.errors import (
+    NumericRangeError,
+    RegularityViolation,
+    SpaceMismatchError,
+)
 
 
 def two_point():
@@ -86,6 +91,24 @@ class TestEvaluator:
         assert str(raised.value) == (
             "utility of outcome 'b' at x=1e+308 is inf, not a finite float"
         )
+
+    def test_space_check_reads_equality_not_identity(self):
+        # _check_space tests identity first: an equal space built apart
+        # still evaluates, and a different one is still refused
+        rep = AdditiveRepresentation(
+            StateUtility.state_independent(two_point(), LinearCurve())
+        )
+        twin = two_point()
+        assert twin is not rep.space and twin == rep.space
+        f = Act(twin, (1.0, 3.0))
+        assert rep.evaluate(f) == 2.0
+        assert rep.evaluate_on_event({1}, f) == 1.5
+        assert rep.utility_act(f).values == (1.0, 3.0)
+        g = Act(FiniteSpace(("a", "b"), (0.25, 0.75)), (1.0, 3.0))
+        on_event = partial(rep.evaluate_on_event, {0})
+        for call in (rep.evaluate, rep.utility_act, on_event):
+            with pytest.raises(SpaceMismatchError, match="spaces differ"):
+                call(g)
 
     def test_zero_act_evaluates_to_zero(self):
         for curve in (LinearCurve(), ExponentialCurve(1.3), PowerCurve(2.5)):
