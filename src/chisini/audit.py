@@ -33,10 +33,11 @@ subtractions for n outcomes and g grid values, against g^(2n) pairs times
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
-Each audit call builds its grid acts, events and value table once.  A solve
-reads f only through f * 1_A and sup|f|, so an ``lru_cache`` keeps it per
-(event, f's values on the event, sup|f|) and every grid act sharing that
-key reuses it; a failed bracket is not kept and fails again.  The
+Each audit call builds its grid acts, events and value table once; the
+equivalence harness builds them once for both of its searches.  A solve
+reads f only through f * 1_A and sup|f|, so the enumeration's ``lru_cache``
+keeps it per (event, f's values on A, sup|f|) for every grid act sharing
+that key, in either search; a failed bracket is not kept and fails again.  The
 off-event constant for A is the solve on the complement of A.  Each solve
 also returns t(x * 1_A) at its solution, the residual that the
 conditionability search reads.
@@ -162,9 +163,9 @@ class _GridEnumeration:
         f = self.acts[ai]
         return self._solve(mask, tuple(compress(f.values, self.bits[mask])), f.sup_norm)
 
-    def two_level(self, event: EventSet, x: float, y: float) -> Act:
-        """x on the event, y off it; unchecked, as both are finite."""
-        values = tuple(x if i in event.members else y for i in range(self.n))
+    def two_level(self, mask: int, x: float, y: float) -> Act:
+        """x on events[mask], y off it; unchecked, as both are finite."""
+        values = tuple(x if b else y for b in self.bits[mask])
         return Act._trusted(self.t.space, values)
 
 
@@ -282,7 +283,11 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
     endpoints from the bisection pin the premise direction, so every
     emitted witness re-evaluates to a true violation.
     """
-    enum = _GridEnumeration(t)
+    return _sure_thing(_GridEnumeration(t))
+
+
+def _sure_thing(enum: _GridEnumeration) -> AuditReport:
+    """:func:`check_sure_thing` over a built enumeration."""
     witness = None
     pair = _first_flipping_pair(enum)
     if pair is not None:
@@ -307,7 +312,7 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
         witness = _certainty_equivalent_witness(enum)
         phase = "certainty-equivalent" if witness is not None else "none"
     return _report(
-        t,
+        enum.t,
         "sure-thing",
         witness.to_dict() if witness else None,
         {"acts": enum.count, "events": len(enum.events), "witness_phase": phase},
@@ -335,7 +340,7 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
             x_act = Act.constant(t.space, x)
-            g = enum.two_level(event, x, y)
+            g = enum.two_level(mask, x, y)
             tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
             tf = float(enum.values[ai])
             if abs(tf - t(g)) <= tol:
@@ -472,7 +477,7 @@ def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, floa
     for ai, f in enumerate(enum.acts):
         x, _, _, on_target, on_value = enum.constant(mask, ai)
         y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
-        g = enum.two_level(event, x, y)
+        g = enum.two_level(mask, x, y)
         tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
         residuals = {  # g * 1_A = x * 1_A and g * 1_{A^c} = y * 1_{A^c}
             "event": abs(on_target - on_value),
@@ -513,7 +518,11 @@ def check_conditionable_on_event(
 def check_conditionable_all_events(t: PreferenceFunctional) -> AuditReport:
     """Conditionability on the algebra of every single event of the space,
     events in ascending bitmask order over one enumeration."""
-    enum = _GridEnumeration(t)
+    return _conditionable_all(_GridEnumeration(t))
+
+
+def _conditionable_all(enum: _GridEnumeration) -> AuditReport:
+    """:func:`check_conditionable_all_events` over a built enumeration."""
     witness = None
     worst = 0.0
     for mask in range(len(enum.events)):
@@ -521,7 +530,7 @@ def check_conditionable_all_events(t: PreferenceFunctional) -> AuditReport:
         worst = max(worst, resid)
         if witness is None:
             witness = found
-    return _report(t, "conditionable", witness, {"worst_residual": worst})
+    return _report(enum.t, "conditionable", witness, {"worst_residual": worst})
 
 
 def equivalence_harness(t: PreferenceFunctional) -> AuditReport:
@@ -529,12 +538,13 @@ def equivalence_harness(t: PreferenceFunctional) -> AuditReport:
 
     The two verdicts must agree for every functional; disagreement is a
     harness-level failure (it would falsify the implementation, not the
-    equivalence itself).
+    equivalence itself); both searches share one enumeration and its solves.
     """
     if t.additive:
         spot_check_additivity(t)
-    st = check_sure_thing(t).check("sure-thing")
-    cond = check_conditionable_all_events(t).check("conditionable")
+    enum = _GridEnumeration(t)
+    st = _sure_thing(enum).check("sure-thing")
+    cond = _conditionable_all(enum).check("conditionable")
     agree = st.passed == cond.passed
     return AuditReport(
         subject=t.name or "functional",

@@ -657,6 +657,11 @@ class TestConditionable:
         check_sure_thing(t)
         # the certainty-equivalent phase covers the 6 proper events
         assert len(calls) == len(keys(range(1, 7))) == 60
+        calls.clear()
+        equivalence_harness(t)
+        # one enumeration: conditionability reuses sure-thing's 60 solves,
+        # where two enumerations would make 60 + 87
+        assert len(calls) == len(keys(range(1, 8))) == 87
 
 
 def _oracle_functionals():
@@ -768,6 +773,32 @@ class TestCapsAndFlags:
         )
         with pytest.raises(AdditivityCheckFailed, match="nan"):
             spot_check_additivity(t)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((), "at least one value"),
+            ((0.0, float("nan")), "finite"),
+            ((0.0, float("inf")), "finite"),
+            ((-float("inf"), 0.0), "finite"),
+            ((0.0, 1.0, 0.0), "distinct"),
+        ],
+    )
+    def test_bad_grid_is_refused_at_construction(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            eu(uniform3(), LinearCurve(), grid)
+
+    def test_harness_builds_one_enumeration(self, monkeypatch):
+        built = []
+
+        class Counted(audit._GridEnumeration):
+            def __init__(self, t):
+                built.append(t)
+                super().__init__(t)
+
+        monkeypatch.setattr(audit, "_GridEnumeration", Counted)
+        equivalence_harness(eu(uniform3(), LinearCurve(), (0.0, 1.0)))
+        assert len(built) == 1
 
     def test_honest_additive_flag(self):
         sp = uniform3()

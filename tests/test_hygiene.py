@@ -1,7 +1,9 @@
 """Source hygiene of the package: no module imports a name that it never
-reads, and no function assigns a local that it never reads."""
+reads, no function assigns a local that it never reads, and no private
+function, class or method goes unread by every module."""
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import chisini
@@ -66,6 +68,41 @@ def unread_locals(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute name that ``tree`` reads, as in ``obj.name``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for each module-level private function or class and
+    each private method; a dunder name is not private."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    methods = [
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, defs)
+    ]
+    return [
+        (node.lineno, node.name)
+        for node in [n for n in tree.body if isinstance(n, defs)] + methods
+        if node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def orphans(tree: ast.Module, read: set[str]) -> list[tuple[int, str]]:
+    """(line, name) for each private definition whose name is not in
+    ``read``, the names and attributes that the package's modules read."""
+    return sorted(
+        (line, name) for line, name in private_definitions(tree) if name not in read
+    )
+
+
 def package_findings(check) -> list[str]:
     return [
         f"{path.name}:{line}: {name}"
@@ -96,9 +133,38 @@ def test_the_checks_see_what_they_look_for():
     assert unread_locals(tree) == [(5, "lo"), (7, "i"), (10, "unused")]
 
 
+def test_the_orphan_check_sees_what_it_looks_for():
+    tree = ast.parse(
+        "def _used():\n"
+        "    return _Helper()._step()\n"
+        "def _orphan():\n"
+        "    return 0\n"
+        "class _Helper:\n"
+        "    def __init__(self):\n"
+        "        self._left = 0\n"
+        "    def _step(self):\n"
+        "        return _used\n"
+        "    def _stale(self):\n"
+        "        return self._left\n"
+        "class _Unread:\n"
+        "    pass\n"
+    )
+    read = read_names(tree) | read_attributes(tree)
+    assert orphans(tree, read) == [(3, "_orphan"), (10, "_stale"), (12, "_Unread")]
+
+
 def test_no_unused_imports():
     assert package_findings(unused_imports) == []
 
 
 def test_no_unread_locals():
     assert package_findings(unread_locals) == []
+
+
+def test_no_orphan_private_definitions():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    ]
+    assert sum(len(private_definitions(tree)) for tree in trees) > 0
+    read = set().union(*(read_names(tree) | read_attributes(tree) for tree in trees))
+    assert package_findings(partial(orphans, read=read)) == []
