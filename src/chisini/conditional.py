@@ -12,7 +12,9 @@ random utility w -> u(w, f(w)), project the utility curves onto the atoms,
 and apply the generalized inverse atom by atom.  On positive-probability
 atoms the inverse is guaranteed finite because the conditional expectation
 lies strictly inside the projected curve's image whenever f is bounded; on
-null atoms the solution value is fixed at 0.
+null atoms the solution value is fixed at 0.  The projection and the
+regularity check before it read no act, so they run once per
+(representation, algebra) and are kept on the representation.
 
 The solution carries one signed residual per atom.  V is additive over
 disjoint events, so these certify the defining system on every atom-union
@@ -113,7 +115,10 @@ def chisini_mean(
     O(n) at any atom count; only a read of ``residuals`` enumerates the
     2**k unions, and ``cap`` bounds that read alone.
 
-    Raises RegularityViolation if the utility is not regular.
+    The regularity check and the projection onto ``algebra`` run on the
+    first solve of each (``rep``, ``algebra``) and are kept on ``rep``.
+    Raises RegularityViolation, on every call, if the utility is not
+    regular.
     """
     g = _solve_act(rep, f, _regular_projection(rep, f, algebra), solver)
     return ChisiniSolution(
@@ -133,16 +138,21 @@ def chisini_mean(
 def _regular_projection(
     rep: AdditiveRepresentation, f: Act, algebra: PartitionAlgebra
 ) -> ProjectedUtility:
-    """``ensure_regular``, then ``project_utility``.
+    """``ensure_regular``, then ``project_utility``, once per (``rep``,
+    ``algebra``): the result is kept in ``rep``'s cache only when every step
+    succeeds, so an irregular utility raises on every call.
 
     An algebra on another space fails the way the solve always failed
     there, reading ``f`` first: on ``f``'s space, on its utilities, then
     on the algebra's space.
     """
-    ensure_regular(rep.utility)
-    if algebra.space != rep.space:
-        conditional_expectation(rep.utility_act(f), algebra)
-    return project_utility(rep, algebra)
+    projected = rep._projections.get(algebra)
+    if projected is None:
+        ensure_regular(rep.utility)
+        if algebra.space != rep.space:
+            conditional_expectation(rep.utility_act(f), algebra)
+        projected = rep._projections[algebra] = project_utility(rep, algebra)
+    return projected
 
 
 def _solve_act(

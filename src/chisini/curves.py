@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .errors import NumericRangeError
@@ -98,8 +99,8 @@ class LinearCurve(Curve):
         return y / self.scale
 
     def regularity_issues(self):
-        if not (self.scale > 0.0):
-            return [(0.0, f"linear scale must be positive, got {self.scale}")]
+        if not (0.0 < self.scale < math.inf):
+            return [(0.0, f"linear scale must be in (0, inf), got {self.scale}")]
         return []
 
 
@@ -157,8 +158,8 @@ class PowerCurve(Curve):
         return math.copysign(abs(y) ** (1.0 / self.exponent), y) if y != 0.0 else 0.0
 
     def regularity_issues(self):
-        if not (self.exponent > 0.0):
-            return [(0.0, f"power exponent must be positive, got {self.exponent}")]
+        if not (0.0 < self.exponent < math.inf):
+            return [(0.0, f"power exponent must be in (0, inf), got {self.exponent}")]
         return []
 
 
@@ -247,10 +248,10 @@ class PiecewiseLinearCurve(Curve):
                 issues.append(
                     (self.xs[i], "duplicated knot coordinate encodes a jump")
                 )
-        if not (self.slope_left > 0.0):
-            issues.append((self.xs[0], "left extrapolation slope must be > 0"))
-        if not (self.slope_right > 0.0):
-            issues.append((self.xs[-1], "right extrapolation slope must be > 0"))
+        if not (0.0 < self.slope_left < math.inf):
+            issues.append((self.xs[0], "left extrapolation slope must be in (0, inf)"))
+        if not (0.0 < self.slope_right < math.inf):
+            issues.append((self.xs[-1], "right extrapolation slope must be in (0, inf)"))
         if self.value(0.0) != 0.0:
             issues.append((0.0, f"curve value at 0 is {self.value(0.0)!r}, not 0"))
         return issues
@@ -274,6 +275,7 @@ class MixtureCurve(Curve):
     curve (a = scale) and 3 any other curve (a = its bound ``value``).
     Each term repeats its family's ``value`` expression, so the floats are
     those of ``sum(w * c.value(x) ...)``, which stays the overflow path.
+    The image limits are summed from the parts' on first read, and kept.
 
     ``monotone`` is set when every part is a regular curve of kind 0-2:
     ``expm1``, ``pow``, products and quotients by positive constants and a
@@ -329,11 +331,19 @@ class MixtureCurve(Curve):
             total += w * (c.lower_limit() if side == "lower" else c.upper_limit())
         return total
 
-    def lower_limit(self) -> float:
+    @cached_property
+    def _lower(self) -> float:
         return self._limit("lower")
 
-    def upper_limit(self) -> float:
+    @cached_property
+    def _upper(self) -> float:
         return self._limit("upper")
+
+    def lower_limit(self) -> float:
+        return self._lower
+
+    def upper_limit(self) -> float:
+        return self._upper
 
     def regularity_issues(self):
         issues = []

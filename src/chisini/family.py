@@ -60,24 +60,18 @@ class _ProbeMemo:
     which repeat the guided and bisection probes too.  ``value`` is the
     curve's, behind an LRU cache of ``PROBE_MEMO_SIZE`` probes; it is pure,
     so a remembered probe is the float the curve returns, and a probe that
-    raises is not remembered.  The image limits are read once, and
-    ``inverse_exact`` and ``monotone`` are the curve's.
+    raises is not remembered.  The image limits, ``inverse_exact`` and
+    ``monotone`` are the curve's.
     """
 
-    __slots__ = ("value", "lower", "upper", "inverse_exact", "monotone")
+    __slots__ = ("value", "lower_limit", "upper_limit", "inverse_exact", "monotone")
 
     def __init__(self, curve: MixtureCurve):
         self.value = lru_cache(PROBE_MEMO_SIZE)(curve.value)
-        self.lower = curve.lower_limit()
-        self.upper = curve.upper_limit()
+        self.lower_limit = curve.lower_limit
+        self.upper_limit = curve.upper_limit
         self.inverse_exact = curve.inverse_exact
         self.monotone = curve.monotone
-
-    def lower_limit(self):
-        return self.lower
-
-    def upper_limit(self):
-        return self.upper
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,9 @@ class ExpectationFamily:
         Each value is ``chisini_mean(rep, x, algebra).act``, computed
         without the certificate that the family does not read.  The family
         keeps the projected utility of each algebra it has solved on, with
-        every mixture curve behind a ``_ProbeMemo``.  Regularity is checked
-        only when an algebra is first seen; nothing is kept when the check
+        every mixture curve behind a ``_ProbeMemo``, over the projection
+        that ``rep`` keeps once per algebra.  Regularity is checked only
+        when ``rep`` first sees an algebra; nothing is kept when the check
         fails, so an irregular utility raises on every call.
         """
         projections: dict[PartitionAlgebra, ProjectedUtility] = {}

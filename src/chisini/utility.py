@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .curves import (
@@ -107,6 +108,13 @@ class AdditiveRepresentation:
     @property
     def space(self) -> FiniteSpace:
         return self.utility.space
+
+    @cached_property
+    def _projections(self) -> dict[PartitionAlgebra, ProjectedUtility]:
+        """The regular projection of each algebra solved on, filled by
+        ``conditional._regular_projection``; outside ``==``, ``hash`` and
+        ``repr``, like every ``cached_property``."""
+        return {}
 
     def utility_act(self, f: Act) -> Act:
         """The random outcome w -> u(w, f(w)) as an act; a utility value

@@ -25,6 +25,8 @@ from chisini import (
     uniqueness_check,
     verify_conditionable,
 )
+import chisini.conditional as conditional_module
+import chisini.utility as utility_module
 from chisini.conditional import _worst_union
 from chisini.errors import (
     ComplexityCapExceeded,
@@ -33,6 +35,7 @@ from chisini.errors import (
     NumericRangeError,
     PreconditionFailure,
     RegularityViolation,
+    SpaceMismatchError,
 )
 from chisini.curves import PiecewiseLinearCurve
 from chisini.spaces import DEFAULT_UNION_CAP
@@ -205,6 +208,18 @@ class TestChisiniMean:
         sol = chisini_mean(rep, Act(sp, (1, 0, -1, 2)), alg)
         assert len(sol.residuals) == 8
         assert sol.ok
+
+
+class TestParameterRegularity:
+    def test_infinite_power_exponent_is_refused(self):
+        # PowerCurve(inf) is flat on (-1, 1) in floats: a solve that took it
+        # as regular returned (0.0, 0.0) for this act and passed it as ok
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility.state_independent(sp, PowerCurve(math.inf))
+        )
+        with pytest.raises(RegularityViolation, match="power exponent"):
+            chisini_mean(rep, Act(sp, (0.5, 0.7)), PartitionAlgebra.trivial(sp))
 
 
 def random_model(rng, n_max=8):
@@ -623,3 +638,119 @@ class TestUniqueness:
         g1 = chisini_mean(rep, f, alg, solver="auto").act
         g2 = chisini_mean(rep, f, alg, solver="bisect").act
         assert uniqueness_check(rep, f, alg, g1, g2)
+
+
+def _counted_projection(monkeypatch):
+    """Count ``project_utility`` and ``validate_regular`` calls on the solve
+    path."""
+    calls = {"project": 0, "validate": 0}
+    project, validate = utility_module.project_utility, utility_module.validate_regular
+
+    def counted_project(rep, algebra):
+        calls["project"] += 1
+        return project(rep, algebra)
+
+    def counted_validate(utility):
+        calls["validate"] += 1
+        return validate(utility)
+
+    monkeypatch.setattr(conditional_module, "project_utility", counted_project)
+    monkeypatch.setattr(utility_module, "validate_regular", counted_validate)
+    return calls
+
+
+def _raised(fn):
+    """The type and message of what ``fn()`` raises."""
+    with pytest.raises(Exception) as raised:
+        fn()
+    return type(raised.value), str(raised.value)
+
+
+class TestProjectionCache:
+    """A representation projects, and checks regularity, once per algebra;
+    the cache keeps no act-dependent state and moves no float."""
+
+    def _acts(self, sp, count=12):
+        return [
+            Act(sp, tuple(math.sin(1.7 * k + 0.3 * i) * 3.0 for i in range(sp.size)))
+            for k in range(count)
+        ]
+
+    def test_solving_many_acts_projects_once(self, monkeypatch):
+        rep, _, alg = round_robin(16, 4)
+        calls = _counted_projection(monkeypatch)
+        for f in self._acts(rep.space):
+            assert chisini_mean(rep, f, alg).ok
+        assert calls == {"project": 1, "validate": 1}
+        chisini_mean(rep, f, PartitionAlgebra.trivial(rep.space))
+        assert calls == {"project": 2, "validate": 2}
+
+    @pytest.mark.parametrize("solver", ["auto", "bisect"])
+    def test_solutions_equal_a_cold_cache(self, solver):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            rep, f, alg = random_model(rng)
+            for g in [f, *self._acts(rep.space, 3)]:
+                warm = chisini_mean(rep, g, alg, solver=solver)
+                cold = chisini_mean(
+                    AdditiveRepresentation(rep.utility), g, alg, solver=solver
+                )
+                assert [v.hex() for v in warm.act.values] == [
+                    v.hex() for v in cold.act.values
+                ]
+                assert [r.hex() for r in warm.atom_residuals] == [
+                    r.hex() for r in cold.atom_residuals
+                ]
+
+    def test_cache_is_outside_eq_hash_repr_and_replace(self, monkeypatch):
+        rep, f, alg = round_robin(8, 2)
+        cold = AdditiveRepresentation(rep.utility)
+        chisini_mean(rep, f, alg)
+        assert rep == cold and hash(rep) == hash(cold) and repr(rep) == repr(cold)
+        calls = _counted_projection(monkeypatch)
+        copy = dataclasses.replace(rep)
+        assert copy == rep
+        chisini_mean(copy, f, alg)
+        assert calls == {"project": 1, "validate": 1}  # a replaced one is cold
+
+    def test_an_equal_algebra_hits_the_cache(self, monkeypatch):
+        rep, f, alg = round_robin(12, 3)
+        twin = PartitionAlgebra(rep.space, tuple(reversed(alg.atoms)))
+        assert twin == alg and twin is not alg
+        calls = _counted_projection(monkeypatch)
+        first = chisini_mean(rep, f, alg)
+        second = chisini_mean(rep, f, twin)
+        assert calls == {"project": 1, "validate": 1}
+        assert second.algebra is twin
+        assert second.act.values == first.act.values
+
+    def test_an_irregular_utility_raises_on_every_call(self, monkeypatch):
+        sp = FiniteSpace.uniform(["a", "b"])
+        bad = PiecewiseLinearCurve((0.0, 1.0, 2.0), (0.0, 1.0, 1.0))
+        rep = AdditiveRepresentation(StateUtility.state_independent(sp, bad))
+        calls = _counted_projection(monkeypatch)
+        f, alg = Act(sp, (0.5, 1.0)), PartitionAlgebra.trivial(sp)
+        first = _raised(lambda: chisini_mean(rep, f, alg))
+        assert first[0] is RegularityViolation
+        assert _raised(lambda: chisini_mean(rep, f, alg)) == first
+        assert calls == {"project": 0, "validate": 2}
+
+    def test_an_algebra_on_another_space_raises_on_every_call(self):
+        rep, f, alg = round_robin(4, 2)
+        other = FiniteSpace.uniform(["x", "y", "z", "t"])
+        elsewhere = PartitionAlgebra.trivial(other)
+        g = Act(other, f.values)
+        # the uncached steps' errors: f's space, its utilities, the algebra
+        h = rep.utility_act(f)
+        cases = [
+            (f, elsewhere, lambda: conditional_expectation(h, elsewhere)),
+            (g, elsewhere, lambda: rep.utility_act(g)),
+            (g, alg, lambda: rep.utility_act(g)),
+        ]
+        for act, algebra, oracle in cases:
+            want = _raised(oracle)
+            assert want[0] is SpaceMismatchError
+            for _ in range(2):
+                assert _raised(lambda: chisini_mean(rep, act, algebra)) == want
+            chisini_mean(rep, f, alg)  # then again on a warm cache
+            assert _raised(lambda: chisini_mean(rep, act, algebra)) == want

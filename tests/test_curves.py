@@ -77,6 +77,20 @@ class TestParametricFamilies:
         assert LinearCurve(0.0).regularity_issues()
         assert not ExponentialCurve(0.7).regularity_issues()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_parameters_must_be_finite(self, bad):
+        # PowerCurve(inf) is 0 on (-1, 1) and LinearCurve(inf) is NaN at 0
+        for curve in (
+            LinearCurve(bad), PowerCurve(bad), ExponentialCurve(bad),
+            PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), bad, 1.0),
+            PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 1.0, bad),
+        ):
+            assert curve.regularity_issues(), curve
+        assert not LinearCurve(1e308).regularity_issues()
+        assert not PowerCurve(1e308).regularity_issues()
+        steep = PiecewiseLinearCurve((0.0, 1.0), (0.0, 1.0), 1e308, 1e308)
+        assert not steep.regularity_issues()
+
 
 class TestPiecewiseLinear:
     def test_interpolation_and_extrapolation(self):
@@ -352,6 +366,85 @@ class TestMixtureTermTable:
                 )
                 solved += isinstance(got, str)
         assert solved >= 600
+
+
+def _limit_oracle(m: MixtureCurve, side: str) -> float:
+    """The mixture's image limit from each part's own, by a plain loop."""
+    total = 0.0
+    for w, c in zip(m.weights, m.parts):
+        total += w * (c.lower_limit() if side == "lower" else c.upper_limit())
+    return total
+
+
+#: Knot tables with flat ends, so that their image limits are finite.
+_FLAT_ENDS = (
+    PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 0.0, 0.0),
+    PiecewiseLinearCurve((-2.0, 0.0, 3.0), (-0.7, 0.0, 1.3), 0.0, 1.0),
+)
+
+
+def _limited_part(rng: random.Random, depth: int = 0) -> Curve:
+    """A part of every kind that has image limits: closed families, a
+    subclass, knot tables with and without flat ends, and nested mixtures."""
+    kind = rng.randrange(7 if depth == 0 else 6)
+    if kind < 3:
+        return _closed_part(rng, kind)
+    if kind == 3:
+        return _SteepLinear(rng.uniform(0.2, 3.0))
+    if kind == 4:
+        return _JUMP
+    if kind == 5:
+        return rng.choice(_FLAT_ENDS)
+    parts = tuple(_limited_part(rng, depth + 1) for _ in range(rng.randint(1, 4)))
+    return _weighted(rng, parts)
+
+
+class TestMixtureLimits:
+    """``MixtureCurve``'s image limits are summed once, on first read."""
+
+    def test_limits_equal_the_part_loop(self):
+        rng = random.Random(19)
+        finite = infinite = 0
+        for _ in range(400):
+            if rng.random() < 0.3:
+                m = _closed_mixture(rng)
+            else:
+                parts = tuple(_limited_part(rng) for _ in range(rng.randint(1, 6)))
+                m = _weighted(rng, parts)
+            for side, read in (("lower", m.lower_limit), ("upper", m.upper_limit)):
+                want = _limit_oracle(m, side)
+                got = read()
+                assert got.hex() == want.hex() and read().hex() == want.hex()
+                finite += math.isfinite(got)
+                infinite += not math.isfinite(got)
+        assert finite > 50 and infinite > 50
+
+    def test_each_limit_reads_its_parts_once(self):
+        reads = []
+
+        class Counted(LinearCurve):
+            def lower_limit(self):
+                reads.append("lower")
+                return -math.inf
+
+            def upper_limit(self):
+                reads.append("upper")
+                return math.inf
+
+        m = MixtureCurve((0.5, 0.5), (Counted(1.0), ExponentialCurve(1.0)))
+        assert reads == []
+        assert [m.upper_limit() for _ in range(3)] == [math.inf] * 3
+        assert [m.lower_limit() for _ in range(3)] == [-math.inf] * 3
+        assert reads == ["upper", "lower"]
+
+    def test_a_part_without_limits_raises_only_when_read(self):
+        m = MixtureCurve((0.5, 0.5), (_Sinh(), LinearCurve(1.0)))
+        assert m.value(1.0) == 0.5 * math.sinh(1.0) + 0.5
+        for _ in range(2):  # a failed read keeps nothing
+            with pytest.raises(NotImplementedError):
+                m.lower_limit()
+            with pytest.raises(NotImplementedError):
+                m.upper_limit()
 
 
 class _Probed(Curve):
