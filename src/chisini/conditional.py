@@ -7,18 +7,18 @@ G-measurable act g solving
 
     T(f * 1_A) = T(g * 1_A)   for every event A in G.
 
-It is computed constructively: take the conditional expectation of the
-random utility w -> u(w, f(w)), project the utility curves onto the atoms,
-and apply the generalized inverse atom by atom.  On positive-probability
-atoms the inverse is guaranteed finite because the conditional expectation
-lies strictly inside the projected curve's image whenever f is bounded; on
-null atoms the solution value is fixed at 0.  The projection and the
-regularity check before it read no act, so they run once per
-(representation, algebra) and are kept on the representation.
+It is computed in one pass over the atoms: read each utility u(w, f(w))
+once, sum V_A(f) over each atom A, and invert the atom's projected curve at
+the conditional expected utility V_A(f)/P(A).  A value that rounds onto the
+edge of the curve's image raises NumericRangeError; on null atoms the
+solution value is fixed at 0.  The projection and the regularity check
+before it read no act, so they run once per (representation, algebra) and
+are kept on the representation.
 
-The solution carries one signed residual per atom.  V is additive over
-disjoint events, so these certify the defining system on every atom-union
-exactly in O(k); the table over all unions is built only when read.
+The solution carries one signed residual V_A(f) - V_A(g) per atom, V_A(f)
+from the solve.  V is additive over disjoint events, so these certify the
+defining system on every atom-union exactly in O(k); the table over all
+unions is built only when read.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .utility import (
     AdditiveRepresentation,
     PreferenceFunctional,
     ProjectedUtility,
+    _invert,
     ensure_regular,
-    generalized_inverse,
     project_utility,
     spot_check_additivity,
 )
@@ -111,22 +111,21 @@ def chisini_mean(
     bisection.  The two are independent solvers of the same equations and
     must agree up to null events.
 
-    The solution is certified from its 2k atom evaluations, so this runs in
-    O(n) at any atom count; only a read of ``residuals`` enumerates the
-    2**k unions, and ``cap`` bounds that read alone.
+    The solution is certified from the solve's V_A(f) and k evaluations of
+    V_A(g), so this runs in O(n) at any atom count; only a read of
+    ``residuals`` enumerates the 2**k unions, and ``cap`` bounds that read.
 
     The regularity check and the projection onto ``algebra`` run on the
     first solve of each (``rep``, ``algebra``) and are kept on ``rep``.
     Raises RegularityViolation, on every call, if the utility is not
     regular.
     """
-    g = _solve_act(rep, f, _regular_projection(rep, f, algebra), solver)
+    g, v_f = _solve_act(rep, f, _regular_projection(rep, f, algebra), solver)
     return ChisiniSolution(
         act=g,
         algebra=algebra,
         atom_residuals=tuple(
-            rep.evaluate_on_event(atom, f) - rep.evaluate_on_event(atom, g)
-            for atom in algebra.atoms
+            v - rep.evaluate_on_event(atom, g) for atom, v in zip(algebra.atoms, v_f)
         ),
         tolerance=tol_scale * (1.0 + f.sup_norm),
         rep=rep,
@@ -157,27 +156,31 @@ def _regular_projection(
 
 def _solve_act(
     rep: AdditiveRepresentation, f: Act, projected: ProjectedUtility, solver: str
-) -> Act:
-    """The conditional Chisini mean's act alone, with no certificate, on the
-    algebra of ``projected``, which must be ``rep``'s regular projection."""
+) -> tuple[Act, tuple[float, ...]]:
+    """The conditional Chisini mean's act and each atom's V_A(f), in one pass
+    that reads each u(w, f(w)) once, on the algebra of ``projected``, which
+    must be ``rep``'s regular projection."""
     algebra = projected.algebra
-    h = conditional_expectation(rep.utility_act(f), algebra)
+    weights, u = rep.space.weights, rep._utilities(f)
     values = [0.0] * rep.space.size
-    for atom in algebra.atoms:
-        if rep.space.probability(atom) == 0.0:
+    v_f = []
+    for atom, mass, curve in zip(algebra.atoms, algebra.masses, projected.atom_curves):
+        v = float(sum([weights[i] * u[i] for i in atom]))
+        v_f.append(v)
+        if mass == 0.0:
             continue  # version choice: 0 on null atoms
-        anchor = min(atom)
-        inv = generalized_inverse(projected, anchor, h.values[anchor], method=solver)
+        h = v / mass
+        inv = _invert(curve, h, solver) if math.isfinite(h) else h
         if not math.isfinite(inv):
             raise NumericRangeError(
-                f"conditional expected utility {h.values[anchor]!r} on atom "
+                f"conditional expected utility {h!r} on atom "
                 f"{sorted(atom)} rounded onto the "
                 f"{'upper' if inv > 0 else 'lower'} bound of the projected "
                 "image, where the inverse is not a finite float"
             )
         for i in atom:
             values[i] = inv
-    return Act(rep.space, tuple(values))
+    return Act._trusted(rep.space, tuple(values)), tuple(v_f)
 
 
 def _residual_table(rep, f, g, algebra, cap):

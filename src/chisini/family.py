@@ -109,7 +109,7 @@ class ExpectationFamily:
                         for c in plain.atom_curves
                     ),
                 )
-            return _solve_act(rep, x, projected, "auto")
+            return _solve_act(rep, x, projected, "auto")[0]
 
         trivial = PartitionAlgebra.trivial(rep.space)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexityCapExceeded, SpaceMismatchError
@@ -230,6 +231,12 @@ class PartitionAlgebra:
     def atom_count(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def masses(self) -> tuple[float, ...]:
+        """Each atom's probability, in atom order; outside ``==``, ``hash``
+        and ``repr``, like every ``cached_property``."""
+        return tuple(self.space.probability(atom) for atom in self.atoms)
+
     def atom_index_of(self, outcome: int) -> int:
         for k, atom in enumerate(self.atoms):
             if outcome in atom:
@@ -287,8 +294,7 @@ def conditional_expectation(f: Act, algebra: PartitionAlgebra) -> Act:
     _require_same_space(f.space, algebra.space)
     weights = f.space.weights
     out = [0.0] * f.space.size
-    for atom in algebra.atoms:
-        mass = f.space.probability(atom)
+    for atom, mass in zip(algebra.atoms, algebra.masses):
         if mass > 0.0:
             avg = sum(weights[i] * f.values[i] for i in atom) / mass
         else:

@@ -153,13 +153,8 @@ class AdditiveRepresentation:
     def evaluate_on_event(self, members: Iterable[int], f: Act) -> float:
         """V_A(f); equals evaluate(f * 1_A) since every curve is 0 at 0."""
         self._check_space(f)
-        return float(
-            sum(
-                self.space.weights[i]
-                * self.utility.curves[i].value(f.values[i])
-                for i in members
-            )
-        )
+        weights, curves, values = self.space.weights, self.utility.curves, f.values
+        return float(sum([weights[i] * curves[i].value(values[i]) for i in members]))
 
     def _check_space(self, f: Act) -> None:
         # identity first: the dataclass != compares every field of the space
@@ -279,8 +274,7 @@ def project_utility(
         raise SpaceMismatchError("algebra and representation spaces differ")
     weights = rep.space.weights
     atom_curves = []
-    for atom in algebra.atoms:
-        mass = rep.space.probability(atom)
+    for atom, mass in zip(algebra.atoms, algebra.masses):
         if mass == 0.0:
             atom_curves.append(LinearCurve(1.0))
             continue
@@ -310,9 +304,13 @@ def generalized_inverse(
     "bisect" (always bisection); the two paths are independent solvers of
     the same equation.
     """
+    return _invert(pu.curve_at(outcome), x, method)
+
+
+def _invert(curve: Curve, x: float, method: str) -> float:
+    """``generalized_inverse`` on the curve itself."""
     if method not in ("auto", "bisect"):
         raise ValueError(f"unknown inversion method {method!r}")
-    curve = pu.curve_at(outcome)
     if not math.isfinite(x):
         raise ValueError(f"inversion target must be finite, got {x!r}")
     if x >= curve.upper_limit():

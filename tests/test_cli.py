@@ -438,6 +438,43 @@ class TestOutsideFloatRange:
             "x=1e+308 is inf, not a finite float\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--partition", "trivial", "--act", "top"],
+            ["tower", "--chain", "trivial"],
+        ],
+        ids=["compute", "tower"],
+    )
+    def test_overflowing_conditional_expected_utility_exits_4(
+        self, capsys, tmp_path, argv
+    ):
+        # every utility is finite, but their weighted sum overflows to inf
+        doc = {
+            "version": "chisini-model/1",
+            "space": {
+                "outcomes": ["a", "b", "c"],
+                "weights": [
+                    0.5848312771401049, 0.10113387810352666, 0.31403484475636856
+                ],
+            },
+            "utilities": {"linear": {"family": "linear"}},
+            "partitions": {"trivial": [["a", "b", "c"]]},
+            "acts": {"top": [1.7976931348623157e308] * 3},
+        }
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, argv[0], "--model", str(path), "--utility", "linear", *argv[1:]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: outside the float range: conditional expected utility inf "
+            "on atom [0, 1, 2] rounded onto the upper bound of the projected "
+            "image, where the inverse is not a finite float\n"
+        )
+
     def test_audit_grid_overflow_exits_4(self, capsys, tmp_path):
         path = entropic_variant(tmp_path, grid=[-800.0, 0.0, 1.0])
         code, out, err = run(capsys, "audit", "--model", path, "--functional", "eu")

@@ -3,6 +3,7 @@ the masking identity and uniqueness."""
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,21 +15,26 @@ from chisini import (
     ExponentialCurve,
     FiniteSpace,
     LinearCurve,
+    MixtureCurve,
     PartitionAlgebra,
     PowerCurve,
     PreferenceFunctional,
     StateUtility,
     chisini_mean,
     conditional_expectation,
+    ensure_regular,
     expected_utility_functional,
+    generalized_inverse,
+    project_utility,
     taking_out,
     uniqueness_check,
     verify_conditionable,
 )
 import chisini.conditional as conditional_module
 import chisini.utility as utility_module
-from chisini.conditional import _worst_union
+from chisini.conditional import _regular_projection, _solve_act, _worst_union
 from chisini.errors import (
+    ChisiniError,
     ComplexityCapExceeded,
     EventNotInAlgebra,
     NotMeasurable,
@@ -269,9 +275,11 @@ class TestCertificate:
             assert sol.max_residual == pytest.approx(table, rel=0.0, abs=1e-13)
             assert sol.ok == (table <= sol.tolerance)
 
-    def test_solve_evaluates_each_atom_twice_and_enumerates_nothing(
+    def test_solve_evaluates_each_atom_once_and_enumerates_nothing(
         self, monkeypatch
     ):
+        # V_A(f) comes from the solve, so the certificate evaluates V_A(g)
+        # alone
         rep, f, alg = round_robin(16, 8)
         calls = {"evaluate_on_event": 0, "events": 0}
         evaluate_on_event = AdditiveRepresentation.evaluate_on_event
@@ -290,7 +298,7 @@ class TestCertificate:
         monkeypatch.setattr(PartitionAlgebra, "events", counted_events)
         sol = chisini_mean(rep, f, alg)
         assert sol.ok
-        assert calls == {"evaluate_on_event": 2 * alg.atom_count, "events": 0}
+        assert calls == {"evaluate_on_event": alg.atom_count, "events": 0}
 
     def test_solve_is_not_capped_but_the_table_is(self):
         rep, f, alg = round_robin(64, DEFAULT_UNION_CAP + 4)
@@ -754,3 +762,185 @@ class TestProjectionCache:
                 assert _raised(lambda: chisini_mean(rep, act, algebra)) == want
             chisini_mean(rep, f, alg)  # then again on a warm cache
             assert _raised(lambda: chisini_mean(rep, act, algebra)) == want
+
+
+def three_pass(rep, f, alg, solver):
+    """The solve composed of three passes, as an oracle for the one-pass
+    loop: the conditional expectation of the utility act, the generalized
+    inverse at each positive atom's first outcome, and V_A(f) summed again
+    per atom as a generator.  Returns the act and the V_A(f)."""
+    ensure_regular(rep.utility)
+    pu = project_utility(rep, alg)
+    h = conditional_expectation(rep.utility_act(f), alg)
+    values = [0.0] * rep.space.size
+    for atom in alg.atoms:
+        if rep.space.probability(atom) == 0.0:
+            continue
+        anchor = min(atom)
+        inv = generalized_inverse(pu, anchor, h.values[anchor], method=solver)
+        if not math.isfinite(inv):
+            raise NumericRangeError(
+                f"conditional expected utility {h.values[anchor]!r} on atom "
+                f"{sorted(atom)} rounded onto the "
+                f"{'upper' if inv > 0 else 'lower'} bound of the projected "
+                "image, where the inverse is not a finite float"
+            )
+        for i in atom:
+            values[i] = inv
+    v_f = tuple(parent_sum(rep, atom, f) for atom in alg.atoms)
+    return Act(rep.space, tuple(values)), v_f
+
+
+def oracle_case(rng):
+    """A random representation, act and algebra: mixed families, knot
+    tables, negative gamma, nested mixtures, null outcomes and null atoms;
+    the acts are narrow, wide enough to overflow a curve, or constant
+    where the entropic image saturates."""
+    kinked = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), 2.0, 0.5)
+    bent = PiecewiseLinearCurve((-0.5, 0.0, 2.0), (-0.25, 0.0, 3.0), 0.5, 1.0)
+    makers = (
+        lambda: LinearCurve(rng.uniform(0.5, 2.0)),
+        lambda: ExponentialCurve(rng.uniform(0.2, 2.0)),
+        lambda: ExponentialCurve(-rng.uniform(0.2, 2.0)),
+        lambda: PowerCurve(rng.uniform(0.5, 3.0)),
+        lambda: rng.choice((kinked, bent)),
+        lambda: MixtureCurve(
+            (0.25, 0.75), (ExponentialCurve(rng.uniform(0.2, 2.0)), PowerCurve(2.0))
+        ),
+    )
+    n = rng.randint(1, 6)
+    weights = [rng.random() if rng.random() > 0.25 else 0.0 for _ in range(n)]
+    if sum(weights) == 0.0:
+        weights[rng.randrange(n)] = 1.0
+    total = sum(weights)
+    space = FiniteSpace(
+        tuple(f"w{i}" for i in range(n)), tuple(w / total for w in weights)
+    )
+    curves = tuple(rng.choice(makers)() for _ in range(n))
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(rng.randrange(n), []).append(i)
+    alg = PartitionAlgebra(space, tuple(frozenset(b) for b in blocks.values()))
+    shape = rng.random()
+    if shape < 0.6:
+        values = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    elif shape < 0.85:
+        values = [rng.uniform(-900.0, 900.0) for _ in range(n)]
+    else:
+        values = [rng.choice((-40.0, 40.0))] * n
+    return AdditiveRepresentation(StateUtility(space, curves)), Act(space, values), alg
+
+
+def parent_sum(rep, members, act):
+    """V_A(act) summed as a generator, in the atom's iteration order."""
+    weights, curves = rep.space.weights, rep.utility.curves
+    return float(sum(weights[i] * curves[i].value(act.values[i]) for i in members))
+
+
+def three_pass_mean(rep, f, alg, solver):
+    """The oracle's act and its certificate: V_A(f) - V_A(g) per atom."""
+    g, v_f = three_pass(rep, f, alg, solver)
+    return g.values, tuple(v - parent_sum(rep, a, g) for a, v in zip(alg.atoms, v_f))
+
+
+def _solution(sol):
+    return sol.act, sol.atom_residuals
+
+
+def _outcome(run):
+    """``run()``'s float sequences in hex, or the type and message of its
+    error."""
+    try:
+        out = run()
+    except (ChisiniError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple([v.hex() for v in getattr(seq, "values", seq)] for seq in out)
+
+
+class TestOnePassSolve:
+    """The one-pass solve reads each utility once and moves no float of the
+    three-pass composition it replaced."""
+
+    def test_matches_the_three_pass_oracle(self):
+        rng = random.Random(20)
+        seen = {"solved": 0, "NumericRangeError": 0}
+        for case in range(1200):
+            rep, f, alg = oracle_case(rng)
+            solver = ("auto", "bisect")[case % 2]
+            want = _outcome(lambda: three_pass(rep, f, alg, solver))
+            got = _outcome(
+                lambda: _solve_act(rep, f, _regular_projection(rep, f, alg), solver)
+            )
+            assert got == want, (case, rep, f, alg, solver)
+            seen["solved" if isinstance(got[0], list) else got[0]] += 1
+            sol = _outcome(lambda: _solution(chisini_mean(rep, f, alg, solver=solver)))
+            assert sol == _outcome(lambda: three_pass_mean(rep, f, alg, solver))
+        # every path ran: solutions and range errors
+        assert seen["solved"] > 600 and seen["NumericRangeError"] > 100
+
+    def test_evaluate_on_event_sums_in_the_old_order(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            rep, f, alg = oracle_case(rng)
+            try:
+                rep.utility_act(f)
+            except NumericRangeError:
+                continue
+            for atom in alg.atoms:
+                want = parent_sum(rep, atom, f)
+                assert rep.evaluate_on_event(atom, f).hex() == want.hex()
+
+    def test_each_utility_is_read_once_per_solve(self):
+        calls = []
+
+        class Counted(LinearCurve):
+            def value(self, x):
+                calls.append((self.scale, x))
+                return super().value(x)
+
+        sp = FiniteSpace(tuple("abcdef"), (0.1, 0.2, 0.15, 0.05, 0.3, 0.2))
+        curves = tuple(Counted(1.0 + 0.25 * i) for i in range(6))
+        rep = AdditiveRepresentation(StateUtility(sp, curves))
+        alg = PartitionAlgebra.from_labels(sp, [["a", "d"], ["b", "c", "f"], ["e"]])
+        f = Act(sp, (1.0, -0.5, 2.0, 0.25, -1.5, 0.75))
+        chisini_mean(rep, f, alg)  # projects: the merged atom curves count nothing
+        del calls[:]
+        sol = chisini_mean(rep, f, alg)
+        # u(w, f(w)) once in the solve, u(w, g(w)) once in the certificate
+        want = [(c.scale, x) for c, x in zip(curves, f.values)] + [
+            (c.scale, x) for c, x in zip(curves, sol.act.values)
+        ]
+        assert sorted(calls) == sorted(want)
+        assert sol.ok
+
+    def test_overflowing_conditional_expected_utility_is_a_range_error(self):
+        weights = (0.5848312771401049, 0.10113387810352666, 0.31403484475636856)
+        sp = FiniteSpace(("a", "b", "c"), weights)
+        rep = AdditiveRepresentation(StateUtility.state_independent(sp, LinearCurve()))
+        f = Act.constant(sp, 1.7976931348623157e308)
+        with pytest.raises(NumericRangeError) as raised:
+            chisini_mean(rep, f, PartitionAlgebra.trivial(sp))
+        assert str(raised.value) == (
+            "conditional expected utility inf on atom [0, 1, 2] rounded onto the "
+            "upper bound of the projected image, where the inverse is not a "
+            "finite float"
+        )
+        rng = random.Random(1)
+        for _ in range(2000):
+            n = rng.randint(2, 5)
+            raw = [rng.random() + 1e-3 for _ in range(n)]
+            sp = FiniteSpace(
+                tuple(f"w{i}" for i in range(n)), tuple(w / sum(raw) for w in raw)
+            )
+            for sign in (1.0, -1.0):
+                rep = AdditiveRepresentation(
+                    StateUtility.state_independent(sp, LinearCurve())
+                )
+                f = Act.constant(sp, sign * 1.7976931348623157e308)
+                try:
+                    sol = chisini_mean(rep, f, PartitionAlgebra.trivial(sp))
+                except NumericRangeError as exc:
+                    bound = "upper" if sign > 0 else "lower"
+                    assert f"rounded onto the {bound} bound" in str(exc)
+                else:
+                    assert all(map(math.isfinite, sol.act.values))

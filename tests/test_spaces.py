@@ -254,6 +254,35 @@ class TestPaste:
 
 
 class TestAlgebra:
+    def test_masses_are_the_atom_probabilities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            weights = rng.dirichlet(np.ones(n))
+            weights[rng.random(n) < 0.3] = 0.0
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            sp = FiniteSpace(
+                tuple(f"w{i}" for i in range(n)), tuple(weights / weights.sum())
+            )
+            k = int(rng.integers(1, n + 1))
+            alg = PartitionAlgebra(sp, _random_partition(rng, n, k))
+            want = [sp.probability(atom).hex() for atom in alg.atoms]
+            assert [m.hex() for m in alg.masses] == want
+            twin = PartitionAlgebra(sp, tuple(reversed(alg.atoms)))
+            assert twin == alg and twin is not alg
+            assert [m.hex() for m in twin.masses] == want
+
+    def test_masses_are_outside_eq_hash_and_repr(self):
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.0, 0.8))
+        alg = PartitionAlgebra.from_labels(sp, [["a", "b"], ["c"]])
+        cold = PartitionAlgebra.from_labels(sp, [["c"], ["a", "b"]])
+        before = (hash(alg), repr(alg))
+        assert alg.masses == (sp.probability({0, 1}), 0.8)
+        assert alg == cold and (hash(alg), repr(alg)) == before
+        assert (hash(cold), repr(cold)) == before
+        assert "masses" not in repr(alg)
+
     def test_events_enumeration_count(self):
         sp = uniform4()
         alg = PartitionAlgebra.from_labels(sp, [["w1"], ["w2"], ["w3", "w4"]])
