@@ -342,11 +342,12 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
             x_act = Act.constant(t.space, x)
             g = enum.two_level(mask, x, y)
             tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
-            tf = float(enum.values[ai])
-            if abs(tf - t(g)) <= tol:
+            tf, tg = float(enum.values[ai]), t(g)
+            if abs(tf - tg) <= tol:
                 continue
             mid = paste(x_act, f, event)
-            d1 = tf - t(mid)
+            t_mid = t(mid)
+            d1 = tf - t_mid
             if abs(d1) > tol / 2.0:
                 witness = _one_sided_flip(
                     t, f, event, (x_lo, x_hi), completion=f, gap=d1
@@ -358,7 +359,7 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
                     complement,
                     (y_lo, y_hi),
                     completion=x_act,
-                    gap=t(mid) - t(g),
+                    gap=t_mid - tg,
                 )
             if witness is not None:
                 return witness

@@ -34,7 +34,6 @@ import os
 import sys
 
 from . import __version__
-from .conditional import chisini_mean
 from .errors import (
     BisectionBracketFailure,
     ChisiniError,
@@ -44,9 +43,7 @@ from .errors import (
     NumericRangeError,
     RegularityViolation,
 )
-from .family import ExpectationFamily, check_tower
 from .modelfile import _SETTINGS, ModelFile, load_model, utility_to_spec
-from .spaces import conditional_expectation
 
 EXIT_OK = 0
 EXIT_RESOLUTION = 2
@@ -142,23 +139,21 @@ def cmd_validate(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
-    rep = model.representation(args.utility)
-    f = model.act(args.act)
-    algebra = model.partition(args.partition)
+    from .conditional import chisini_mean
+
     solution = chisini_mean(
-        rep,
-        f,
-        algebra,
+        model.representation(args.utility),
+        model.act(args.act),
+        model.partition(args.partition),
         solver=args.solver,
         tol_scale=model.settings.tolerance,
         cap=model.settings.cap,
     )
-    h = conditional_expectation(rep.utility_act(f), algebra)
     # the report prints the union table, so it is judged by that table's
     # own maximum, not by the O(k) certificate
     worst = max((r for _, r in solution.residuals), default=0.0)
     ok = worst <= solution.tolerance
-    atoms = [sorted(model.space.outcomes[i] for i in atom) for atom in algebra.atoms]
+    atoms = [sorted(model.space.outcomes[i] for i in a) for a in solution.algebra.atoms]
     report = {
         "command": "compute",
         "utility": args.utility,
@@ -168,7 +163,7 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
         "chisini_mean": list(solution.act.values),
         "atoms": atoms,
         "atom_values": list(solution.atom_values()),
-        "conditional_utility": list(h.values),
+        "conditional_utility": list(solution.conditional_utility()),
         "residuals": [
             {
                 "event": sorted(model.space.outcomes[i] for i in members),
@@ -218,6 +213,8 @@ def cmd_audit(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def cmd_tower(model: ModelFile, args) -> tuple[dict, int]:
+    from .family import ExpectationFamily, check_tower
+
     rep = model.representation(args.utility)
     chain = [model.partition(name) for name in args.chain]
     for coarse_name, fine, coarse in zip(args.chain[1:], chain, chain[1:]):

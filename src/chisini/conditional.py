@@ -12,13 +12,14 @@ once, sum V_A(f) over each atom A, and invert the atom's projected curve at
 the conditional expected utility V_A(f)/P(A).  A value that rounds onto the
 edge of the curve's image raises NumericRangeError; on null atoms the
 solution value is fixed at 0.  The projection and the regularity check
-before it read no act, so they run once per (representation, algebra) and
-are kept on the representation.
+before it read no act, so the representation runs them once per algebra
+and keeps the result (``AdditiveRepresentation._regular_projection``).
 
-The solution carries one signed residual V_A(f) - V_A(g) per atom, V_A(f)
-from the solve.  V is additive over disjoint events, so these certify the
-defining system on every atom-union exactly in O(k); the table over all
-unions is built only when read.
+The solution owns the solve's V_A(f) of each atom: the conditional expected
+utility E[u(f) | G] is read from it, and so is one signed residual
+V_A(f) - V_A(g) per atom.  V is additive over disjoint events, so these
+certify the defining system on every atom-union exactly in O(k); the table
+over all unions is built only when read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .spaces import (
     Act,
     EventSet,
     PartitionAlgebra,
-    conditional_expectation,
     equal_up_to_null,
 )
 from .utility import (
@@ -47,7 +47,6 @@ from .utility import (
     ProjectedUtility,
     _invert,
     ensure_regular,
-    project_utility,
     spot_check_additivity,
 )
 
@@ -60,8 +59,9 @@ RESIDUAL_SCALE = 1e-9
 class ChisiniSolution:
     """A G-measurable solution act, certified on every atom-union.
 
-    ``atom_residuals`` holds the signed residual V_A(f) - V_A(g) of each
-    atom A, in the algebra's atom order.  ``max_residual`` is
+    ``atom_utilities`` holds V_A(f) of each atom A, as the solve summed it,
+    and ``atom_residuals`` the signed residual V_A(f) - V_A(g), both in the
+    algebra's atom order.  ``max_residual`` is
     max(sum of the positive ones, -sum of the negative ones): the exact
     worst residual over all 2**k unions, or NaN if any atom's is NaN.
 
@@ -73,6 +73,7 @@ class ChisiniSolution:
 
     act: Act
     algebra: PartitionAlgebra
+    atom_utilities: tuple[float, ...]
     atom_residuals: tuple[float, ...]
     tolerance: float
     rep: AdditiveRepresentation
@@ -81,7 +82,11 @@ class ChisiniSolution:
 
     @cached_property
     def residuals(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        return _residual_table(self.rep, self.f, self.act, self.algebra, self.cap)
+        on_event, f, g = self.rep.evaluate_on_event, self.f, self.act
+        return tuple(
+            (tuple(sorted(members)), abs(on_event(members, f) - on_event(members, g)))
+            for members in self.algebra.events(self.cap)
+        )
 
     @property
     def max_residual(self) -> float:
@@ -93,6 +98,18 @@ class ChisiniSolution:
 
     def atom_values(self) -> tuple[float, ...]:
         return tuple(self.act.values[min(atom)] for atom in self.algebra.atoms)
+
+    def conditional_utility(self) -> tuple[float, ...]:
+        """E[u(f) | G] on each outcome: V_A(f)/P(A) on its atom A, 0.0 on a
+        null atom; the floats of ``conditional_expectation(rep.utility_act(f),
+        algebra)``, read without a second pass over the utilities."""
+        values = [0.0] * self.act.space.size
+        algebra = self.algebra
+        for atom, mass, v in zip(algebra.atoms, algebra.masses, self.atom_utilities):
+            if mass > 0.0:
+                for i in atom:
+                    values[i] = v / mass
+        return tuple(values)
 
 
 def chisini_mean(
@@ -115,15 +132,14 @@ def chisini_mean(
     V_A(g), so this runs in O(n) at any atom count; only a read of
     ``residuals`` enumerates the 2**k unions, and ``cap`` bounds that read.
 
-    The regularity check and the projection onto ``algebra`` run on the
-    first solve of each (``rep``, ``algebra``) and are kept on ``rep``.
     Raises RegularityViolation, on every call, if the utility is not
-    regular.
+    regular; ``rep`` checks and projects once per algebra.
     """
-    g, v_f = _solve_act(rep, f, _regular_projection(rep, f, algebra), solver)
+    g, v_f = _solve_act(rep, f, rep._regular_projection(f, algebra), solver)
     return ChisiniSolution(
         act=g,
         algebra=algebra,
+        atom_utilities=v_f,
         atom_residuals=tuple(
             v - rep.evaluate_on_event(atom, g) for atom, v in zip(algebra.atoms, v_f)
         ),
@@ -132,26 +148,6 @@ def chisini_mean(
         f=f,
         cap=cap,
     )
-
-
-def _regular_projection(
-    rep: AdditiveRepresentation, f: Act, algebra: PartitionAlgebra
-) -> ProjectedUtility:
-    """``ensure_regular``, then ``project_utility``, once per (``rep``,
-    ``algebra``): the result is kept in ``rep``'s cache only when every step
-    succeeds, so an irregular utility raises on every call.
-
-    An algebra on another space fails the way the solve always failed
-    there, reading ``f`` first: on ``f``'s space, on its utilities, then
-    on the algebra's space.
-    """
-    projected = rep._projections.get(algebra)
-    if projected is None:
-        ensure_regular(rep.utility)
-        if algebra.space != rep.space:
-            conditional_expectation(rep.utility_act(f), algebra)
-        projected = rep._projections[algebra] = project_utility(rep, algebra)
-    return projected
 
 
 def _solve_act(
@@ -181,15 +177,6 @@ def _solve_act(
         for i in atom:
             values[i] = inv
     return Act._trusted(rep.space, tuple(values)), tuple(v_f)
-
-
-def _residual_table(rep, f, g, algebra, cap):
-    rows = []
-    for members in algebra.events(cap):
-        vf = rep.evaluate_on_event(members, f)
-        vg = rep.evaluate_on_event(members, g)
-        rows.append((tuple(sorted(members)), abs(vf - vg)))
-    return tuple(rows)
 
 
 def _worst_union(signed) -> tuple[float, tuple[int, ...]]:

@@ -20,12 +20,12 @@ to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-from .conditional import _regular_projection, _solve_act
+from .conditional import _solve_act
 from .curves import MixtureCurve
 from .errors import EventNotInAlgebra, NotMeasurable
 from .reports import AuditReport, CheckResult
@@ -87,24 +87,20 @@ class ExpectationFamily:
     def from_representation(cls, rep: AdditiveRepresentation) -> "ExpectationFamily":
         """Build the family E_G = (projected utility)^{-1}(E[u(X)|G]).
 
-        Each value is ``chisini_mean(rep, x, algebra).act``, computed
-        without the certificate that the family does not read.  The family
-        keeps the projected utility of each algebra it has solved on, with
-        every mixture curve behind a ``_ProbeMemo``, over the projection
-        that ``rep`` keeps once per algebra.  Regularity is checked only
-        when ``rep`` first sees an algebra; nothing is kept when the check
-        fails, so an irregular utility raises on every call.
+        Each value is ``chisini_mean(rep, x, algebra).act``, and each error
+        that call's, computed without the certificate that the family does
+        not read.  The family keeps a copy of each algebra's projection
+        from ``rep``, with every mixture curve behind a ``_ProbeMemo``.
         """
         projections: dict[PartitionAlgebra, ProjectedUtility] = {}
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
             projected = projections.get(algebra)
             if projected is None:
-                plain = _regular_projection(rep, x, algebra)
-                projected = projections[algebra] = ProjectedUtility(
-                    rep,
-                    algebra,
-                    tuple(
+                plain = rep._regular_projection(x, algebra)
+                projected = projections[algebra] = replace(
+                    plain,
+                    atom_curves=tuple(
                         _ProbeMemo(c) if isinstance(c, MixtureCurve) else c
                         for c in plain.atom_curves
                     ),

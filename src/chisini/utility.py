@@ -39,7 +39,7 @@ from .errors import (
     RegularityViolation,
     SpaceMismatchError,
 )
-from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra
+from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra, _require_same_space
 
 #: Relative tolerance of the additivity spot check, scaled by (1 + sup|f|).
 ADDITIVITY_TOL = 1e-9
@@ -112,9 +112,29 @@ class AdditiveRepresentation:
     @cached_property
     def _projections(self) -> dict[PartitionAlgebra, ProjectedUtility]:
         """The regular projection of each algebra solved on, filled by
-        ``conditional._regular_projection``; outside ``==``, ``hash`` and
-        ``repr``, like every ``cached_property``."""
+        ``_regular_projection``; outside ``==``, ``hash`` and ``repr``, like
+        every ``cached_property``."""
         return {}
+
+    def _regular_projection(
+        self, f: Act, algebra: PartitionAlgebra
+    ) -> ProjectedUtility:
+        """``ensure_regular``, then ``project_utility``, once per algebra:
+        the result is kept in ``_projections`` only when every step
+        succeeds, so an irregular utility raises on every call.
+
+        An algebra on another space fails the way the solve always failed
+        there, reading ``f`` first: on ``f``'s space, on its utilities, then
+        on the algebra's space.
+        """
+        projected = self._projections.get(algebra)
+        if projected is None:
+            ensure_regular(self.utility)
+            if algebra.space != self.space:
+                self._utilities(f)
+                _require_same_space(f.space, algebra.space)
+            projected = self._projections[algebra] = project_utility(self, algebra)
+        return projected
 
     def utility_act(self, f: Act) -> Act:
         """The random outcome w -> u(w, f(w)) as an act; a utility value
@@ -125,9 +145,7 @@ class AdditiveRepresentation:
         """Each outcome's utility u(w, f(w)); raises NumericRangeError,
         naming the outcome, where one is not a finite float."""
         self._check_space(f)
-        values = tuple(
-            c.value(v) for c, v in zip(self.utility.curves, f.values)
-        )
+        values = tuple([c.value(v) for c, v in zip(self.utility.curves, f.values)])
         if not all(map(math.isfinite, values)):
             i = next(i for i, u in enumerate(values) if not math.isfinite(u))
             raise NumericRangeError(

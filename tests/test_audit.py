@@ -1,6 +1,7 @@
 """Tests for the preference-functional audits: strict monotonicity, the
 sure-thing principle, conditionability and the equivalence harness."""
 
+import dataclasses
 import gc
 import weakref
 from itertools import permutations, product
@@ -157,12 +158,21 @@ class TestSureThing:
 
     def test_choquet_fails_with_valid_witness(self):
         sp = uniform3()
-        t = choquet_functional(sp, 2.0, (0.0, 1.0, 2.0))
+        choquet_t = choquet_functional(sp, 2.0, (0.0, 1.0, 2.0))
+        calls = []
+
+        def counted(act):
+            calls.append(act)
+            return choquet_t.evaluator(act)
+
+        t = dataclasses.replace(choquet_t, evaluator=counted)
         report = check_sure_thing(t)
         check = report.check("sure-thing")
         assert not check.passed
         # the bracket endpoints of the constant solves build this witness
         assert check.details["witness_phase"] == "certainty-equivalent"
+        # the witness search reads each two-level and pasted act once
+        assert len(calls) == 741
         w = check.witness
         assert w["margin"] > 1e-9
         # independent re-evaluation by direct Choquet sums

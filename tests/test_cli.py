@@ -1,14 +1,19 @@
 """End-to-end CLI tests: subcommands, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import random
 import shutil
 
 import pytest
 
-from chisini.cli import main
+from chisini import AdditiveRepresentation, conditional_expectation
+from chisini.cli import cmd_compute, main
+from chisini.errors import NumericRangeError
+from chisini.modelfile import parse_model
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 MODELS = os.path.join(ROOT, "models")
@@ -152,6 +157,75 @@ class TestCompute:
         want_a = (0.2 * 1.0 + 0.3 * -0.5) / 0.5
         want_b = (0.1 * 2.0 + 0.4 * 0.25) / 0.5
         assert doc["atom_values"] == pytest.approx([want_a, want_b], abs=1e-12)
+
+    def test_each_utility_is_read_once(self, capsys, monkeypatch):
+        calls = []
+        utilities = AdditiveRepresentation._utilities
+
+        def counted(rep, f):
+            calls.append(f)
+            return utilities(rep, f)
+
+        monkeypatch.setattr(AdditiveRepresentation, "_utilities", counted)
+        code, out, _ = run(
+            capsys,
+            "compute",
+            "--model", model("partition.json"),
+            "--utility", "mixed",
+            "--act", "payoff",
+            "--partition", "weather",
+        )
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert len(calls) == 1
+
+    def test_conditional_utility_matches_the_linear_oracle(self):
+        """``conditional_utility`` comes from the solve's V_A(f); on random
+        models, null outcomes and null atoms included, it is the float-hex
+        conditional expectation of the utility act."""
+        rng = random.Random(21)
+        families = (
+            lambda: {
+                "family": "exponential",
+                "gamma": rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0),
+            },
+            lambda: {"family": "power", "exponent": rng.uniform(0.5, 3.0)},
+            lambda: {"family": "linear", "scale": rng.uniform(0.5, 2.0)},
+        )
+        seen = {"solved": 0, "range": 0}
+        for case in range(400):
+            n = rng.randint(1, 6)
+            raw = [rng.random() if rng.random() > 0.25 else 0.0 for _ in range(n)]
+            raw[rng.randrange(n)] += 1e-3
+            outcomes = [f"w{i}" for i in range(n)]
+            blocks = {}
+            for name in outcomes:
+                blocks.setdefault(rng.randrange(n), []).append(name)
+            scale = rng.choice((2.0, 2.0, 900.0))
+            curves = [rng.choice(families)() for _ in outcomes]
+            doc = {
+                "version": "chisini-model/1",
+                "space": {"outcomes": outcomes, "weights": [w / sum(raw) for w in raw]},
+                "utilities": {"u": {"per_outcome": curves}},
+                "partitions": {"p": list(blocks.values())},
+                "acts": {"f": [rng.uniform(-scale, scale) for _ in outcomes]},
+            }
+            parsed = parse_model(doc)
+            solver = ("auto", "bisect")[case % 2]
+            args = argparse.Namespace(
+                utility="u", act="f", partition="p", solver=solver
+            )
+            try:
+                report, _ = cmd_compute(parsed, args)
+            except NumericRangeError:
+                seen["range"] += 1
+                continue
+            seen["solved"] += 1
+            rep, f = parsed.representation("u"), parsed.act("f")
+            want = conditional_expectation(rep.utility_act(f), parsed.partition("p"))
+            assert [v.hex() for v in report["conditional_utility"]] == [
+                v.hex() for v in want.values
+            ], (case, doc)
+        assert seen["solved"] > 250 and seen["range"] > 10
 
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(

@@ -30,9 +30,8 @@ from chisini import (
     uniqueness_check,
     verify_conditionable,
 )
-import chisini.conditional as conditional_module
 import chisini.utility as utility_module
-from chisini.conditional import _regular_projection, _solve_act, _worst_union
+from chisini.conditional import _solve_act, _worst_union
 from chisini.errors import (
     ChisiniError,
     ComplexityCapExceeded,
@@ -662,7 +661,7 @@ def _counted_projection(monkeypatch):
         calls["validate"] += 1
         return validate(utility)
 
-    monkeypatch.setattr(conditional_module, "project_utility", counted_project)
+    monkeypatch.setattr(utility_module, "project_utility", counted_project)
     monkeypatch.setattr(utility_module, "validate_regular", counted_validate)
     return calls
 
@@ -869,7 +868,7 @@ class TestOnePassSolve:
             solver = ("auto", "bisect")[case % 2]
             want = _outcome(lambda: three_pass(rep, f, alg, solver))
             got = _outcome(
-                lambda: _solve_act(rep, f, _regular_projection(rep, f, alg), solver)
+                lambda: _solve_act(rep, f, rep._regular_projection(f, alg), solver)
             )
             assert got == want, (case, rep, f, alg, solver)
             seen["solved" if isinstance(got[0], list) else got[0]] += 1

@@ -51,6 +51,21 @@ def test_core_does_not_import_upper_layers():
     assert bad == []
 
 
+def test_only_the_representation_touches_its_projection_cache():
+    """The check-project-keep policy has one owner: the module that defines
+    ``AdditiveRepresentation._projections`` is the only one that reads or
+    writes it."""
+    touching = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_projections"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert touching == ["utility"]
+
+
 NUMPY_FREE = (
     "spaces",
     "curves",
@@ -191,6 +206,30 @@ def test_array_free_commands_load_no_numpy(tmp_path):
     )
     assert result == {"codes": [0] * len(commands), "numpy": False}
     assert "haunted-repaired" in json.loads((tmp_path / "repaired.json").read_text())["utilities"]
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    """Each command imports its own layer: ``validate``, ``audit`` and
+    ``repair`` run no solve, so they load neither the solver nor the
+    family module."""
+    commands = [
+        ["validate", "--model", "models/partition.json"],
+        ["audit", "--model", "models/audit_zoo.json", "--functional", "eu-linear"],
+        [
+            "repair", "--model", "models/repair.json", "--utility", "haunted",
+            "--out", str(tmp_path / "repaired.json"),
+        ],
+    ]
+    result = run_fresh(
+        "import json, sys\n"
+        "from chisini.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print()\n"
+        "print(json.dumps({'codes': codes, 'loaded': sorted(\n"
+        "    m for m in ('chisini.conditional', 'chisini.family') if m in sys.modules\n"
+        ")}))\n"
+    )
+    assert result == {"codes": [0, 0, 0], "loaded": []}
 
 
 def test_lazy_exports_are_the_eager_ones():
