@@ -52,7 +52,7 @@ from itertools import compress, product
 
 import numpy as np
 
-from .curves import bisect_increasing
+from .curves import _lsum, bisect_increasing
 from .errors import BisectionBracketFailure, ComplexityCapExceeded
 from .reports import AuditReport, CheckResult
 from .spaces import Act, EventSet, FiniteSpace, _require_same_space, paste
@@ -608,13 +608,9 @@ def choquet_functional(
         order = tuple(sorted(ranks, key=values.__getitem__, reverse=True))
         nu = capacity_row(order)
         v = [values[i] for i in order]
-        last = len(v) - 1
-        if last >= 8:  # np.sum adds pairwise from 8 terms on
-            s = float(np.sum([(v[k] - v[k + 1]) * nu[k] for k in range(last)]))
-        else:  # np.sum's order below 8 terms; sum() compensates from Python 3.12
-            s = 0.0
-            for k in range(last):
-                s += (v[k] - v[k + 1]) * nu[k]
+        terms = [(v[k] - v[k + 1]) * nu[k] for k in range(len(v) - 1)]
+        # np.sum adds pairwise from 8 terms on, and left to right below
+        s = float(np.sum(terms)) if len(terms) >= 8 else _lsum(terms)
         return v[-1] * nu[-1] + s
 
     return PreferenceFunctional(

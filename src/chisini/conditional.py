@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .curves import _lsum
 from .errors import (
     EventNotInAlgebra,
     NotMeasurable,
@@ -161,7 +162,7 @@ def _solve_act(
     values = [0.0] * rep.space.size
     v_f = []
     for atom, mass, curve in zip(algebra.atoms, algebra.masses, projected.atom_curves):
-        v = float(sum([weights[i] * u[i] for i in atom]))
+        v = float(_lsum([weights[i] * u[i] for i in atom]))
         v_f.append(v)
         if mass == 0.0:
             continue  # version choice: 0 on null atoms
@@ -190,8 +191,8 @@ def _worst_union(signed) -> tuple[float, tuple[int, ...]]:
     for atom, d in signed:
         if math.isnan(d):
             return d, tuple(sorted(atom))
-    above = sum((d for _, d in signed if d > 0.0), 0.0)
-    below = sum((-d for _, d in signed if d < 0.0), 0.0)
+    above = _lsum(d for _, d in signed if d > 0.0)
+    below = _lsum(-d for _, d in signed if d < 0.0)
     sign = 1.0 if above >= below else -1.0
     return max(above, below), tuple(
         sorted(i for atom, d in signed if sign * d > 0.0 for i in atom)

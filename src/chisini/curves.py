@@ -48,6 +48,15 @@ BISECT_TOL = 1e-13
 _BISECT_MAX_ITER = 400
 
 
+def _lsum(values) -> float:
+    """``values`` added left to right from 0.0: the library's one float sum,
+    since the builtin ``sum`` compensates from Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class Curve:
     """Common interface; concrete families override the hooks they can."""
 
@@ -274,13 +283,13 @@ class MixtureCurve(Curve):
     (a = -gamma, b = gamma), 1 a power curve (a = exponent), 2 a linear
     curve (a = scale) and 3 any other curve (a = its bound ``value``).
     Each term repeats its family's ``value`` expression, so the floats are
-    those of ``sum(w * c.value(x) ...)``, which stays the overflow path.
+    those of ``_lsum(w * c.value(x) ...)``, which stays the overflow path.
     The image limits are summed from the parts' on first read, and kept.
 
     ``monotone`` is set when every part is a regular curve of kind 0-2:
     ``expm1``, ``pow``, products and quotients by positive constants and a
-    left-to-right sum (``sum`` on Python 3.11; 3.12 compensates it) all
-    round monotonically, so ``value`` is nondecreasing in floats.
+    left-to-right sum all round monotonically, so ``value`` is nondecreasing
+    in floats.
     """
 
     weights: tuple[float, ...]
@@ -292,7 +301,7 @@ class MixtureCurve(Curve):
             raise ValueError("weights and parts must align")
         if not all(w > 0.0 for w in weights):  # a NaN weight fails too
             raise ValueError("mixture weights must be positive")
-        if not abs(sum(weights) - 1.0) <= 1e-9:
+        if not abs(_lsum(weights) - 1.0) <= 1e-9:
             raise ValueError("mixture weights must sum to 1")
         terms = tuple(
             (0, w, -c.gamma, c.gamma) if type(c) is ExponentialCurve
@@ -309,35 +318,30 @@ class MixtureCurve(Curve):
         ))
 
     def value(self, x: float) -> float:
+        total = 0.0
         try:
-            return sum([
-                w * (-math.expm1(a * x) / b) if kind == 0
-                else w * (math.copysign(abs(x) ** a, x) if x != 0.0 else 0.0)
-                if kind == 1
-                else w * (a * x) if kind == 2
-                else w * a(x)
-                for kind, w, a, b in self._terms
-            ])
+            for kind, w, a, b in self._terms:
+                total += (
+                    w * (-math.expm1(a * x) / b) if kind == 0
+                    else w * (math.copysign(abs(x) ** a, x) if x != 0.0 else 0.0)
+                    if kind == 1
+                    else w * (a * x) if kind == 2
+                    else w * a(x)
+                )
         except OverflowError:
             # each part's own value raises its typed error
-            return sum(w * c.value(x) for w, c in zip(self.weights, self.parts))
-
-    def _limit(self, side: str) -> float:
-        # a plain loop, not sum(), which compensates floats from Python 3.12;
-        # an infinite limit carries its sign through, as no lower limit is
-        # +inf and no upper limit -inf
-        total = 0.0
-        for w, c in zip(self.weights, self.parts):
-            total += w * (c.lower_limit() if side == "lower" else c.upper_limit())
+            return _lsum(w * c.value(x) for w, c in zip(self.weights, self.parts))
         return total
 
+    # an infinite limit carries its sign through, as no lower limit is +inf
+    # and no upper limit -inf
     @cached_property
     def _lower(self) -> float:
-        return self._limit("lower")
+        return _lsum(w * c.lower_limit() for w, c in zip(self.weights, self.parts))
 
     @cached_property
     def _upper(self) -> float:
-        return self._limit("upper")
+        return _lsum(w * c.upper_limit() for w, c in zip(self.weights, self.parts))
 
     def lower_limit(self) -> float:
         return self._lower
@@ -508,12 +512,12 @@ def merge_piecewise_linear(
     is again piecewise-linear, so no approximation is involved.
     """
     if all(isinstance(c, LinearCurve) for c in parts):
-        return LinearCurve(sum(w * c.scale for w, c in zip(weights, parts)))
+        return LinearCurve(_lsum(w * c.scale for w, c in zip(weights, parts)))
     knot_xs = sorted(
         {x for c in parts if isinstance(c, PiecewiseLinearCurve) for x in c.xs}
     )
     us = tuple(
-        sum(w * c.value(x) for w, c in zip(weights, parts)) for x in knot_xs
+        _lsum(w * c.value(x) for w, c in zip(weights, parts)) for x in knot_xs
     )
 
     def edge_slope(c: Curve, side: str) -> float:
@@ -521,6 +525,6 @@ def merge_piecewise_linear(
             return c.scale
         return c.slope_left if side == "left" else c.slope_right
 
-    sl = sum(w * edge_slope(c, "left") for w, c in zip(weights, parts))
-    sr = sum(w * edge_slope(c, "right") for w, c in zip(weights, parts))
+    sl = _lsum(w * edge_slope(c, "left") for w, c in zip(weights, parts))
+    sr = _lsum(w * edge_slope(c, "right") for w, c in zip(weights, parts))
     return PiecewiseLinearCurve(tuple(knot_xs), us, sl, sr)

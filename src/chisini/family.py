@@ -37,7 +37,7 @@ from .spaces import (
     equal_up_to_null,
     paste,
 )
-from .utility import AdditiveRepresentation, ProjectedUtility
+from .utility import AdditiveRepresentation, ProjectedUtility, _search_grid
 
 #: Number of terms in each constructed continuity sequence.
 CONTINUITY_TERMS = 64
@@ -187,9 +187,7 @@ def audit_certainty_equivalent(
     """
     import numpy as np  # for the RNG only; the solver path never loads numpy
 
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    grid = tuple(sorted(float(v) for v in grid))
+    grid = _search_grid(grid)
     rng = np.random.default_rng(seed)
     n = fam.space.size
 

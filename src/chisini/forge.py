@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .curves import LinearCurve, PiecewiseLinearCurve
+from .curves import LinearCurve, PiecewiseLinearCurve, _lsum
 from .errors import (
     ContinuityViolation,
     OutOfGridRange,
@@ -86,7 +86,7 @@ class SetFunctionalOracle:
             self(EventSet(self.space, frozenset({i})), ones)
             for i in range(self.space.size)
         ]
-        total = sum(raw)
+        total = _lsum(raw)
         if not (total > 0.0 and math.isfinite(total) and all(w >= 0.0 for w in raw)):
             raise PropertyFlagMissing(
                 "oracle mass at the unit act does not define a probability"
@@ -238,7 +238,7 @@ def build_u_plus(gu: DyadicGridUtility, outcome, x: float) -> float:
 def evaluate_envelope(gu: DyadicGridUtility, f: Act) -> float:
     """Aggregate sum_w p(w) * u_plus(w, f(w)) for a (grid-valued) act."""
     return float(
-        sum(
+        _lsum(
             p * build_u_plus(gu, i, v)
             for i, (p, v) in enumerate(zip(gu.space.weights, f.values))
         )
@@ -281,7 +281,7 @@ def validate_grid_regularity(gu: DyadicGridUtility) -> AuditReport:
             zero_fail.append({"outcome": label, "weight": weight, "value": row[zero]})
 
     def result(name, failures):
-        failing_weight = float(sum(f["weight"] for f in failures))
+        failing_weight = _lsum(f["weight"] for f in failures)
         return CheckResult(
             name=name,
             passed=failing_weight == 0.0,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .curves import _lsum
 from .errors import ComplexityCapExceeded, SpaceMismatchError
 
 #: Absolute tolerance for the weight-sum check at construction.
@@ -52,7 +53,7 @@ class FiniteSpace:
             raise ValueError("weights must be finite")
         if any(w < 0.0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        total = sum(weights)
+        total = _lsum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}"
@@ -84,7 +85,7 @@ class FiniteSpace:
         return idx
 
     def probability(self, members: Iterable[int]) -> float:
-        return float(sum(self.weights[i] for i in members))
+        return _lsum(self.weights[i] for i in members)
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def conditional_expectation(f: Act, algebra: PartitionAlgebra) -> Act:
     out = [0.0] * f.space.size
     for atom, mass in zip(algebra.atoms, algebra.masses):
         if mass > 0.0:
-            avg = sum(weights[i] * f.values[i] for i in atom) / mass
+            avg = _lsum([weights[i] * f.values[i] for i in atom]) / mass
         else:
             avg = 0.0
         for i in atom:

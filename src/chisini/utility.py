@@ -30,6 +30,7 @@ from .curves import (
     LinearCurve,
     MixtureCurve,
     PiecewiseLinearCurve,
+    _lsum,
     merge_piecewise_linear,
     right_continuous_inverse,
 )
@@ -158,26 +159,36 @@ class AdditiveRepresentation:
         """T(f) = sum_w p(w) u(w, f(w)); a utility value that is not a
         finite float raises NumericRangeError, as in utility_act."""
         self._check_space(f)
-        total = float(
-            sum([  # a list sums faster than a generator, in the same order
-                p * c.value(v)
-                for p, c, v in zip(self.space.weights, self.utility.curves, f.values)
-            ])
-        )
+        total = 0.0
+        for p, c, v in zip(self.space.weights, self.utility.curves, f.values):
+            total += p * c.value(v)
         if not math.isfinite(total):
             self._utilities(f)  # raises, naming the first such outcome
-        return total
+        return float(total)
 
     def evaluate_on_event(self, members: Iterable[int], f: Act) -> float:
         """V_A(f); equals evaluate(f * 1_A) since every curve is 0 at 0."""
         self._check_space(f)
         weights, curves, values = self.space.weights, self.utility.curves, f.values
-        return float(sum([weights[i] * curves[i].value(values[i]) for i in members]))
+        return float(_lsum([weights[i] * curves[i].value(values[i]) for i in members]))
 
     def _check_space(self, f: Act) -> None:
         # identity first: the dataclass != compares every field of the space
         if f.space is not self.space and f.space != self.space:
             raise SpaceMismatchError("act and representation spaces differ")
+
+
+def _search_grid(values) -> tuple[float, ...]:
+    """``values`` as sorted floats; raises ValueError unless they are
+    nonempty, finite and distinct."""
+    grid = tuple(sorted(float(g) for g in values))
+    if not grid:
+        raise ValueError("grid must hold at least one value")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"grid values must be finite, got {grid}")
+    if len(set(grid)) != len(grid):
+        raise ValueError("grid values must be distinct")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -195,14 +206,7 @@ class PreferenceFunctional:
     name: str = ""
 
     def __post_init__(self):
-        grid = tuple(sorted(float(g) for g in self.grid))
-        if not grid:
-            raise ValueError("grid must hold at least one value")
-        if not all(map(math.isfinite, grid)):
-            raise ValueError(f"grid values must be finite, got {grid}")
-        if len(set(grid)) != len(grid):
-            raise ValueError("grid values must be distinct")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _search_grid(self.grid))
 
     def __call__(self, f: Act) -> float:
         return float(self.evaluator(f))

@@ -281,6 +281,24 @@ class TestCertaintyEquivalentAudit:
         assert not check.passed
         assert check.witness["final_defect"] >= 1e-6
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((), "grid must hold at least one value"),
+            ((0.0, float("nan")), "grid values must be finite"),
+            ((0.0, float("inf")), "grid values must be finite"),
+            ((-float("inf"), 0.0), "grid values must be finite"),
+            ((0.0, 1.0, 1.0), "grid values must be distinct"),
+        ],
+    )
+    def test_bad_grid_is_refused(self, grid, message):
+        """The grid rule of ``PreferenceFunctional``: a repeated value used
+        to fail a monotone family with the witness x = y, and a NaN to be
+        reported as a bad act value."""
+        fam = family(FiniteSpace.uniform(["a", "b"]), ExponentialCurve(1.0))
+        with pytest.raises(ValueError, match=message):
+            audit_certainty_equivalent(fam, grid, 2)
+
 
 KINKED = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), 2.0, 0.5)
 BENT = PiecewiseLinearCurve((-0.5, 0.0, 2.0), (-0.25, 0.0, 3.0), 0.5, 1.0)

@@ -40,7 +40,7 @@ from chisini import (
     check_tower,
 )
 from chisini.errors import ChisiniError
-from hexfloats import float_hex
+from hexfloats import float_hex, normalized
 
 DIGESTS = Path(__file__).with_name("family_digests.json")
 
@@ -68,7 +68,7 @@ def ce_audit_cases():
     for seed in (101, 202, 303):
         rng = random.Random(seed)
         raw = [rng.uniform(0.5, 1.5) for _ in range(3)]
-        space = FiniteSpace(("a", "b", "c"), tuple(w / sum(raw) for w in raw))
+        space = FiniteSpace(("a", "b", "c"), normalized(raw))
         utilities = (
             ("state-dependent", (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5))),
             ("exponential", (ExponentialCurve(1.0),) * 3),
@@ -136,7 +136,12 @@ def tower_cases():
     return cases
 
 
-CASES = {**ce_audit_cases(), **tower_cases()}
+def cases():
+    """Each case's runner by name; the inputs are built on every call."""
+    return {**ce_audit_cases(), **tower_cases()}
+
+
+CASES = cases()
 
 
 def test_cases_are_recorded():

@@ -51,7 +51,7 @@ from chisini import (
     validate_grid_regularity,
 )
 from chisini.errors import ChisiniError
-from hexfloats import float_hex
+from hexfloats import float_hex, normalized
 
 DIGESTS = Path(__file__).with_name("forge_digests.json")
 
@@ -179,7 +179,7 @@ def grid_cases():
                     names = [k for k in rows if subset == "all" or k not in ("nan", "inf")]
                     weights = [0.0 if j % 3 == 1 else rng.uniform(0.1, 1.0)
                                for j in range(len(names))]
-                    space = FiniteSpace(tuple(names), tuple(w / sum(weights) for w in weights))
+                    space = FiniteSpace(tuple(names), normalized(weights))
                     gu = DyadicGridUtility(space, grid, [rows[k] for k in names])
                     null_all = tuple(0.0 for _ in names)
                     out[subset] = grid_battery(rng, gu, (space.weights, null_all))
@@ -210,7 +210,7 @@ def extraction_cases():
                 raw = [rng.uniform(0.2, 1.0) for _ in curves]
                 if "null" in label:
                     raw[2] = 0.0
-                space = FiniteSpace(("a", "b", "c"), tuple(w / sum(raw) for w in raw))
+                space = FiniteSpace(("a", "b", "c"), normalized(raw))
                 utility = StateUtility(space, curves)
                 oracle = SetFunctionalOracle.from_representation(
                     AdditiveRepresentation(utility)
@@ -239,7 +239,12 @@ def points_case():
     }
 
 
-CASES = {**grid_cases(), **extraction_cases(), "points": points_case}
+def cases():
+    """Each case's runner by name; the inputs are built on every call."""
+    return {**grid_cases(), **extraction_cases(), "points": points_case}
+
+
+CASES = cases()
 
 
 def test_cases_are_recorded():

@@ -178,7 +178,12 @@ def overflow_cases():
     return cases
 
 
-CASES = {**workload_cases(), **utility_cases(), **overflow_cases()}
+def cases():
+    """Each case's runner by name; the inputs are built on every call."""
+    return {**workload_cases(), **utility_cases(), **overflow_cases()}
+
+
+CASES = cases()
 
 
 def test_cases_are_recorded():
