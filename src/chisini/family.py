@@ -15,18 +15,18 @@ structural requirements on E_0 alone: strict monotonicity on dichotomic
 acts and pointwise continuity along explicit convergent sequences.  The
 continuity check is necessarily a finite proxy: defects are monitored
 along geometrically shrinking perturbations and must trend monotonically
-to zero.
+to zero.  A family built by :func:`from_representation` solves on the
+projection of each algebra that its representation keeps, and the audit
+solves each distinct act it builds once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 from .conditional import _solve_act
-from .curves import MixtureCurve
 from .errors import EventNotInAlgebra, NotMeasurable
 from .reports import AuditReport, CheckResult
 from .spaces import (
@@ -37,41 +37,13 @@ from .spaces import (
     equal_up_to_null,
     paste,
 )
-from .utility import AdditiveRepresentation, ProjectedUtility, _search_grid
+from .utility import AdditiveRepresentation, _search_grid
 
 #: Number of terms in each constructed continuity sequence.
 CONTINUITY_TERMS = 64
 
 #: Final-defect threshold for the continuity proxy.
 CONTINUITY_FINAL_TOL = 1e-6
-
-#: Most probe values a family remembers per projected mixture curve, the
-#: most recently used ones; 512 keeps most of the probes that a 64-term
-#: continuity sequence shares.
-PROBE_MEMO_SIZE = 512
-
-
-class _ProbeMemo:
-    """A projected mixture curve whose ``value`` remembers its probes.
-
-    Mixtures have no closed-form inverse, so every solve probes them: all
-    solves of one curve share the doubling bracket's probes, and the
-    certainty-equivalent audit solves the same or nearby targets again,
-    which repeat the guided and bisection probes too.  ``value`` is the
-    curve's, behind an LRU cache of ``PROBE_MEMO_SIZE`` probes; it is pure,
-    so a remembered probe is the float the curve returns, and a probe that
-    raises is not remembered.  The image limits, ``inverse_exact`` and
-    ``monotone`` are the curve's.
-    """
-
-    __slots__ = ("value", "lower_limit", "upper_limit", "inverse_exact", "monotone")
-
-    def __init__(self, curve: MixtureCurve):
-        self.value = lru_cache(PROBE_MEMO_SIZE)(curve.value)
-        self.lower_limit = curve.lower_limit
-        self.upper_limit = curve.upper_limit
-        self.inverse_exact = curve.inverse_exact
-        self.monotone = curve.monotone
 
 
 @dataclass(frozen=True)
@@ -89,23 +61,11 @@ class ExpectationFamily:
 
         Each value is ``chisini_mean(rep, x, algebra).act``, and each error
         that call's, computed without the certificate that the family does
-        not read.  The family keeps a copy of each algebra's projection
-        from ``rep``, with every mixture curve behind a ``_ProbeMemo``.
+        not read, on the projection of ``algebra`` that ``rep`` keeps.
         """
-        projections: dict[PartitionAlgebra, ProjectedUtility] = {}
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
-            projected = projections.get(algebra)
-            if projected is None:
-                plain = rep._regular_projection(x, algebra)
-                projected = projections[algebra] = replace(
-                    plain,
-                    atom_curves=tuple(
-                        _ProbeMemo(c) if isinstance(c, MixtureCurve) else c
-                        for c in plain.atom_curves
-                    ),
-                )
-            return _solve_act(rep, x, projected, "auto")[0]
+            return _solve_act(rep, x, rep._regular_projection(x, algebra), "auto")[0]
 
         trivial = PartitionAlgebra.trivial(rep.space)
 
@@ -184,16 +144,28 @@ def audit_certainty_equivalent(
     check because for a smooth nonlinear evaluator the large-step defect
     can cross zero.  This is a numerical proxy: no finite sample can
     certify continuity outright.
+
+    Every act the audit builds is on ``fam.space``, and it evaluates each
+    distinct one once: acts with equal values, as ``Act`` compares them,
+    share one E_0 value for the length of the call.
     """
     import numpy as np  # for the RNG only; the solver path never loads numpy
 
     grid = _search_grid(grid)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     n = fam.space.size
+    solved: dict[tuple[float, ...], float] = {}
+
+    def e0(x: Act) -> float:
+        value = solved.get(x.values)
+        if value is None:
+            value = solved[x.values] = fam.certainty_equivalent(x)
+        return value
 
     backgrounds = [
-        Act(fam.space, tuple(rng.choice(grid, size=n)))
-        for _ in range(max(1, trials))
+        Act(fam.space, tuple(rng.choice(grid, size=n))) for _ in range(trials)
     ]
 
     mono_witness = None
@@ -209,8 +181,8 @@ def audit_certainty_equivalent(
                 for z in backgrounds:
                     low = paste(Act.constant(fam.space, x), z, event)
                     high = paste(Act.constant(fam.space, y), z, event)
-                    v_low = fam.certainty_equivalent(low)
-                    v_high = fam.certainty_equivalent(high)
+                    v_low = e0(low)
+                    v_high = e0(high)
                     comparisons += 1
                     if not v_low < v_high and mono_witness is None:
                         mono_witness = {
@@ -231,7 +203,7 @@ def audit_certainty_equivalent(
     else:
         bases = [Act.constant(fam.space, 0.0)] + [
             Act(fam.space, tuple(rng.choice(grid, size=n)))
-            for _ in range(max(1, trials))
+            for _ in range(trials)
         ]
     axes = []
     for i in range(n):
@@ -241,9 +213,9 @@ def audit_certainty_equivalent(
     terms = CONTINUITY_TERMS
     for base in bases:
         sampled = Act(fam.space, tuple(rng.choice([-1.0, 1.0], size=n)))
-        reference = fam.certainty_equivalent(base)
+        reference = e0(base)
         for direction in (sampled, sampled * -1.0, *axes):
-            defects = _continuity_defects(fam, base, direction, reference)
+            defects = _continuity_defects(e0, base, direction, reference)
             sequences += 1
             trend_ok = all(
                 defects[2 * k - 1] <= defects[k - 1] + 1e-12
@@ -276,12 +248,12 @@ def audit_certainty_equivalent(
     )
 
 
-def _continuity_defects(fam, base, direction, reference):
+def _continuity_defects(e0, base, direction, reference):
     defects = []
     for n in range(1, CONTINUITY_TERMS + 1):
         s = 2.0 ** (1 - n)
         shifted = Act(
             base.space, tuple(b + d * s for b, d in zip(base.values, direction.values))
         )
-        defects.append(abs(fam.certainty_equivalent(shifted) - reference))
+        defects.append(abs(e0(shifted) - reference))
     return defects

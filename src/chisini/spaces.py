@@ -96,7 +96,7 @@ class EventSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(int(i) for i in self.members)
+        members = frozenset(map(operator.index, self.members))
         if any(not 0 <= i < self.space.size for i in members):
             raise ValueError("event members must be valid outcome indices")
         object.__setattr__(self, "members", members)
@@ -194,9 +194,7 @@ class PartitionAlgebra:
     atoms: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        atoms = tuple(
-            frozenset(int(i) for i in atom) for atom in self.atoms
-        )
+        atoms = tuple(frozenset(map(operator.index, atom)) for atom in self.atoms)
         atoms = tuple(sorted(atoms, key=min))
         seen: set[int] = set()
         for atom in atoms:

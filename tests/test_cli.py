@@ -395,6 +395,29 @@ class TestTower:
         for act in doc["acts"]:
             assert act["composed_defect"] <= act["tolerance"]
 
+    def test_tower_solves_each_act_once(self, capsys, monkeypatch):
+        # every link's defect and the composed one share one E_0(X); neither
+        # act is measurable on a partition of the chain, so no E_G(X) is X
+        from chisini.family import ExpectationFamily
+
+        solved = []
+        plain = ExpectationFamily.certainty_equivalent
+
+        def counted(fam, x):
+            solved.append(x.values)
+            return plain(fam, x)
+
+        monkeypatch.setattr(ExpectationFamily, "certainty_equivalent", counted)
+        code, out, _ = run(
+            capsys,
+            "tower", "--model", model("partition.json"), "--utility", "mixed",
+            "--chain", "weather", "coarse",
+        )
+        assert code == 0
+        assert [len(a["links"]) for a in json.loads(out)["acts"]] == [2, 2]
+        assert solved.count((1.0, -0.5, 2.0, 0.25)) == 1  # payoff
+        assert solved.count((-1.0, 1.0, -1.0, 1.0)) == 1  # spread
+
     def test_non_nested_chain_exits_6(self, capsys):
         code, _, err = run(
             capsys,

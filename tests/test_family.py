@@ -31,8 +31,6 @@ from chisini.errors import (
     RegularityViolation,
     SpaceMismatchError,
 )
-from chisini import family as family_module
-from chisini.family import PROBE_MEMO_SIZE, _ProbeMemo
 
 
 def family(space, curve):
@@ -299,6 +297,38 @@ class TestCertaintyEquivalentAudit:
         with pytest.raises(ValueError, match=message):
             audit_certainty_equivalent(fam, grid, 2)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_are_refused(self, trials):
+        """Fewer than one trial used to run one, reporting comparisons that
+        no requested trial made."""
+        fam = family(FiniteSpace.uniform(["a", "b", "c"]), ExponentialCurve(1.0))
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            audit_certainty_equivalent(fam, (0.0, 1.0), trials)
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_audit_evaluates_each_distinct_act_once(self, seed):
+        # the comparisons, the continuity references and the continuity
+        # terms meet some acts more than once; E_0 sees each of them once
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        calls = []
+
+        def e0(x):
+            calls.append(x.values)
+            return fam.e0(x)
+
+        watched = ExpectationFamily(fam.space, fam.evaluator, e0, fam.rep)
+        report = audit_certainty_equivalent(watched, (0.0, 1.0), 4, seed=seed)
+        assert report.passed
+        assert report.check("dichotomic-monotonicity").details["comparisons"] == 28
+        assert len(calls) == len(set(calls))
+        assert report.to_dict() == audit_certainty_equivalent(
+            fam, (0.0, 1.0), 4, seed=seed
+        ).to_dict()
+
 
 KINKED = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), 2.0, 0.5)
 BENT = PiecewiseLinearCurve((-0.5, 0.0, 2.0), (-0.25, 0.0, 3.0), 0.5, 1.0)
@@ -339,9 +369,9 @@ def hex_values(act):
 
 
 class TestFastPathOracle:
-    """The family solves without the certificate, on a projection made once
-    per algebra and mixtures behind a probe memo; ``chisini_mean`` is the
-    independent reference and every float must match it exactly."""
+    """The family solves without the certificate, on the projection of each
+    algebra that its representation keeps; ``chisini_mean`` is the
+    independent reference and every float and error must match it exactly."""
 
     @pytest.mark.parametrize(
         "seed, kind", list(enumerate(["mixture", "knots", "closed", "null"]))
@@ -352,8 +382,8 @@ class TestFastPathOracle:
             rep, algebras = random_family_model(rng, kind)
             fam = ExpectationFamily.from_representation(rep)
             n = rep.space.size
-            # 40 acts per algebra on one family: the mixture memos fill and
-            # evict, and later solves reuse probes of earlier ones
+            # 40 acts per algebra on one family: later solves reuse the
+            # projections that earlier ones made
             for _ in range(40):
                 x = Act(rep.space, tuple(rng.uniform(-3.0, 3.0, size=n)))
                 for alg in algebras:
@@ -362,9 +392,10 @@ class TestFastPathOracle:
                     )
                 trivial = chisini_mean(rep, x, algebras[-1]).act.values[0]
                 assert fam.e0(x).hex() == trivial.hex()
+                assert fam.certainty_equivalent(x).hex() == trivial.hex()
 
     def test_continuity_sequence_matches_chisini_mean(self):
-        # one sequence long enough for the memo to evict probes many times
+        # continuity sequences toward one base, with nearby targets
         sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
         rep = AdditiveRepresentation(
             StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
@@ -376,55 +407,9 @@ class TestFastPathOracle:
             x = base + direction * (2.0 ** (1 - k % 64)) * (1.0 + k // 64)
             assert fam.e0(x).hex() == chisini_mean(rep, x, trivial).act.values[0].hex()
 
-
-class TestProbeMemo:
-    def test_memo_returns_the_curve_values_within_its_bound(self):
-        curve = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), PowerCurve(3.0)))
-        memo = _ProbeMemo(curve)
-        for k in range(3 * PROBE_MEMO_SIZE + 7):
-            x = (k % (2 * PROBE_MEMO_SIZE)) / 97.0 - 5.0
-            assert memo.value(x) == curve.value(x)
-            assert 1 <= memo.value.cache_info().currsize <= PROBE_MEMO_SIZE
-        assert memo.value.cache_info().maxsize == PROBE_MEMO_SIZE
-        assert memo.lower_limit() == curve.lower_limit()
-        assert memo.upper_limit() == curve.upper_limit()
-        assert memo.inverse_exact(0.5) is None
-
-    def test_memo_forwards_the_monotone_flag(self):
-        closed = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), PowerCurve(3.0)))
-        knots = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0))
-        mixed = MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), knots))
-        assert _ProbeMemo(closed).monotone and not _ProbeMemo(mixed).monotone
-        for curve in (closed, mixed):
-            for target in (-0.3, 0.0, 0.6):
-                assert right_continuous_inverse(
-                    _ProbeMemo(curve), target
-                ) == right_continuous_inverse(curve, target)
-
-    def test_memo_stays_within_its_bound_during_an_audit(self, monkeypatch):
-        memos = []
-
-        def recorded(curve):
-            memos.append(_ProbeMemo(curve))
-            return memos[-1]
-
-        monkeypatch.setattr(family_module, "_ProbeMemo", recorded)
-        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
-        rep = AdditiveRepresentation(
-            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
-        )
-        fam = ExpectationFamily.from_representation(rep)
-        assert audit_certainty_equivalent(fam, (0.0, 1.0), trials=4, seed=7).passed
-        (memo,) = memos  # one mixture: the trivial algebra's single atom
-        info = memo.value.cache_info()
-        # an LRU cache never shrinks: it filled up and stayed at its bound ...
-        assert info.currsize == info.maxsize == PROBE_MEMO_SIZE
-        # ... while it forgot probes to take new ones
-        assert info.misses > PROBE_MEMO_SIZE and info.hits > 0
-
-    def test_overflowing_probe_reads_the_same_through_the_memo(self):
-        # the bracket's probe at x = -1024 overflows the exponential part;
-        # the memo keeps no value for it, so every solve reads it alike
+    def test_overflowing_probe_matches_chisini_mean(self):
+        # the bracket's probe at x = -1024 overflows the exponential part,
+        # and every solve reads it alike
         sp = FiniteSpace.uniform(["a", "b"])
         rep = AdditiveRepresentation(
             StateUtility(sp, (ExponentialCurve(1.0), LinearCurve(1.0)))

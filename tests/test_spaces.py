@@ -55,6 +55,34 @@ class TestFiniteSpace:
             sp.index_of("nope")
 
 
+class TestOutcomeIndices:
+    """Events and atoms hold outcome indices by ``operator.index``, the rule
+    of ``FiniteSpace.index_of``: a float or a string is not truncated or
+    parsed into an index."""
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "2", None])
+    def test_event_refuses_a_non_integer_member(self, bad):
+        with pytest.raises(TypeError):
+            EventSet(uniform4(), {0, bad})
+
+    @pytest.mark.parametrize(
+        "atoms", [({0.5, 1.2}, {2}), ({0, 1}, {2.0}), ({"2", 1}, {0})]
+    )
+    def test_algebra_refuses_a_non_integer_atom_member(self, atoms):
+        sp = FiniteSpace.uniform(["a", "b", "c"])
+        with pytest.raises(TypeError):
+            PartitionAlgebra(sp, atoms)
+
+    def test_integers_numpy_integers_and_bools_are_indices(self):
+        sp = uniform4()
+        members = {np.int64(3), True, 0}
+        assert EventSet(sp, members).members == frozenset({0, 1, 3})
+        assert all(type(i) is int for i in EventSet(sp, members).members)
+        alg = PartitionAlgebra(sp, ({np.int32(0), True}, {np.int8(2), 3}))
+        assert alg == PartitionAlgebra.from_labels(sp, [["w1", "w2"], ["w3", "w4"]])
+        assert all(type(i) is int for atom in alg.atoms for i in atom)
+
+
 class TestAct:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_value(self, bad):
