@@ -33,6 +33,13 @@ subtractions for n outcomes and g grid values, against g^(2n) pairs times
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
+On a ``monotone`` functional (expected utility over regular exponential,
+power and linear curves, whose masked values are nondecreasing in floats)
+the curve inverse's Illinois guide narrows the bracket first, and the
+bisection replays its own iterates without the probes the guide decided:
+the plain loop's floats from about half its probes.  Other functionals run
+the plain loop; below 0 a Choquet masked value is a difference of two
+rounded products, which need not be monotone.
 Each audit call builds its grid acts, events and value table once; the
 equivalence harness builds them once for both of its searches.  A solve
 reads f only through f * 1_A and sup|f|, so the enumeration's ``lru_cache``
@@ -52,7 +59,7 @@ from itertools import compress, product
 
 import numpy as np
 
-from .curves import _lsum, bisect_increasing
+from .curves import _float_monotone, _illinois, _lsum, bisect_increasing
 from .errors import BisectionBracketFailure, ComplexityCapExceeded
 from .reports import AuditReport, CheckResult
 from .spaces import Act, EventSet, FiniteSpace, _require_same_space, paste
@@ -182,7 +189,9 @@ def _solve_constant(
     with target = t(f * 1_A) and value = t(x * 1_A).  A flat map (null
     event) admits any solution and returns x = lo = hi = 0.  Otherwise
     t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
-    solutions with a guaranteed comparison direction.
+    solutions with a guaranteed comparison direction.  On a ``monotone``
+    functional with target < t(hi * 1_A), ``_illinois`` narrows the pair
+    and bisection skips the probes it decides, keeping the loop's floats.
     """
     bits = [mask >> i & 1 for i in range(t.space.size)]
     values = iter(on)
@@ -205,7 +214,9 @@ def _solve_constant(
             raise BisectionBracketFailure(
                 f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
             )
-        lo, hi = bisect_increasing(masked_value, target, lo, hi)
+        guided = t.monotone and v_lo <= target < v_hi
+        known = _illinois(masked_value, target, lo, v_lo, hi, v_hi) if guided else None
+        lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
         x = 0.5 * (lo + hi)
     # checked: x overflows when the bracket ends above half the float range
     return x, lo, hi, target, t(Act(t.space, masked(x)))
@@ -504,8 +515,9 @@ def check_conditionable_on_event(
 ) -> AuditReport:
     """Search for a two-level act matching the functional on the algebra
     generated by one event."""
-    enum = _GridEnumeration(t)
+    _enforce_caps(t)
     _require_same_space(t.space, event.space)
+    enum = _GridEnumeration(t)
     mask = sum(1 << i for i in event.members)
     witness, worst = _conditionable(enum, mask)
     return _report(
@@ -569,13 +581,18 @@ def expected_utility_functional(
     grid: tuple[float, ...] = (-1.0, 0.0, 1.0),
     name: str = "expected-utility",
 ) -> PreferenceFunctional:
-    return PreferenceFunctional(
+    """The functional ``rep.evaluate``, marked ``monotone`` when every curve
+    passes ``_float_monotone``: a masked act's value is then a left-to-right
+    sum of p * u(x) terms, nondecreasing in floats."""
+    t = PreferenceFunctional(
         space=rep.space,
         evaluator=rep.evaluate,
         additive=True,
         grid=grid,
         name=name,
     )
+    object.__setattr__(t, "monotone", all(map(_float_monotone, rep.utility.curves)))
+    return t
 
 
 def choquet_functional(

@@ -274,6 +274,20 @@ class PiecewiseLinearCurve(Curve):
         return out
 
 
+def _float_monotone(curve: Curve) -> bool:
+    """Whether ``curve`` is a regular exponential, power or linear curve,
+    by exact type: ``expm1``, ``pow`` and products and quotients by
+    positive constants all round monotonically, so its ``value`` is
+    nondecreasing in floats, and so is a left-to-right sum of such values
+    times nonnegative weights.  A knot table is not (the segment ending at a
+    knot at 0 can round above 0 just below it), nor is a subclass, whose
+    ``value`` may be anything."""
+    return (
+        type(curve) in (ExponentialCurve, PowerCurve, LinearCurve)
+        and not curve.regularity_issues()
+    )
+
+
 @dataclass(frozen=True)
 class MixtureCurve(Curve):
     """Probability-weighted average of curves (weights positive, sum 1).
@@ -286,10 +300,8 @@ class MixtureCurve(Curve):
     those of ``_lsum(w * c.value(x) ...)``, which stays the overflow path.
     The image limits are summed from the parts' on first read, and kept.
 
-    ``monotone`` is set when every part is a regular curve of kind 0-2:
-    ``expm1``, ``pow``, products and quotients by positive constants and a
-    left-to-right sum all round monotonically, so ``value`` is nondecreasing
-    in floats.
+    ``monotone`` is set when every part passes ``_float_monotone``, so
+    every part is of kind 0-2 and ``value`` is nondecreasing in floats.
     """
 
     weights: tuple[float, ...]
@@ -312,10 +324,7 @@ class MixtureCurve(Curve):
         )
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "monotone", all(
-            t[0] < 3 and not c.regularity_issues()
-            for t, c in zip(terms, self.parts)
-        ))
+        object.__setattr__(self, "monotone", all(map(_float_monotone, self.parts)))
 
     def value(self, x: float) -> float:
         total = 0.0

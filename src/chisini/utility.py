@@ -199,6 +199,12 @@ class PreferenceFunctional:
     events; it is spot-checked before any audit relies on it.
     """
 
+    #: True when x -> t(x * 1_A) is nondecreasing in floats on every event A,
+    #: so the audits' constant solves may skip probes a known pair decides.
+    #: Not a field: ``expected_utility_functional`` sets it, and ``==``,
+    #: ``hash``, ``repr`` and ``dataclasses.replace`` do not see it.
+    monotone = False
+
     space: FiniteSpace
     evaluator: Callable[[Act], float]
     additive: bool = False

@@ -3,6 +3,9 @@ sure-thing principle, conditionability and the equivalence harness."""
 
 import dataclasses
 import gc
+import math
+import random
+import sys
 import weakref
 from itertools import permutations, product
 
@@ -16,6 +19,8 @@ from chisini import (
     ExponentialCurve,
     FiniteSpace,
     LinearCurve,
+    MixtureCurve,
+    PiecewiseLinearCurve,
     PowerCurve,
     PreferenceFunctional,
     StateUtility,
@@ -30,14 +35,15 @@ from chisini import (
 )
 from chisini import audit
 from chisini.audit import spot_check_additivity
-from chisini.curves import bisect_increasing
+from chisini.curves import _illinois, bisect_increasing
 from chisini.errors import (
     AdditivityCheckFailed,
     BisectionBracketFailure,
+    ChisiniError,
     ComplexityCapExceeded,
     SpaceMismatchError,
 )
-from hexfloats import float_hex
+from hexfloats import float_hex, normalized
 
 
 def uniform3():
@@ -600,6 +606,21 @@ class TestConditionable:
         with pytest.raises(SpaceMismatchError):
             check_conditionable_on_event(t, EventSet.full(other))
 
+    def test_space_is_checked_before_any_evaluation(self):
+        calls = []
+        t = PreferenceFunctional(
+            space=uniform3(), evaluator=lambda f: calls.append(f) or 0.0
+        )
+        other = FiniteSpace.uniform(["x", "y", "z"])
+        with pytest.raises(SpaceMismatchError):
+            check_conditionable_on_event(t, EventSet.full(other))
+        assert calls == []
+        # the caps come first
+        wide = dataclasses.replace(t, grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0))
+        with pytest.raises(ComplexityCapExceeded):
+            check_conditionable_on_event(wide, EventSet.full(other))
+        assert calls == []
+
     def test_all_events_raises_the_first_bracket_failure(self):
         sp = FiniteSpace.uniform(["a", "b"])
         t = grid_table_functional(sp, (0.0, 1.0), [3.0, 2.0, 1.0, 0.0])
@@ -683,17 +704,20 @@ def _oracle_functionals():
     ]
 
 
+def _outcome(solve, *args):
+    """A solve's floats in float-hex form, or its failure's type and
+    message."""
+    try:
+        return float_hex(solve(*args))
+    except ChisiniError as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestConstantSolveOracle:
     """The cached constant solve against an uncached solve of each pair."""
 
     @pytest.mark.parametrize("t", _oracle_functionals(), ids=lambda t: t.name)
     def test_memo_matches_direct_solve(self, t):
-        def outcome(solve, *args):  # the floats, or the failure's message
-            try:
-                return float_hex(solve(*args))
-            except BisectionBracketFailure as exc:
-                return str(exc)
-
         enum = audit._GridEnumeration(t)
         pairs = len(enum.events) * enum.count
         failures = 0
@@ -701,9 +725,9 @@ class TestConstantSolveOracle:
             for ai, f in enumerate(enum.acts):
                 on = tuple(v for i, v in enumerate(f.values) if mask >> i & 1)
                 sup = max(map(abs, f.values))
-                direct = outcome(audit._solve_constant, t, mask, on, sup)
-                assert outcome(enum.constant, mask, ai) == direct, (mask, ai)
-                failures += isinstance(direct, str)
+                direct = _outcome(audit._solve_constant, t, mask, on, sup)
+                assert _outcome(enum.constant, mask, ai) == direct, (mask, ai)
+                failures += isinstance(direct, tuple)
         assert enum._solve.cache_info().currsize < pairs
         if t.name.startswith("table"):
             assert 0 < failures < pairs
@@ -723,6 +747,159 @@ class TestConstantSolveOracle:
             assert freed() is None
         finally:
             gc.enable()
+
+
+def _marked_functional(rng):
+    """A random expected-utility functional over 1-6 outcomes, some of zero
+    weight, whose curves are all regular exponential (gamma of either sign,
+    up to 10, so that gamma * x reaches about 40 in a bracket), power or
+    linear curves."""
+    n = rng.randint(1, 6)
+    weights = [0.0 if rng.random() < 0.2 else rng.random() for _ in range(n)]
+    weights[rng.randrange(n)] = rng.uniform(0.1, 1.0)
+    space = FiniteSpace(tuple(f"w{i}" for i in range(n)), normalized(weights))
+
+    def curve():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ExponentialCurve(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 10.0))
+        if kind == 1:
+            return PowerCurve(rng.uniform(0.2, 4.0))
+        return LinearCurve(rng.uniform(0.1, 5.0))
+
+    rep = AdditiveRepresentation(StateUtility(space, tuple(curve() for _ in range(n))))
+    return expected_utility_functional(rep, name="random-eu")
+
+
+def _solve_key(rng, t):
+    """A random (mask, values on A, sup) key: values from +-3, +-0.0 and
+    subnormals, so that targets are subnormal or signed zeros too, and one
+    key in 20 with sup|f| below the values, whose bracket may fail."""
+    n = t.space.size
+    mask = rng.randrange(1 << n)
+    special = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310)
+    on = tuple(
+        rng.choice(special) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+        for i in range(n)
+        if mask >> i & 1
+    )
+    if rng.random() < 0.05:
+        return mask, on, rng.uniform(0.0, 0.5)
+    return mask, on, max([abs(v) for v in on] + [rng.uniform(0.0, 3.0)])
+
+
+class TestGuidedConstantSolve:
+    """A ``monotone`` functional's constant solves skip the probes the
+    Illinois pair decides; their floats and errors are the plain loop's."""
+
+    def test_guided_matches_the_plain_loop(self, monkeypatch):
+        guides = []
+
+        def counted(*args):
+            guides.append(args[1])
+            return _illinois(*args)
+
+        monkeypatch.setattr(audit, "_illinois", counted)
+        rng = random.Random(24)
+        differ, flat, raised, cases = [], 0, 0, 0
+        while cases < 10_000:
+            t = _marked_functional(rng)
+            assert t.monotone
+            plain = dataclasses.replace(t)
+            assert not plain.monotone
+            for _ in range(10):
+                key = _solve_key(rng, t)
+                got = _outcome(audit._solve_constant, t, *key)
+                want = _outcome(audit._solve_constant, plain, *key)
+                if got != want:
+                    differ.append((t, key, got, want))
+                cases += 1
+                raised += isinstance(want, tuple)
+                flat += isinstance(want, list) and want[1] == want[2]
+        assert differ == []
+        assert len(guides) > 7_000
+        assert sum(target == 0.0 for target in guides) > 100
+        assert sum(0.0 < abs(x) < sys.float_info.min for x in guides) > 100
+        assert 100 < raised < 1_000
+        assert flat > 100
+
+    def test_guide_cuts_the_probes(self, monkeypatch):
+        # evaluator calls of a whole harness: counts repeat exactly, and
+        # they rise to the plain loop's if the guide silently falls back
+        calls = []
+        evaluate = AdditiveRepresentation.evaluate
+
+        def counted(self, f):
+            calls.append(f)
+            return evaluate(self, f)
+
+        monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
+        t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
+        guided = equivalence_harness(t)
+        assert len(calls) == 1954
+        calls.clear()
+        plain = equivalence_harness(dataclasses.replace(t))
+        assert len(calls) == 4778
+        assert guided.to_dict() == plain.to_dict()
+
+
+def _knot_curve():
+    return PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 2.0), 1.0, 2.0)
+
+
+class TestGuideRouting:
+    """Only an expected-utility functional whose curves all pass
+    ``_float_monotone`` is marked; everything else runs the plain loop."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)),
+            random_grid_table(4, 3, 3),
+            PreferenceFunctional(
+                space=uniform3(),
+                evaluator=AdditiveRepresentation(
+                    StateUtility.state_independent(uniform3(), LinearCurve())
+                ).evaluate,
+                additive=True,
+                name="hand-built",
+            ),
+            eu(uniform3(), _knot_curve(), name="eu-knots"),
+            eu(uniform3(), MixtureCurve((0.5, 0.5), (ExponentialCurve(1.0),
+                                                     PowerCurve(3.0))),
+               name="eu-mixture"),
+            eu(uniform3(), PowerCurve(math.inf), name="eu-irregular"),
+        ],
+        ids=lambda t: t.name,
+    )
+    def test_other_functionals_take_the_plain_loop(self, t, monkeypatch):
+        guides = []
+        monkeypatch.setattr(audit, "_illinois", lambda *args: guides.append(args))
+        assert not t.monotone
+        for mask in range(1 << t.space.size):
+            for f in product(t.grid, repeat=t.space.size):
+                on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
+                _outcome(audit._solve_constant, t, mask, on, max(map(abs, f)))
+        assert guides == []
+
+    def test_one_other_curve_unmarks_the_functional(self):
+        space = uniform3()
+        regular = (ExponentialCurve(1.0), PowerCurve(0.5), LinearCurve(2.0))
+        rep = AdditiveRepresentation(StateUtility(space, regular))
+        assert expected_utility_functional(rep).monotone
+        for i in range(3):
+            curves = regular[:i] + (_knot_curve(),) + regular[i + 1:]
+            rep = AdditiveRepresentation(StateUtility(space, curves))
+            assert not expected_utility_functional(rep).monotone
+
+    def test_mark_is_not_a_field(self):
+        t = eu(uniform3(), ExponentialCurve(0.5))
+        assert t.monotone
+        copy = dataclasses.replace(t)
+        assert not copy.monotone
+        assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
+        assert "monotone" not in {f.name for f in dataclasses.fields(t)}
+        assert not dataclasses.replace(t, evaluator=lambda f: t(f)).monotone
 
 
 class TestEquivalenceHarness:
