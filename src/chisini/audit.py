@@ -515,6 +515,7 @@ def check_conditionable_on_event(
 ) -> AuditReport:
     """Search for a two-level act matching the functional on the algebra
     generated by one event."""
+    # caps, then the space, then the g^n evaluations of the enumeration
     _enforce_caps(t)
     _require_same_space(t.space, event.space)
     enum = _GridEnumeration(t)

@@ -76,23 +76,20 @@ def counted_run(t):
 
         return wrapped
 
-    # the copy drops the mark, so set it again; a functional without the
-    # attribute runs the plain loop
-    mark = getattr(t, "monotone", False)
+    # the copy drops the mark, so set it again
+    mark = t.monotone
     t = dataclasses.replace(t, evaluator=evaluator)
     object.__setattr__(t, "monotone", mark)
     audit = chisini.audit
     phases = {"bisect_increasing": "replay", "_illinois": "guide"}
-    saved = {name: getattr(audit, name, None) for name in phases}
+    saved = {name: getattr(audit, name) for name in phases}
     for name, fn in saved.items():
-        if fn is not None:
-            setattr(audit, name, in_phase(phases[name], fn))
+        setattr(audit, name, in_phase(phases[name], fn))
     try:
         report = equivalence_harness(t)
     finally:
         for name, fn in saved.items():
-            if fn is not None:
-                setattr(audit, name, fn)
+            setattr(audit, name, fn)
     return report, counts
 
 
@@ -107,7 +104,7 @@ def main(argv=None) -> int:
     t = cap_functional(args.outcomes, args.grid)
     if args.plain:
         t = dataclasses.replace(t)
-    loop = "guided" if getattr(t, "monotone", False) else "plain"
+    loop = "guided" if t.monotone else "plain"
     label = f"harness {args.outcomes}x{args.grid} {loop}"
     if args.time:
         start = time.perf_counter()

@@ -705,12 +705,12 @@ def _oracle_functionals():
 
 
 def _outcome(solve, *args):
-    """A solve's floats in float-hex form, or its failure's type and
+    """A solve's floats in float-hex form, or its bracket failure's
     message."""
     try:
         return float_hex(solve(*args))
-    except ChisiniError as exc:
-        return type(exc).__name__, str(exc)
+    except BisectionBracketFailure as exc:
+        return str(exc)
 
 
 class TestConstantSolveOracle:
@@ -727,7 +727,7 @@ class TestConstantSolveOracle:
                 sup = max(map(abs, f.values))
                 direct = _outcome(audit._solve_constant, t, mask, on, sup)
                 assert _outcome(enum.constant, mask, ai) == direct, (mask, ai)
-                failures += isinstance(direct, tuple)
+                failures += isinstance(direct, str)
         assert enum._solve.cache_info().currsize < pairs
         if t.name.startswith("table"):
             assert 0 < failures < pairs
@@ -814,7 +814,7 @@ class TestGuidedConstantSolve:
                 if got != want:
                     differ.append((t, key, got, want))
                 cases += 1
-                raised += isinstance(want, tuple)
+                raised += isinstance(want, str)
                 flat += isinstance(want, list) and want[1] == want[2]
         assert differ == []
         assert len(guides) > 7_000
@@ -879,7 +879,10 @@ class TestGuideRouting:
         for mask in range(1 << t.space.size):
             for f in product(t.grid, repeat=t.space.size):
                 on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
-                _outcome(audit._solve_constant, t, mask, on, max(map(abs, f)))
+                try:  # table brackets fail; PowerCurve(inf) is out of range
+                    audit._solve_constant(t, mask, on, max(map(abs, f)))
+                except ChisiniError:
+                    pass
         assert guides == []
 
     def test_one_other_curve_unmarks_the_functional(self):
