@@ -35,11 +35,12 @@ The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
 On a ``monotone`` functional (expected utility over regular exponential,
 power and linear curves, whose masked values are nondecreasing in floats)
-the curve inverse's Illinois guide narrows the bracket first, and the
-bisection replays its own iterates without the probes the guide decided:
-the plain loop's floats from about half its probes.  Other functionals run
-the plain loop; below 0 a Choquet masked value is a difference of two
-rounded products, which need not be monotone.
+the curve inverse's Newton guide narrows the bracket first, on the slope
+of the masked expected utility, and the bisection replays its own iterates
+without the probes the guide decided: the plain loop's floats from about a
+fifth of its probes.  Other functionals run the plain loop; below 0 a
+Choquet masked value is a difference of two rounded products, which need
+not be monotone.
 Each audit call builds its grid acts, events and value table once; the
 equivalence harness builds them once for both of its searches.  A solve
 reads f only through f * 1_A and sup|f|, so the enumeration's ``lru_cache``
@@ -56,10 +57,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .curves import _float_monotone, _illinois, _lsum, bisect_increasing
+from .curves import (
+    _float_monotone,
+    _lsum,
+    _newton,
+    _term,
+    _value_and_slope,
+    bisect_increasing,
+)
 from .errors import BisectionBracketFailure, ComplexityCapExceeded
 from .reports import AuditReport, CheckResult
 from .spaces import Act, EventSet, FiniteSpace, _require_same_space, paste
@@ -68,6 +75,9 @@ from .utility import (
     PreferenceFunctional,
     spot_check_additivity,
 )
+
+if TYPE_CHECKING:  # numpy is imported only where arrays are built
+    import numpy as np
 
 #: Margin separating a genuine strict violation from round-off.
 WITNESS_MARGIN = 1e-9
@@ -126,6 +136,8 @@ class _GridEnumeration:
     """
 
     def __init__(self, t: PreferenceFunctional):
+        import numpy as np
+
         _enforce_caps(t)
         self.t = t
         self.n = t.space.size
@@ -152,6 +164,8 @@ class _GridEnumeration:
         with every act's row and column and the act index at each cell; a
         row's first act, index[r, 0], is the smallest index in the row.
         """
+        import numpy as np
+
         on = [i for i in range(self.n) if mask >> i & 1]
         off = [i for i in range(self.n) if not mask >> i & 1]
         shape = (self.g ** len(off), self.g ** len(on))
@@ -190,8 +204,9 @@ def _solve_constant(
     event) admits any solution and returns x = lo = hi = 0.  Otherwise
     t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
     solutions with a guaranteed comparison direction.  On a ``monotone``
-    functional with target < t(hi * 1_A), ``_illinois`` narrows the pair
-    and bisection skips the probes it decides, keeping the loop's floats.
+    functional with target < t(hi * 1_A), ``_newton`` narrows the pair on
+    the slope sum_{i in A} p_i u_i'(x) of its term table, and bisection
+    skips the probes the pair decides, keeping the loop's floats.
     """
     bits = [mask >> i & 1 for i in range(t.space.size)]
     values = iter(on)
@@ -214,8 +229,16 @@ def _solve_constant(
             raise BisectionBracketFailure(
                 f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
             )
-        guided = t.monotone and v_lo <= target < v_hi
-        known = _illinois(masked_value, target, lo, v_lo, hi, v_hi) if guided else None
+        known = None
+        if t.monotone and v_lo <= target < v_hi:
+            terms = tuple(compress(t._terms, bits))
+
+            def guide(x: float) -> tuple[float, float]:
+                # the evaluator's value at x did not overflow, nor then do
+                # the same curve expressions in the terms
+                return masked_value(x), _value_and_slope(terms, x)[1]
+
+            known = _newton(guide, target, lo, v_lo, hi, v_hi)
         lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
         x = 0.5 * (lo + hi)
     # checked: x overflows when the bracket ends above half the float range
@@ -239,6 +262,8 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
     grid[d] on it is column d * (g^|A| - 1) / (g - 1), so each pair compares
     two columns.  The first failure in enumeration order is the witness.
     """
+    import numpy as np
+
     if len(t.grid) < 2:
         raise ValueError("strict monotonicity needs at least two grid values")
     enum = _GridEnumeration(t)
@@ -434,6 +459,8 @@ def _first_flipping_pair(enum: _GridEnumeration) -> tuple[int, int] | None:
     time, so no temporary exceeds the table's g^n entries; a table with one
     row cannot hold both signs, so the full event is skipped.
     """
+    import numpy as np
+
     flips = np.zeros(enum.count, dtype=bool)
     for mask in range(enum.full):
         table, _, cols, _ = enum.table(mask)
@@ -584,7 +611,8 @@ def expected_utility_functional(
 ) -> PreferenceFunctional:
     """The functional ``rep.evaluate``, marked ``monotone`` when every curve
     passes ``_float_monotone``: a masked act's value is then a left-to-right
-    sum of p * u(x) terms, nondecreasing in floats."""
+    sum of p * u(x) terms, nondecreasing in floats, and the mark carries
+    their term table, whose slopes guide the constant solves."""
     t = PreferenceFunctional(
         space=rep.space,
         evaluator=rep.evaluate,
@@ -592,7 +620,10 @@ def expected_utility_functional(
         grid=grid,
         name=name,
     )
-    object.__setattr__(t, "monotone", all(map(_float_monotone, rep.utility.curves)))
+    curves = rep.utility.curves
+    if all(map(_float_monotone, curves)):
+        object.__setattr__(t, "monotone", True)
+        object.__setattr__(t, "_terms", tuple(map(_term, rep.space.weights, curves)))
     return t
 
 
@@ -613,6 +644,8 @@ def choquet_functional(
     behind an LRU cache that holds every rank order at the outcome cap.
     Each act's sum runs in Python.
     """
+    import numpy as np
+
     weights = np.asarray(space.weights, dtype=float)
     ranks = range(space.size)
 

@@ -25,11 +25,12 @@ computing inf{y : u(y) > target}, which is globally convergent and agrees
 with the true inverse on continuous strictly increasing curves.
 
 A mixture of regular closed-family parts is nondecreasing in floats (its
-``monotone`` flag).  There an Illinois regula falsi (Dowell & Jarratt,
-BIT 11, 1971) first narrows a pair u(a) <= target < u(b), and bisection
-skips each probe whose comparison that pair implies (the ``known``
-contract of ``bisect_increasing``): every float is the plain loop's, from
-about a third of its probes.
+``monotone`` flag).  There a safeguarded Newton iteration on the slopes of
+the mixture's term table (``value_and_slope``) first narrows a pair u(a) <=
+target < u(b) onto the root from both sides, and bisection skips each probe
+whose comparison that pair implies (the ``known`` contract of
+``bisect_increasing``): every float is the plain loop's, from about a fifth
+of its probes.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class Curve:
 
     #: True when ``value`` is nondecreasing in floats, so that inversion may
     #: skip the probes a known bracket decides (see ``bisect_increasing``).
+    #: Such a curve has a ``value_and_slope``, whose slope guides the search.
     monotone = False
 
     def value(self, x: float) -> float:
@@ -288,17 +290,63 @@ def _float_monotone(curve: Curve) -> bool:
     )
 
 
+def _term(w: float, c: Curve) -> tuple:
+    """The term-table row of w * c, matched by exact type: ``(kind, w, a,
+    b)`` with kind 0 for an exponential curve (a = -gamma, b = gamma), 1
+    for a power curve (a = exponent, b = w * exponent), 2 for a linear curve
+    (a = scale, b = w * scale) and 3 for any other curve (a = its bound
+    ``value``, b = None)."""
+    if type(c) is ExponentialCurve:
+        return 0, w, -c.gamma, c.gamma
+    if type(c) is PowerCurve:
+        return 1, w, c.exponent, w * c.exponent
+    if type(c) is LinearCurve:
+        return 2, w, c.scale, w * c.scale
+    return 3, w, c.value, None
+
+
+def _value_and_slope(terms: tuple, x: float) -> tuple[float, float]:
+    """The left-to-right sums of a term table's values and slopes at x.
+
+    Each value repeats its family's ``value`` expression times w, so the
+    value sum is ``MixtureCurve.value``'s float.  The slopes are w e^(-gamma
+    x), read as w (1 + expm1(-gamma x)), w a |x|^(a - 1) (infinite at 0 when
+    a < 1) and w a, and NaN for a kind-3 term, whose curve has no slope
+    here.  An overflow raises OverflowError, where ``value`` would.
+    """
+    total = slope = 0.0
+    for kind, w, a, b in terms:
+        if kind == 0:
+            em = math.expm1(a * x)
+            total += w * (-em / b)
+            slope += w * (1.0 + em)
+        elif kind == 1:
+            if x != 0.0:
+                p = abs(x) ** a
+                total += w * math.copysign(p, x)
+                slope += b * (p / abs(x))
+            else:  # |x|^(a - 1) at 0 is inf^(1 - a): inf, 1 or 0
+                total += w * 0.0
+                slope += b * math.inf ** (1.0 - a)
+        elif kind == 2:
+            total += w * (a * x)
+            slope += b
+        else:
+            total += w * a(x)
+            slope = math.nan
+    return total, slope
+
+
 @dataclass(frozen=True)
 class MixtureCurve(Curve):
     """Probability-weighted average of curves (weights positive, sum 1).
 
-    ``value`` reads a term table fixed at construction, one
-    ``(kind, weight, a, b)`` per part: kind 0 is an exponential curve
-    (a = -gamma, b = gamma), 1 a power curve (a = exponent), 2 a linear
-    curve (a = scale) and 3 any other curve (a = its bound ``value``).
-    Each term repeats its family's ``value`` expression, so the floats are
-    those of ``_lsum(w * c.value(x) ...)``, which stays the overflow path.
-    The image limits are summed from the parts' on first read, and kept.
+    ``value`` reads a term table fixed at construction, one ``_term`` row
+    per part.  Each term repeats its family's ``value`` expression, so the
+    floats are those of ``_lsum(w * c.value(x) ...)``, which stays the
+    overflow path.  ``value_and_slope`` adds each term's slope in the same
+    pass.  The image limits are summed from the parts' on first read, and
+    kept.
 
     ``monotone`` is set when every part passes ``_float_monotone``, so
     every part is of kind 0-2 and ``value`` is nondecreasing in floats.
@@ -315,15 +363,8 @@ class MixtureCurve(Curve):
             raise ValueError("mixture weights must be positive")
         if not abs(_lsum(weights) - 1.0) <= 1e-9:
             raise ValueError("mixture weights must sum to 1")
-        terms = tuple(
-            (0, w, -c.gamma, c.gamma) if type(c) is ExponentialCurve
-            else (1, w, c.exponent, None) if type(c) is PowerCurve
-            else (2, w, c.scale, None) if type(c) is LinearCurve
-            else (3, w, c.value, None)
-            for w, c in zip(weights, self.parts)
-        )
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_terms", tuple(map(_term, weights, self.parts)))
         object.__setattr__(self, "monotone", all(map(_float_monotone, self.parts)))
 
     def value(self, x: float) -> float:
@@ -341,6 +382,15 @@ class MixtureCurve(Curve):
             # each part's own value raises its typed error
             return _lsum(w * c.value(x) for w, c in zip(self.weights, self.parts))
         return total
+
+    def value_and_slope(self, x: float) -> tuple[float, float]:
+        """``value(x)``, float for float, and the slope of the term table at
+        x (see ``_value_and_slope``); the slope is NaN on the overflow
+        path."""
+        try:
+            return _value_and_slope(self._terms, x)
+        except OverflowError:
+            return self.value(x), math.nan
 
     # an infinite limit carries its sign through, as no lower limit is +inf
     # and no upper limit -inf
@@ -390,8 +440,8 @@ def right_continuous_inverse(
     a regular curve is increasing through u(0) = 0, so its value there
     lies beyond every float target on that side.
 
-    On a ``monotone`` curve, the bracket's probes and ``_illinois`` give
-    bisection its ``known`` pair.
+    On a ``monotone`` curve, which has a ``value_and_slope``, the bracket's
+    probes and ``_newton`` give bisection its ``known`` pair.
     """
     if use_closed_form:
         exact = curve.inverse_exact(target)
@@ -403,6 +453,12 @@ def right_continuous_inverse(
             return curve.value(x)
         except NumericRangeError:
             return math.copysign(math.inf, x)
+
+    def guide(x: float) -> tuple[float, float]:
+        try:
+            return curve.value_and_slope(x)
+        except NumericRangeError:
+            return math.copysign(math.inf, x), math.nan
 
     # bracket: lo with value <= target, hi with value > target; (a, fa) and
     # (b, fb) are the tightest probes on each side
@@ -428,44 +484,50 @@ def right_continuous_inverse(
     if b is None:
         b, fb = hi, v
 
-    known = _illinois(probe, target, a, fa, b, fb) if curve.monotone else None
+    known = _newton(guide, target, a, fa, b, fb) if curve.monotone else None
     lo, hi = bisect_increasing(probe, target, lo, hi, known)
     return 0.5 * (lo + hi)
 
 
-def _illinois(
-    fn: Callable[[float], float], target: float,
+def _newton(
+    fn: Callable[[float], tuple[float, float]], target: float,
     a: float, fa: float, b: float, fb: float,
 ) -> tuple[float, float]:
-    """Narrow fa = fn(a) <= target < fn(b) = fb by the Illinois method:
-    regula falsi, where the value at an end kept twice in a row moves
-    halfway to ``target``.  A step bisects unless fb > fa with both finite
-    (a saturated curve can leave fa == fb once an end has moved).  At most
-    12 steps run, and none below a width of ``BISECT_TOL``, where
-    bisection probes anyway.
+    """Narrow fa <= target < fb, the values at a < b, by safeguarded Newton
+    steps on ``fn``, which returns a value and its slope.
+
+    The first probe is the secant point of (a, b) when fb - fa is finite.
+    Each later one is the Newton step from the last probe when the slope
+    there is positive and finite and the step lands in the half of (a, b)
+    on the probe's side.  Any other probe is the midpoint of (a, b).  A
+    Newton step shorter than ``BISECT_TOL``, or a probe that hits
+    ``target``, moves 4 ulps further, so that the bracket closes from the
+    other side of the root.  At most 12 probes run, and none once b - a <=
+    ``BISECT_TOL``, where bisection probes anyway.
     """
-    side = 0
+    x = math.nan  # a probe outside (a, b) falls back to the midpoint
+    if 0.0 < fb - fa < math.inf:
+        x = a + (b - a) * ((target - fa) / (fb - fa))
     for _ in range(12):
         if b - a <= BISECT_TOL:
             break
-        x = 0.5 * (a + b)
-        if 0.0 < fb - fa < math.inf:
-            secant = a + (b - a) * ((target - fa) / (fb - fa))
-            if a < secant < b:
-                x = secant
         if not a < x < b:
-            break
-        v = fn(x)
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        v, slope = fn(x)
         if v > target:
-            b, fb = x, v
-            if side > 0:
-                fa = 0.5 * (fa + target)
-            side = 1
+            b = x
         else:
-            a, fa = x, v
-            if side < 0:
-                fb = 0.5 * (fb + target)
-            side = -1
+            a = x
+        if v == target:
+            x += 4.0 * math.ulp(x)
+        elif 0.0 < slope < math.inf:
+            step = (target - v) / slope
+            if abs(step) < BISECT_TOL:
+                step += math.copysign(4.0 * math.ulp(x), step)
+            if abs(step) <= 0.5 * (b - a):
+                x += step
     return a, b
 
 

@@ -200,10 +200,13 @@ class PreferenceFunctional:
     """
 
     #: True when x -> t(x * 1_A) is nondecreasing in floats on every event A,
-    #: so the audits' constant solves may skip probes a known pair decides.
-    #: Not a field: ``expected_utility_functional`` sets it, and ``==``,
-    #: ``hash``, ``repr`` and ``dataclasses.replace`` do not see it.
+    #: so the audits' constant solves may skip probes a known pair decides;
+    #: ``_terms`` then holds one ``curves._term`` row of p * u per outcome,
+    #: whose slopes guide those solves.  Neither is a field:
+    #: ``expected_utility_functional`` sets both, and ``==``, ``hash``,
+    #: ``repr`` and ``dataclasses.replace`` do not see them.
     monotone = False
+    _terms = ()
 
     space: FiniteSpace
     evaluator: Callable[[Act], float]

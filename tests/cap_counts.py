@@ -6,7 +6,7 @@ exponential(1), power(0.5) and linear(1) curves cycled, on the grid of g
 values -1, 0, ..., g - 2.  Run from the repository root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 469471
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 346346
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
     PYTHONPATH=src python tests/cap_counts.py 5 5 --time
 
@@ -76,12 +76,13 @@ def counted_run(t):
 
         return wrapped
 
-    # the copy drops the mark, so set it again
-    mark = t.monotone
+    # the copy drops the mark and its term table, so set them again
+    marks = {"monotone": t.monotone, "_terms": t._terms}
     t = dataclasses.replace(t, evaluator=evaluator)
-    object.__setattr__(t, "monotone", mark)
+    for name, value in marks.items():
+        object.__setattr__(t, name, value)
     audit = chisini.audit
-    phases = {"bisect_increasing": "replay", "_illinois": "guide"}
+    phases = {"bisect_increasing": "replay", "_newton": "guide"}
     saved = {name: getattr(audit, name) for name in phases}
     for name, fn in saved.items():
         setattr(audit, name, in_phase(phases[name], fn))

@@ -17,6 +17,7 @@ from chisini import (
 )
 from chisini.curves import (
     BISECT_TOL,
+    _newton,
     bisect_increasing,
     merge_piecewise_linear,
     right_continuous_inverse,
@@ -296,8 +297,9 @@ _XS = (
 
 
 class TestMixtureTermTable:
-    """``MixtureCurve.value`` reads a table built at construction; the sum of
-    each part's own ``value`` is its oracle, to the bit."""
+    """``MixtureCurve.value`` and the value of ``value_and_slope`` read a
+    table built at construction; the sum of each part's own ``value`` is
+    their oracle, to the bit."""
 
     def test_every_family_matches_the_oracle(self):
         rng = random.Random(15)
@@ -314,6 +316,7 @@ class TestMixtureTermTable:
             for x in _XS:
                 got = _outcome(m.value, x)
                 assert got == _outcome(lambda x: _oracle(m, x), x), (m, x)
+                assert got == _outcome(lambda x: m.value_and_slope(x)[0], x), (m, x)
                 raised += isinstance(got, tuple)
         assert raised > 0  # the overflow path was taken
 
@@ -331,10 +334,39 @@ class TestMixtureTermTable:
         m = MixtureCurve((0.25, 0.25, 0.5), (LinearCurve(1.0), _JUMP, part))
         with pytest.raises(error) as oracle:
             part.value(x)
-        with pytest.raises(error) as raised:
-            m.value(x)
-        assert type(raised.value) is type(oracle.value)
-        assert str(raised.value) == str(oracle.value)
+        for read in (m.value, m.value_and_slope):
+            with pytest.raises(error) as raised:
+                read(x)
+            assert type(raised.value) is type(oracle.value)
+            assert str(raised.value) == str(oracle.value)
+
+    def test_slope_matches_a_centred_difference(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            m = _closed_mixture(rng)
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+            h = 1e-6 * abs(x)
+            diff = (m.value(x + h) - m.value(x - h)) / (2.0 * h)
+            assert m.value_and_slope(x)[1] == pytest.approx(diff, rel=1e-5), (m, x)
+
+    @pytest.mark.parametrize(
+        "exponent, slope", [(0.5, math.inf), (1.0, 1.0), (3.0, 0.0)]
+    )
+    def test_power_slope_at_zero(self, exponent, slope):
+        # a |x|^(a - 1) at 0: infinite below a = 1, a at it, 0 above it
+        m = MixtureCurve((1.0,), (PowerCurve(exponent),))
+        for zero in (0.0, -0.0):
+            assert m.value_and_slope(zero) == (0.0, slope)
+
+    def test_a_part_without_a_table_row_has_no_slope(self):
+        rng = random.Random(2525)
+        for _ in range(50):
+            m = _random_mixture(rng)
+            closed = (ExponentialCurve, PowerCurve, LinearCurve)
+            kind3 = any(type(c) not in closed for c in m.parts)
+            for x in (rng.uniform(-3.0, 3.0), 0.0):
+                _, slope = m.value_and_slope(x)
+                assert math.isnan(slope) == kind3, (m, x)
 
     def test_table_is_not_a_field(self):
         m = MixtureCurve((0.5, 0.5), (_SteepLinear(1.0), LinearCurve(1.0)))
@@ -448,7 +480,8 @@ class TestMixtureLimits:
 
 
 class _Probed(Curve):
-    """``curve``'s values under a chosen ``monotone`` flag; records probes."""
+    """``curve``'s values, and slopes, under a chosen ``monotone`` flag;
+    records probes."""
 
     def __init__(self, curve: Curve, monotone: bool):
         self.curve, self.monotone, self.probes = curve, monotone, []
@@ -456,6 +489,10 @@ class _Probed(Curve):
     def value(self, x):
         self.probes.append(x)
         return self.curve.value(x)
+
+    def value_and_slope(self, x):
+        self.probes.append(x)
+        return self.curve.value_and_slope(x)
 
 
 class _SubExponential(ExponentialCurve):
@@ -487,8 +524,8 @@ class TestGuidedBisection:
     decides; its floats and errors are the plain loop's."""
 
     def test_closed_mixtures_match_the_plain_loop(self):
-        # saturated exponentials one ulp inside a bound reach fa == fb in
-        # the Illinois steps, which must then fall back to the midpoint
+        # saturated exponentials one ulp inside a bound have a slope of 0
+        # and reach fa == fb in the guide, which must then bisect
         rng = random.Random(17)
         cases, differ, raised = 0, [], 0
         for _ in range(1000):
@@ -518,7 +555,7 @@ class TestGuidedBisection:
             )
             guided += len(g.probes)
             plain += len(p.probes)
-        assert guided < plain / 2
+        assert guided < plain / 4
 
     @pytest.mark.parametrize(
         "part",
@@ -553,11 +590,29 @@ class TestGuidedBisection:
             assert seen == plain.probes
 
     def test_a_knot_table_would_mislead_the_guide(self):
-        assert _KNOTS.value(math.nextafter(0.0, -1.0)) > 0.0 == _KNOTS.value(0.0)
+        below = math.nextafter(0.0, -1.0)
+        assert _KNOTS.value(below) > 0.0 == _KNOTS.value(0.0)
         m = MixtureCurve((0.5, 0.5), (ExponentialCurve(1.0), _KNOTS))
-        for target in (1.08e-300, 5e-324):
-            forced = right_continuous_inverse(_Probed(m, True), target)
-            assert forced != right_continuous_inverse(m, target)
+        target = 5e-324
+        # a knot table has no slope, so a guide forced onto the mixture
+        # bisects from its first, secant probe
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return m.value_and_slope(x)
+
+        lo, hi = -1.0, 1.0
+        _newton(probe, target, lo, m.value(lo), hi, m.value(hi))
+        assert len(probes) == 12
+        for x in probes:
+            assert math.isnan(m.value_and_slope(x)[1])
+            assert x == probes[0] or x == 0.5 * (lo + hi)
+            lo, hi = (lo, x) if m.value(x) > target else (x, hi)
+        # a pair from just below the knot misleads the replay
+        assert m.value(below) > target >= m.value(0.0)
+        plain = bisect_increasing(m.value, target, -1.0, 1.0)
+        assert bisect_increasing(m.value, target, -1.0, 1.0, (-1.0, below)) != plain
 
 
 class TestBisectIncreasing:

@@ -76,6 +76,7 @@ NUMPY_FREE = (
     "modelfile",
     "family",
     "forge",
+    "audit",
     "cli",
 )
 
@@ -188,6 +189,25 @@ def test_solver_path_imports_no_numpy():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('numpy'))))"
     )
     assert result == []
+
+
+def test_audit_constant_solves_load_no_numpy():
+    """The audits build arrays only for their grid searches: building an
+    expected-utility functional and solving its constants loads no numpy."""
+    result = run_fresh(
+        "import json, sys\n"
+        "from chisini import (AdditiveRepresentation, ExponentialCurve,\n"
+        "    FiniteSpace, StateUtility)\n"
+        "from chisini.audit import _solve_constant, expected_utility_functional\n"
+        "space = FiniteSpace.uniform(['a', 'b'])\n"
+        "utility = StateUtility.state_independent(space, ExponentialCurve(1.0))\n"
+        "t = expected_utility_functional(AdditiveRepresentation(utility))\n"
+        "solved = [_solve_constant(t, mask, (0.5,) * bin(mask).count('1'), 0.5)\n"
+        "          for mask in range(4)]\n"
+        "print(json.dumps({'monotone': t.monotone, 'solves': len(solved),\n"
+        "                  'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert result == {"monotone": True, "solves": 4, "numpy": False}
 
 
 def test_array_free_commands_load_no_numpy(tmp_path):
