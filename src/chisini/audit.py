@@ -38,9 +38,14 @@ power and linear curves, whose masked values are nondecreasing in floats)
 the curve inverse's Newton guide narrows the bracket first, on the slope
 of the masked expected utility, and the bisection replays its own iterates
 without the probes the guide decided: the plain loop's floats from about a
-fifth of its probes.  Other functionals run the plain loop; below 0 a
-Choquet masked value is a difference of two rounded products, which need
-not be monotone.
+fifth of its probes.  A Choquet functional's masked value at x >= 0, and
+on the whole space at every x, is the one rounded product x * c_A, so its
+solves take the same guide wherever the loop's probes stay there: at
+target >= 0, whose first midpoint is 0.0 with t(0) = 0.0 <= target, and on
+the whole space.  A negative target on a proper event, where the masked
+value is a difference of two rounded products that need not be monotone,
+and every other functional run the plain loop.  A bracket beyond half the
+float range, whose midpoints would overflow, is refused before any probe.
 Each audit call builds its grid acts, events and value table once; the
 equivalence harness builds them once for both of its searches.  A solve
 reads f only through f * 1_A and sup|f|, so the enumeration's ``lru_cache``
@@ -54,6 +59,7 @@ conditionability search reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
@@ -67,7 +73,11 @@ from .curves import (
     _value_and_slope,
     bisect_increasing,
 )
-from .errors import BisectionBracketFailure, ComplexityCapExceeded
+from .errors import (
+    BisectionBracketFailure,
+    ComplexityCapExceeded,
+    NumericRangeError,
+)
 from .reports import AuditReport, CheckResult
 from .spaces import Act, EventSet, FiniteSpace, _require_same_space, paste
 from .utility import (
@@ -199,50 +209,64 @@ def _solve_constant(
 
     Requires x -> t(x * 1_A) to be nondecreasing with the target inside
     its values at +-(sup|f| + 1); a failed bracket signals a strict-
-    monotonicity violation upstream.  Returns (x, lo, hi, target, value)
-    with target = t(f * 1_A) and value = t(x * 1_A).  A flat map (null
-    event) admits any solution and returns x = lo = hi = 0.  Otherwise
-    t(lo * 1_A) <= target < t(hi * 1_A), so the endpoints are one-sided
-    solutions with a guaranteed comparison direction.  On a ``monotone``
-    functional with target < t(hi * 1_A), ``_newton`` narrows the pair on
-    the slope sum_{i in A} p_i u_i'(x) of its term table, and bisection
-    skips the probes the pair decides, keeping the loop's floats.
+    monotonicity violation upstream.  A bracket beyond half the float
+    range, whose midpoints may overflow, raises NumericRangeError before
+    any evaluation.  Returns (x, lo, hi, target, value) with target =
+    t(f * 1_A) and value = t(x * 1_A).  A flat map (null event) admits any
+    solution and returns x = lo = hi = 0.  Otherwise t(lo * 1_A) <= target
+    < t(hi * 1_A), so the endpoints are one-sided solutions with a
+    guaranteed comparison direction.
+
+    ``_newton`` narrows a known pair first, and bisection skips the probes
+    the pair decides, keeping the loop's floats.  On a ``monotone``
+    functional the pair starts at the bracket and the guide's slope is
+    sum_{i in A} p_i u_i'(x), from its term table.  On a Choquet
+    functional the masked value at x >= 0 is the one rounded product
+    x * c_A, so the guide runs where the loop stays on x >= 0 (target >=
+    0: its first midpoint is 0.0, with t(0) = 0.0 <= target) or on the
+    whole space, from the pair at 0.0 and on the slope t(hi * 1_A) / hi.
+    A negative target on a proper event keeps the plain loop.
     """
+    hi = sup + 1.0
+    if hi > 0.5 * sys.float_info.max:
+        raise NumericRangeError(
+            f"bracket +-{hi:g} exceeds half the float range, where its "
+            "midpoints overflow"
+        )
+    lo = -hi
     bits = [mask >> i & 1 for i in range(t.space.size)]
     values = iter(on)
     target = t(Act._trusted(t.space, tuple(next(values) if b else 0.0 for b in bits)))
-    hi = sup + 1.0
-    lo = -hi
-
-    def masked(x: float) -> tuple[float, ...]:
-        return tuple(x if b else 0.0 for b in bits)
 
     def masked_value(x: float) -> float:  # x lies in the finite bracket
-        return t(Act._trusted(t.space, masked(x)))
+        return t(Act._trusted(t.space, tuple(x if b else 0.0 for b in bits)))
 
     v_lo, v_hi = masked_value(lo), masked_value(hi)
     if v_lo == v_hi:
-        x = lo = hi = 0.0
-    else:
-        slack = 1e-12 * (1.0 + abs(target))
-        if not (v_lo <= target + slack and target - slack <= v_hi):
-            raise BisectionBracketFailure(
-                f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
-            )
-        known = None
-        if t.monotone and v_lo <= target < v_hi:
-            terms = tuple(compress(t._terms, bits))
+        return 0.0, 0.0, 0.0, target, masked_value(0.0)
+    slack = 1e-12 * (1.0 + abs(target))
+    if not (v_lo <= target + slack and target - slack <= v_hi):
+        raise BisectionBracketFailure(
+            f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
+        )
+    known = None
+    if t.monotone and v_lo <= target < v_hi:
+        terms = tuple(compress(t._terms, bits))
 
-            def guide(x: float) -> tuple[float, float]:
-                # the evaluator's value at x did not overflow, nor then do
-                # the same curve expressions in the terms
-                return masked_value(x), _value_and_slope(terms, x)[1]
+        def guide(x: float) -> tuple[float, float]:
+            # the evaluator's value at x did not overflow, nor then do
+            # the same curve expressions in the terms
+            return masked_value(x), _value_and_slope(terms, x)[1]
 
-            known = _newton(guide, target, lo, v_lo, hi, v_hi)
-        lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
-        x = 0.5 * (lo + hi)
-    # checked: x overflows when the bracket ends above half the float range
-    return x, lo, hi, target, t(Act(t.space, masked(x)))
+        known = _newton(guide, target, lo, v_lo, hi, v_hi)
+    elif t._choquet and (target >= 0.0 or all(bits)):
+        slope = v_hi / hi
+        pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
+        if pair[1] <= target < pair[3]:
+            known = _newton(lambda x: (masked_value(x), slope), target, *pair)
+    lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
+    x = 0.5 * (lo + hi)
+    return x, lo, hi, target, masked_value(x)
 
 
 def _report(
@@ -642,7 +666,10 @@ def choquet_functional(
     The capacity row nu_k = P(top k outcomes)**exponent of a rank order is
     computed by the numpy expression whose floats the audit digests pin,
     behind an LRU cache that holds every rank order at the outcome cap.
-    Each act's sum runs in Python.
+    Each act's sum runs in Python.  The functional is marked ``_choquet``:
+    on x * 1_A with x >= 0 every term but (x - 0) * nu_{|A|-1} is an exact
+    0.0, so its value is the one rounded product x * c_A, nondecreasing in
+    floats, and on the whole space it is x * nu_{n-1} at every x.
     """
     import numpy as np
 
@@ -664,13 +691,15 @@ def choquet_functional(
         s = float(np.sum(terms)) if len(terms) >= 8 else _lsum(terms)
         return v[-1] * nu[-1] + s
 
-    return PreferenceFunctional(
+    t = PreferenceFunctional(
         space=space,
         evaluator=evaluate,
         additive=False,
         grid=grid,
         name=name or f"choquet-p{capacity_exponent:g}",
     )
+    object.__setattr__(t, "_choquet", True)
+    return t
 
 
 def grid_table_functional(

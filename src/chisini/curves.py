@@ -496,17 +496,20 @@ def _newton(
     """Narrow fa <= target < fb, the values at a < b, by safeguarded Newton
     steps on ``fn``, which returns a value and its slope.
 
-    The first probe is the secant point of (a, b) when fb - fa is finite.
-    Each later one is the Newton step from the last probe when the slope
-    there is positive and finite and the step lands in the half of (a, b)
-    on the probe's side.  Any other probe is the midpoint of (a, b).  A
-    Newton step shorter than ``BISECT_TOL``, or a probe that hits
-    ``target``, moves 4 ulps further, so that the bracket closes from the
-    other side of the root.  At most 12 probes run, and none once b - a <=
+    The first probe is a + ``BISECT_TOL`` / 2 when fa equals ``target``,
+    where the secant point would be a itself, and otherwise the secant
+    point of (a, b) when fb - fa is finite.  Each later one is the Newton
+    step from the last probe when the slope there is positive and finite
+    and the step lands in the half of (a, b) on the probe's side.  Any
+    other probe is the midpoint of (a, b).  A Newton step shorter than
+    ``BISECT_TOL``, or a probe that hits ``target``, moves 4 ulps further,
+    so that the bracket closes from the other side of the root.  At most 12 probes run, and none once b - a <=
     ``BISECT_TOL``, where bisection probes anyway.
     """
     x = math.nan  # a probe outside (a, b) falls back to the midpoint
-    if 0.0 < fb - fa < math.inf:
+    if fa == target:
+        x = a + 0.5 * BISECT_TOL
+    elif 0.0 < fb - fa < math.inf:
         x = a + (b - a) * ((target - fa) / (fb - fa))
     for _ in range(12):
         if b - a <= BISECT_TOL:

@@ -22,7 +22,12 @@ from .curves import (
 )
 from .errors import ModelFileError
 from .spaces import Act, FiniteSpace, PartitionAlgebra
-from .utility import AdditiveRepresentation, PreferenceFunctional, StateUtility
+from .utility import (
+    AdditiveRepresentation,
+    PreferenceFunctional,
+    StateUtility,
+    ensure_regular,
+)
 
 SCHEMA_VERSION = "chisini-model/1"
 
@@ -99,6 +104,7 @@ class ModelFile:
         grid = self.settings.grid
         if kind == "expected-utility":
             rep = AdditiveRepresentation(self.utilities[spec["utility"]])
+            ensure_regular(rep.utility)  # as compute does, before any evaluation
             return expected_utility_functional(rep, grid, name=name)
         if kind == "choquet":
             return choquet_functional(self.space, spec["exponent"], grid, name=name)
@@ -235,9 +241,12 @@ def parse_model(doc: dict) -> ModelFile:
         path = f"$.partitions.{name}"
         if not isinstance(blocks, list):
             raise ModelFileError(path, "expected a list of outcome lists")
+        for i, block in enumerate(blocks):
+            if not isinstance(block, list):
+                raise ModelFileError(f"{path}[{i}]", "expected a list of outcomes")
         try:
             partitions[name] = PartitionAlgebra.from_labels(space, blocks)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, IndexError) as exc:
             raise ModelFileError(path, str(exc)) from None
 
     acts = {}

@@ -202,11 +202,15 @@ class PreferenceFunctional:
     #: True when x -> t(x * 1_A) is nondecreasing in floats on every event A,
     #: so the audits' constant solves may skip probes a known pair decides;
     #: ``_terms`` then holds one ``curves._term`` row of p * u per outcome,
-    #: whose slopes guide those solves.  Neither is a field:
-    #: ``expected_utility_functional`` sets both, and ``==``, ``hash``,
-    #: ``repr`` and ``dataclasses.replace`` do not see them.
+    #: whose slopes guide those solves.  ``_choquet`` is True on a Choquet
+    #: integral, whose masked value t(x * 1_A) at x >= 0, and on the whole
+    #: space at every x, is one rounded product x * c_A.  None is a field:
+    #: ``expected_utility_functional`` sets the first two,
+    #: ``choquet_functional`` the last, and ``==``, ``hash``, ``repr`` and
+    #: ``dataclasses.replace`` do not see them.
     monotone = False
     _terms = ()
+    _choquet = False
 
     space: FiniteSpace
     evaluator: Callable[[Act], float]

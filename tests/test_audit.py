@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import weakref
+from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -41,6 +42,7 @@ from chisini.errors import (
     BisectionBracketFailure,
     ChisiniError,
     ComplexityCapExceeded,
+    NumericRangeError,
     SpaceMismatchError,
 )
 from hexfloats import float_hex, normalized
@@ -843,6 +845,110 @@ class TestGuidedConstantSolve:
         assert len(calls) == 4778
         assert guided.to_dict() == plain.to_dict()
 
+    def test_choquet_matches_the_plain_loop(self, monkeypatch):
+        guides = []
+
+        def counted(*args):
+            guides.append(args[1])
+            return _newton(*args)
+
+        monkeypatch.setattr(audit, "_newton", counted)
+        rng = random.Random(26)
+        differ, kinds, cases = [], Counter(), 0
+        with np.errstate(divide="ignore", over="ignore"):  # 0 ** -p is inf
+            while cases < 6_000:
+                t = _random_choquet(rng)
+                plain = dataclasses.replace(t)
+                assert t._choquet and not plain._choquet
+                for _ in range(10):
+                    key = _choquet_key(rng, t)
+                    before = len(guides)
+                    got = _outcome(audit._solve_constant, t, *key)
+                    want = _outcome(audit._solve_constant, plain, *key)
+                    if got != want:
+                        differ.append((t.space.weights, t.name, key, got, want))
+                    cases += 1
+                    guided = len(guides) > before
+                    if isinstance(want, str):
+                        kinds["raised"] += 1
+                    elif want[1] == want[2]:
+                        kinds["flat"] += 1
+                    else:
+                        whole = key[0] == (1 << t.space.size) - 1
+                        kinds[guided, whole, float.fromhex(want[3]) >= 0.0] += 1
+        assert differ == []
+        assert sum(target == 0.0 for target in guides) > 300
+        assert kinds["raised"] > 50 and kinds["flat"] > 100
+        assert kinds[True, False, True] > 1_500 and kinds[True, True, True] > 300
+        assert kinds[True, True, False] > 200
+        assert kinds[False, False, False] > 1_000  # negative, proper: plain
+        # else plain only where t(hi * 1_A) <= target: c_A underflows to 0
+        assert kinds[False, True, False] + kinds[False, False, True] < 60
+
+    def test_choquet_guide_cuts_the_probes(self, monkeypatch):
+        # a silent fallback to the plain loop raises the guided count
+        calls = []
+        call = PreferenceFunctional.__call__
+
+        def counted(self, f):
+            calls.append(f)
+            return call(self, f)
+
+        monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
+        t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
+        guided = equivalence_harness(t)
+        assert len(calls) == 3531
+        calls.clear()
+        plain = equivalence_harness(dataclasses.replace(t))
+        assert len(calls) == 8881
+        assert guided.to_dict() == plain.to_dict()
+
+    def test_bracket_beyond_half_the_float_range_is_refused(self):
+        calls = []
+        t = choquet_functional(uniform3(), 0.5)
+        counted = dataclasses.replace(t, evaluator=lambda f: calls.append(f) or t(f))
+        edge = 2.0 ** 1022  # hi = edge: lo + hi stays finite
+        x, lo, hi, _, _ = audit._solve_constant(counted, 7, (edge,) * 3, edge)
+        assert math.isfinite(x) and lo <= edge <= hi
+        calls.clear()
+        with pytest.raises(NumericRangeError, match="half the float range"):
+            audit._solve_constant(counted, 7, (1e308,) * 3, 1e308)
+        with pytest.raises(NumericRangeError):
+            audit._solve_constant(counted, 1, (0.0,), 1e308)
+        assert calls == []
+
+
+def _random_choquet(rng):
+    """A random Choquet functional over 1-6 outcomes: weights down to 1e-9
+    and exact zeros, exponents 0, negative, tiny, large or uniform."""
+    n = rng.randint(1, 6)
+    weights = [rng.choice((0.0, 1e-9, 1e-6 * rng.random(), rng.random()))
+               for _ in range(n)]
+    weights[rng.randrange(n)] = rng.uniform(0.1, 1.0)
+    space = FiniteSpace(tuple(f"w{i}" for i in range(n)), normalized(weights))
+    exponent = rng.choice((0.0, -0.5, -2.0, 1e-3, 0.5, 1.0, 2.0, 7.0, 50.0,
+                           rng.uniform(-1.0, 50.0)))
+    return choquet_functional(space, exponent)
+
+
+def _choquet_key(rng, t):
+    """A random (mask, values on A, sup) key: values from +-0.0,
+    subnormals, +-3, large magnitudes up to 1e5 and the grid -1, 0, 1, 2,
+    and one key in 20 with sup|f| below the values, whose bracket fails."""
+    n = t.space.size
+    mask = rng.randrange(1 << n)
+    pool = (0.0, -0.0, 5e-324, -1e-310, -1.0, 1.0, 2.0, 1e5, -1e5)
+    values = [
+        rng.choice(pool) if rng.random() < 0.4
+        else rng.uniform(-3.0, 3.0) if rng.random() < 0.7
+        else rng.uniform(-1e5, 1e5)
+        for _ in range(n)
+    ]
+    on = tuple(v for i, v in enumerate(values) if mask >> i & 1)
+    if rng.random() < 0.05:
+        return mask, on, rng.uniform(0.0, 0.5)
+    return mask, on, max(map(abs, values))
+
 
 def _knot_curve():
     return PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 2.0), 1.0, 2.0)
@@ -850,12 +956,12 @@ def _knot_curve():
 
 class TestGuideRouting:
     """Only an expected-utility functional whose curves all pass
-    ``_float_monotone`` is marked; everything else runs the plain loop."""
+    ``_float_monotone`` is marked ``monotone``, and only a Choquet
+    functional ``_choquet``; everything else runs the plain loop."""
 
     @pytest.mark.parametrize(
         "t",
         [
-            choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)),
             random_grid_table(4, 3, 3),
             PreferenceFunctional(
                 space=uniform3(),
@@ -886,6 +992,33 @@ class TestGuideRouting:
                     pass
         assert guides == []
 
+    def test_choquet_guides_the_rounded_product_solves(self, monkeypatch):
+        # guided: the whole space, and targets >= 0, where the loop stays on
+        # x >= 0; plain: a negative target on a proper event, and the flat
+        # empty event
+        guides = []
+
+        def counted(*args):
+            guides.append(args)
+            return _newton(*args)
+
+        monkeypatch.setattr(audit, "_newton", counted)
+        t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
+        assert t._choquet and not t.monotone
+        full = (1 << t.space.size) - 1
+        kinds = Counter()
+        for mask in range(full + 1):
+            for f in product(t.grid, repeat=t.space.size):
+                on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
+                before = len(guides)
+                target = audit._solve_constant(t, mask, on, max(map(abs, f)))[3]
+                whole, nonnegative = mask == full, target >= 0.0
+                assert (len(guides) > before) == (
+                    mask != 0 and (whole or nonnegative)
+                ), (mask, f)
+                kinds[whole, nonnegative] += 1
+        assert min(kinds.values()) >= 27 and len(kinds) == 4
+
     def test_one_other_curve_unmarks_the_functional(self):
         space = uniform3()
         regular = (ExponentialCurve(1.0), PowerCurve(0.5), LinearCurve(2.0))
@@ -904,6 +1037,15 @@ class TestGuideRouting:
         assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
         assert "monotone" not in {f.name for f in dataclasses.fields(t)}
         assert not dataclasses.replace(t, evaluator=lambda f: t(f)).monotone
+
+    def test_choquet_mark_is_not_a_field(self):
+        t = choquet_functional(uniform3(), 2.0)
+        assert t._choquet and not t.monotone
+        copy = dataclasses.replace(t)
+        assert not copy._choquet
+        assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
+        assert "_choquet" not in {f.name for f in dataclasses.fields(t)}
+        assert not eu(uniform3(), ExponentialCurve(0.5))._choquet
 
 
 class TestEquivalenceHarness:

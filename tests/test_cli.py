@@ -379,6 +379,23 @@ class TestAudit:
             "x=1e+308 is inf, not a finite float\n"
         )
 
+    def test_irregular_utility_exits_3(self, capsys, tmp_path):
+        # gamma -0.0 is irregular: refused, as compute refuses it, before
+        # the value table divides by it
+        doc = json.loads(open(model("audit_zoo.json"), encoding="utf-8").read())
+        doc["utilities"]["entropic"]["gamma"] = -0.0
+        path = tmp_path / "zoo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "audit", "--model", str(path), "--functional", "eu-entropic"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: utility not regular: outcome 'low' at x=0.0: "
+            "exponential-normalized curve requires gamma != 0\n"
+        )
+
 
 class TestTower:
     def test_nested_chain_ok(self, capsys):
@@ -580,6 +597,25 @@ class TestOutsideFloatRange:
         assert err == (
             "error: outside the float range: exponential curve with gamma=1 "
             "overflows at x=-800\n"
+        )
+
+    @pytest.mark.parametrize("functional", ["choquet-root", "choquet-squared"])
+    def test_audit_bracket_beyond_half_the_float_range_exits_4(
+        self, capsys, tmp_path, functional
+    ):
+        # a solve's bracket +-(1e308 + 1) would overflow at its midpoints
+        doc = json.loads(open(model("audit_zoo.json"), encoding="utf-8").read())
+        doc["settings"]["grid"] = [1e308, 1.0, 2.0]
+        path = tmp_path / "zoo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "audit", "--model", str(path), "--functional", functional
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: outside the float range: bracket +-1e+308 exceeds half the "
+            "float range, where its midpoints overflow\n"
         )
 
 

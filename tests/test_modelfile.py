@@ -81,6 +81,9 @@ INVALID = [
      "$.utilities.u.family"),
     ("non-object-functional", "functionals", "f", "eu", "$.functionals.f"),
     ("non-list-partition", "partitions", "p", "a", "$.partitions.p"),
+    ("non-list-block", "partitions", "p", [1.5], "$.partitions.p[0]"),
+    ("string-block", "partitions", "p", [["a"], "b"], "$.partitions.p[1]"),
+    ("out-of-range-index", "partitions", "p", [[0], [1, 7]], "$.partitions.p"),
     ("short-act", "acts", "x", [1.0], "$.acts.x"),
     ("duplicate-grid", "settings", "grid", [0.0, 0.0, 1.0], "$.settings.grid"),
     ("fractional-cap", "settings", "cap", 2.5, "$.settings.cap"),
