@@ -46,20 +46,23 @@ the whole space.  A negative target on a proper event, where the masked
 value is a difference of two rounded products that need not be monotone,
 and every other functional run the plain loop.  A bracket beyond half the
 float range, whose midpoints would overflow, is refused before any probe.
-Each audit call builds its grid acts, events and value table once; the
-equivalence harness builds them once for both of its searches.  A solve
-reads f only through f * 1_A and sup|f|, so the enumeration's ``lru_cache``
-keeps it per (event, f's values on A, sup|f|) for every grid act sharing
-that key, in either search; a failed bracket is not kept and fails again.  The
-off-event constant for A is the solve on the complement of A.  Each solve
-also returns t(x * 1_A) at its solution, the residual that the
-conditionability search reads.
+Each audit call builds its grid acts with their sup|f|, events and value
+table once; the equivalence harness builds them once for both of its
+searches.  A solve reads f only through f * 1_A and sup|f|, so the
+enumeration's ``lru_cache`` keeps it per (event, f's values on A, sup|f|)
+for every grid act sharing that key, in either search; a failed bracket is
+not kept and fails again.  The off-event constant for A is the solve on the
+complement of A.  Each solve also returns t(x * 1_A) at its solution, the
+residual that the conditionability search reads.  Both searches read
+t(x on A, y off A) from one row per event, whose entry for an act is
+evaluated when a search first reads it, in the searches' own order.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
@@ -138,7 +141,8 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
 
 class _GridEnumeration:
     """All grid-valued acts and events of a functional, the array of their
-    values with its per-event tables, and the constant solves on them.
+    values with its per-event tables, each act's sup|f| (``sups``), and the
+    constant solves and two-level values on them.
 
     Act index = mixed-radix number of grid digits, first outcome most
     significant, so ascending index order is lexicographic order of the
@@ -154,6 +158,7 @@ class _GridEnumeration:
         self.g = len(t.grid)
         self.full = (1 << self.n) - 1
         self.acts = [Act(t.space, a) for a in product(t.grid, repeat=self.n)]
+        self.sups = [f.sup_norm for f in self.acts]
         # bits[mask][i] is 1 iff outcome i lies in events[mask]
         self.bits = [
             [mask >> i & 1 for i in range(self.n)] for mask in range(self.full + 1)
@@ -163,6 +168,7 @@ class _GridEnumeration:
             for bits in self.bits
         ]
         self.count = len(self.acts)
+        self.split_rows = [None] * (self.full + 1)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
         # a function of the key alone, so the cache holds no reference to self
         self._solve = lru_cache(maxsize=None)(partial(_solve_constant, t))
@@ -191,13 +197,20 @@ class _GridEnumeration:
         cached on its key: every act with the same values on A and the same
         sup|f| gets the same floats from one bisection.  A failed bracket is
         not cached, and raises again on every call."""
-        f = self.acts[ai]
-        return self._solve(mask, tuple(compress(f.values, self.bits[mask])), f.sup_norm)
+        on = tuple(compress(self.acts[ai].values, self.bits[mask]))
+        return self._solve(mask, on, self.sups[ai])
 
-    def two_level(self, mask: int, x: float, y: float) -> Act:
-        """x on events[mask], y off it; unchecked, as both are finite."""
-        values = tuple(x if b else y for b in self.bits[mask])
-        return Act._trusted(self.t.space, values)
+    def split_value(self, mask: int, ai: int, x: float, y: float) -> float:
+        """t(x on events[mask], y off it) for the constant solves x, y of
+        acts[ai], kept in the event's row, made on its first read.  NaN
+        marks an unread entry, so a NaN value is evaluated again."""
+        row = self.split_rows[mask]
+        if row is None:
+            row = self.split_rows[mask] = array("d", [math.nan]) * self.count
+        if math.isnan(row[ai]):
+            values = tuple(x if b else y for b in self.bits[mask])
+            row[ai] = self.t(Act._trusted(self.t.space, values))
+        return row[ai]
 
 
 def _solve_constant(
@@ -399,12 +412,11 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
                 y, y_lo, y_hi, _, _ = enum.constant(enum.full ^ mask, ai)
             except BisectionBracketFailure:
                 continue  # monotonicity defect; its own audit reports it
-            x_act = Act.constant(t.space, x)
-            g = enum.two_level(mask, x, y)
-            tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
-            tf, tg = float(enum.values[ai]), t(g)
+            tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
+            tf, tg = float(enum.values[ai]), enum.split_value(mask, ai, x, y)
             if abs(tf - tg) <= tol:
                 continue
+            x_act = Act.constant(t.space, x)
             mid = paste(x_act, f, event)
             t_mid = t(mid)
             d1 = tf - t_mid
@@ -533,19 +545,17 @@ def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, floa
     would make automatic but a general functional can fail.  Returns the
     first failing act's witness (or None) and the worst residual.
     """
-    t = enum.t
     event = enum.events[mask]
     witness = None
     worst = 0.0
     for ai, f in enumerate(enum.acts):
         x, _, _, on_target, on_value = enum.constant(mask, ai)
         y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
-        g = enum.two_level(mask, x, y)
-        tol = WITNESS_MARGIN * (1.0 + f.sup_norm)
-        residuals = {  # g * 1_A = x * 1_A and g * 1_{A^c} = y * 1_{A^c}
+        tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
+        residuals = {  # of g = (x on A, y off A) on A, off A and in full
             "event": abs(on_target - on_value),
             "complement": abs(off_target - off_value),
-            "full": abs(float(enum.values[ai]) - t(g)),
+            "full": abs(float(enum.values[ai]) - enum.split_value(mask, ai, x, y)),
         }
         resid = max(residuals.values())
         worst = max(worst, resid)

@@ -269,8 +269,8 @@ def parse_model(doc: dict) -> ModelFile:
         if kind == "expected-utility":
             if not isinstance(value, str) or value not in utilities:
                 raise ModelFileError(value_path, f"unknown utility {value!r}")
-        elif kind == "choquet":
-            value = _number(value, value_path)
+        elif kind == "choquet":  # P(A)**p is a capacity only for p > 0
+            value = _positive(value, value_path)
         else:
             value = _number_list(value, value_path)
             want = len(settings.grid) ** space.size

@@ -42,7 +42,8 @@ from .errors import (
 )
 from .spaces import Act, EventSet, FiniteSpace, PartitionAlgebra, _require_same_space
 
-#: Relative tolerance of the additivity spot check, scaled by (1 + sup|f|).
+#: Relative tolerance of the additivity spot check, scaled by
+#: (1 + sup|f| + |V(A)| + |V(B)|): the values compared are in utility units.
 ADDITIVITY_TOL = 1e-9
 
 
@@ -241,10 +242,11 @@ def spot_check_additivity(t: PreferenceFunctional) -> None:
     for values in probes:
         f = Act(t.space, values)
         full = t(f.masked(EventSet(t.space, half | rest)))
-        split = t(f.masked(EventSet(t.space, half))) + t(
-            f.masked(EventSet(t.space, rest))
-        )
-        if not abs(full - split) <= ADDITIVITY_TOL * (1.0 + f.sup_norm):
+        v_a = t(f.masked(EventSet(t.space, half)))
+        v_b = t(f.masked(EventSet(t.space, rest)))
+        split = v_a + v_b
+        scale = 1.0 + f.sup_norm + abs(v_a) + abs(v_b)
+        if not abs(full - split) <= ADDITIVITY_TOL * scale:
             raise AdditivityCheckFailed(
                 f"functional {t.name!r} declared additive but "
                 f"V(A or B) differs from V(A)+V(B) by {abs(full - split):g}"

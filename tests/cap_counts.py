@@ -6,7 +6,7 @@ exponential(1), power(0.5) and linear(1) curves cycled, on the grid of g
 values -1, 0, ..., g - 2.  Run from the repository root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 346346
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 252596
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
     PYTHONPATH=src python tests/cap_counts.py 5 5 --time
 

@@ -839,10 +839,10 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 1530
+        assert len(calls) == 1368
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
-        assert len(calls) == 4778
+        assert len(calls) == 4616
         assert guided.to_dict() == plain.to_dict()
 
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
@@ -1069,6 +1069,39 @@ class TestEquivalenceHarness:
         t1 = choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0))
         t2 = choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0))
         assert equivalence_harness(t1).to_dict() == equivalence_harness(t2).to_dict()
+
+    @pytest.mark.parametrize(
+        "t, seen",
+        [
+            # the grid phase is clean: the certainty-equivalent phase reads
+            # A = {a, b} first
+            (eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0)), 1606),
+            # the certainty-equivalent phase stops at a witness on {a}:
+            # conditionability reads A = {a, b} first
+            (choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)), 2030),
+        ],
+        ids=["expected-utility", "choquet"],
+    )
+    def test_evaluator_error_surfaces_at_the_same_act(self, t, seen):
+        # each t(x on A, y off A) is evaluated when a search first reads it,
+        # after that act's constant solves and before the next act's: so an
+        # evaluator refusing (x, x, y) for f = (0, 2, 1) on A = {a, b} has
+        # seen the same distinct acts whether t(g) is kept or evaluated on
+        # every read.  Solving every act's constants before filling the
+        # event's row would raise after 1,758 and 2,184.
+        x = audit._solve_constant(t, 0b011, (0.0, 2.0), 2.0)[0]
+        y = audit._solve_constant(t, 0b100, (1.0,), 2.0)[0]
+        acts = set()
+
+        def evaluate(f):
+            if f.values == (x, x, y):
+                raise RuntimeError(f"refused after {len(acts)} distinct acts")
+            acts.add(f.values)
+            return t.evaluator(f)
+
+        with pytest.raises(RuntimeError) as info:
+            equivalence_harness(dataclasses.replace(t, evaluator=evaluate))
+        assert str(info.value) == f"refused after {seen} distinct acts"
 
 
 class TestCapsAndFlags:

@@ -618,6 +618,28 @@ class TestOutsideFloatRange:
             "float range, where its midpoints overflow\n"
         )
 
+    def test_audit_far_grid_under_a_curved_utility_exits_4(self, capsys, tmp_path):
+        # u(-39.93) is about -2.2e17, beside which u(1) / 3 is absorbed in
+        # floats: the additivity spot check measures in utility units and
+        # passes, and the audit reports the absorbed payoff as verdicts
+        doc = json.loads(open(model("audit_zoo.json"), encoding="utf-8").read())
+        doc["settings"]["grid"] = [0.0, 1.0, -39.93]
+        path = tmp_path / "zoo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "audit", "--model", str(path), "--functional", "eu-entropic"
+        )
+        assert code == 4
+        assert err == ""
+        report = json.loads(out)
+        assert report["verdicts"] == {
+            "agreement": True,
+            "conditionable": False,
+            "strict_monotonicity": False,
+            "sure_thing": False,
+        }
+        assert report["profile_matches"] is False
+
 
 class TestRepair:
     def test_null_jump_repaired(self, capsys, tmp_path):

@@ -60,6 +60,10 @@ INVALID = [
      "$.functionals.f.exponent"),
     ("missing-values", "functionals", "f", {"kind": "grid-table"},
      "$.functionals.f.values"),
+    ("zero-choquet-exponent", "functionals", "f",
+     {"kind": "choquet", "exponent": 0}, "$.functionals.f.exponent"),
+    ("negative-choquet-exponent", "functionals", "f",
+     {"kind": "choquet", "exponent": -0.5}, "$.functionals.f.exponent"),
     ("unknown-family", "utilities", "u", {"family": "cubic"},
      "$.utilities.u.family"),
     ("no-family", "utilities", "u", {"scale": 2.0}, "$.utilities.u.family"),
