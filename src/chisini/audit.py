@@ -42,20 +42,23 @@ fifth of its probes.  A Choquet functional's masked value at x >= 0, and
 on the whole space at every x, is the one rounded product x * c_A, so its
 solves take the same guide wherever the loop's probes stay there: at
 target >= 0, whose first midpoint is 0.0 with t(0) = 0.0 <= target, and on
-the whole space.  A negative target on a proper event, where the masked
-value is a difference of two rounded products that need not be monotone,
-and every other functional run the plain loop.  A bracket beyond half the
-float range, whose midpoints would overflow, is refused before any probe.
-Each audit call builds its grid acts with their sup|f|, events and value
-table once; the equivalence harness builds them once for both of its
-searches.  A solve reads f only through f * 1_A and sup|f|, so the
-enumeration's ``lru_cache`` keeps it per (event, f's values on A, sup|f|)
-for every grid act sharing that key, in either search; a failed bracket is
-not kept and fails again.  The off-event constant for A is the solve on the
-complement of A.  Each solve also returns t(x * 1_A) at its solution, the
-residual that the conditionability search reads.  Both searches read
-t(x on A, y off A) from one row per event, whose entry for an act is
-evaluated when a search first reads it, in the searches' own order.
+the whole space.  At a negative target on a proper event the masked value
+is a difference of two rounded products, not monotone in floats, and the
+pair comes from that closed form with a proven rounding margin (see
+:func:`_solve_constant`).  Every other functional runs the plain loop.  A
+bracket beyond half the float range, whose midpoints would overflow, is
+refused before any probe.  Each audit call builds its grid acts with their
+sup|f|, events and value table once; the equivalence harness builds them
+once for both of its searches.  A solve reads f only through f * 1_A and
+sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
+on A, sup|f|) for every grid act sharing that key, in either search; a
+failed bracket is not kept and fails again.  The off-event constant for A
+is the solve on the complement of A.  Each solve also returns t(x * 1_A) at
+its solution, the residual that the conditionability search reads.  Both
+searches read t(x on A, y off A) from one row per event, whose entry for an
+act is evaluated when a search first reads it, in the searches' own order.
+On the empty and the full event that act is the whole-space solve's own,
+and conditionability reads the solve's value.
 """
 
 from __future__ import annotations
@@ -230,15 +233,32 @@ def _solve_constant(
     < t(hi * 1_A), so the endpoints are one-sided solutions with a
     guaranteed comparison direction.
 
-    ``_newton`` narrows a known pair first, and bisection skips the probes
-    the pair decides, keeping the loop's floats.  On a ``monotone``
-    functional the pair starts at the bracket and the guide's slope is
-    sum_{i in A} p_i u_i'(x), from its term table.  On a Choquet
-    functional the masked value at x >= 0 is the one rounded product
-    x * c_A, so the guide runs where the loop stays on x >= 0 (target >=
-    0: its first midpoint is 0.0, with t(0) = 0.0 <= target) or on the
-    whole space, from the pair at 0.0 and on the slope t(hi * 1_A) / hi.
-    A negative target on a proper event keeps the plain loop.
+    A known pair (a, b) lets bisection skip the probes it decides, keeping
+    the loop's floats.  On a ``monotone`` functional ``_newton`` narrows it
+    from the bracket on the slope sum_{i in A} p_i u_i'(x), from its term
+    table.  On a Choquet functional the masked value at x >= 0 is the one
+    rounded product x * c_A, so Newton runs where the loop stays on x >= 0
+    (target >= 0: its first midpoint is 0.0, with t(0) = 0.0 <= target)
+    or on the whole space, from the pair at 0.0 and on the slope
+    t(hi * 1_A) / hi.
+
+    At a negative target on a proper event the pair has a closed form.
+    For x < 0, x * 1_A ranks A^c then A, each in outcome order, and every
+    term of the Choquet sum but two is an exact 0.0, so t(x * 1_A) =
+    fl(fl(x * N) + fl(-x * C)), with N = nu_{n-1} and C = nu_{|A^c|-1} read
+    from that rank order's capacity row.  Three roundings and the
+    subnormal floor give |t(x * 1_A) - x (N - C)| <= e(x) = 3u|x|(N + C) +
+    3 * 2**-1074, u = 2**-53.  When N - C >= 3u(N + C), the bounds
+    x (N - C) +- e(x) are nondecreasing on x < 0, so t(a * 1_A) + 2 e(a)
+    <= target puts t(x * 1_A) <= target at every x <= a, and target <
+    t(b * 1_A) - 2 e(b) puts it above target on [b, 0).  Above target
+    too are t(0) = 0.0, when the rank order of 0 has a finite capacity
+    row, and x * c_A >= 0 at x > 0, which t(hi * 1_A) shows is not NaN.
+    The pair sits 4 e / (N - C) either side of the root target / (N - C):
+    Newton's probes land within ulps of the root, where the margin refuses
+    them.  The code asks N - C > 4u(N + C) and computes 2 e(x) with 4s
+    for 3s, which covers the rounding of its own comparisons; where either
+    comparison fails, as at an exponent <= 0, bisection runs plain.
     """
     hi = sup + 1.0
     if hi > 0.5 * sys.float_info.max:
@@ -277,6 +297,25 @@ def _solve_constant(
         pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
         if pair[1] <= target < pair[3]:
             known = _newton(lambda x: (masked_value(x), slope), target, *pair)
+    elif t._choquet:  # a negative target on a proper event
+        n = len(bits)
+        row = t._choquet(tuple(sorted(range(n), key=bits.__getitem__)))  # A^c, A
+        nu_all, nu_off = row[-1], row[n - sum(bits) - 1]
+        gap, span = nu_all - nu_off, nu_all + nu_off
+        zero = t._choquet(tuple(range(n)))  # t(0) = 0.0 iff this row is finite
+        # N - C > 4u (N + C), scaled up so that no side underflows
+        if gap * 2.0**51 > span and all(map(math.isfinite, zero)):
+
+            def margin(x: float) -> float:  # 2 e(x), rounded up, for x < 0
+                return -x * span * 2.0**-50 + 2.0**-1071
+
+            root = target / gap
+            step = 2.0 * margin(root) / gap
+            a, b = root - step, root + step
+            if b < 0.0 and (
+                masked_value(a) + margin(a) <= target < masked_value(b) - margin(b)
+            ):
+                known = a, b
     lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
     x = 0.5 * (lo + hi)
     return x, lo, hi, target, masked_value(x)
@@ -552,10 +591,16 @@ def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, floa
         x, _, _, on_target, on_value = enum.constant(mask, ai)
         y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
         tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
+        if mask == enum.full:  # g = x * 1_Omega, the whole-space solve's act
+            split = on_value
+        elif mask == 0:  # g = y * 1_Omega
+            split = off_value
+        else:
+            split = enum.split_value(mask, ai, x, y)
         residuals = {  # of g = (x on A, y off A) on A, off A and in full
             "event": abs(on_target - on_value),
             "complement": abs(off_target - off_value),
-            "full": abs(float(enum.values[ai]) - enum.split_value(mask, ai, x, y)),
+            "full": abs(float(enum.values[ai]) - split),
         }
         resid = max(residuals.values())
         worst = max(worst, resid)
@@ -676,10 +721,11 @@ def choquet_functional(
     The capacity row nu_k = P(top k outcomes)**exponent of a rank order is
     computed by the numpy expression whose floats the audit digests pin,
     behind an LRU cache that holds every rank order at the outcome cap.
-    Each act's sum runs in Python.  The functional is marked ``_choquet``:
-    on x * 1_A with x >= 0 every term but (x - 0) * nu_{|A|-1} is an exact
-    0.0, so its value is the one rounded product x * c_A, nondecreasing in
-    floats, and on the whole space it is x * nu_{n-1} at every x.
+    Each act's sum runs in Python.  The functional's ``_choquet`` mark is
+    that cache: on x * 1_A with x >= 0 every term but (x - 0) * nu_{|A|-1}
+    is an exact 0.0, so its value is the one rounded product x * c_A,
+    nondecreasing in floats, and on the whole space it is x * nu_{n-1} at
+    every x; below 0 the constant solves read N and C from the row.
     """
     import numpy as np
 
@@ -708,7 +754,7 @@ def choquet_functional(
         grid=grid,
         name=name or f"choquet-p{capacity_exponent:g}",
     )
-    object.__setattr__(t, "_choquet", True)
+    object.__setattr__(t, "_choquet", capacity_row)
     return t
 
 

@@ -543,12 +543,14 @@ def bisect_increasing(
     If fn(lo) <= target < fn(hi) holds on entry it holds on return, so the
     endpoints are one-sided solutions with a known comparison direction.
 
-    ``known`` is an optional evaluated pair (a, b) with fn(a) <= target <
-    fn(b), for an ``fn`` that is nondecreasing in floats.  A midpoint at or
-    below a then compares as not above ``target``, and one at or above b as
-    above it, so its probe is skipped whenever the updated bracket is still
-    wider than ``BISECT_TOL``: only narrower steps read the value itself.
-    The iterates are those of the loop without ``known``.
+    ``known`` is an optional pair (a, b) with fn(x) <= target at every x
+    <= a and fn(x) > target at every x >= b in the bracket, such as an
+    evaluated pair fn(a) <= target < fn(b) of an ``fn`` that is
+    nondecreasing in floats.  A midpoint at or below a then compares as not
+    above ``target``, and one at or above b as above it, so its probe is
+    skipped whenever the updated bracket is still wider than
+    ``BISECT_TOL``: only narrower steps read the value itself.  The
+    iterates are those of the loop without ``known``.
     """
     # terminate on the solution interval AND the equation residual: maps
     # with unbounded inverse slope (e.g. odd roots at 0) need the interval

@@ -3,15 +3,20 @@ the audit caps: a count, unlike a time, repeats exactly.
 
 The functional is expected utility over n uniform outcomes with
 exponential(1), power(0.5) and linear(1) curves cycled, on the grid of g
-values -1, 0, ..., g - 2.  Run from the repository root:
+values -1, 0, ..., g - 2; with ``--choquet`` it is the Choquet integral
+against P(A)**2 over the same outcomes and grid.  Run from the repository
+root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 252596
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 246346
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --choquet
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
     PYTHONPATH=src python tests/cap_counts.py 5 5 --time
 
-``--plain`` clears the functional's ``monotone`` mark (a copy made with
-``dataclasses.replace``), so every constant solve runs the plain loop.
+``--plain`` clears the functional's ``monotone`` or ``_choquet`` mark (a
+copy made with ``dataclasses.replace``), so every constant solve runs the
+plain loop.  A Choquet solve's closed-form pair makes two evaluator calls
+outside the guide and the bisection: they count as calls, not as probes.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
 calls.  ``--time`` runs the harness once with no counting wrapper and
 prints only its wall time.  Each run also prints the sha256 of the
@@ -33,17 +38,20 @@ from chisini import (
     LinearCurve,
     PowerCurve,
     StateUtility,
+    choquet_functional,
     equivalence_harness,
     expected_utility_functional,
 )
 
 
-def cap_functional(n: int, g: int):
+def cap_functional(n: int, g: int, choquet: bool = False):
     space = FiniteSpace.uniform([f"w{i}" for i in range(n)])
+    grid = tuple(float(k - 1) for k in range(g))
+    if choquet:
+        return choquet_functional(space, 2.0, grid)
     cycle = (ExponentialCurve(1.0), PowerCurve(0.5), LinearCurve(1.0))
     curves = tuple(cycle[i % 3] for i in range(n))
     rep = AdditiveRepresentation(StateUtility(space, curves))
-    grid = tuple(float(k - 1) for k in range(g))
     return expected_utility_functional(rep, grid, name=f"eu-{n}x{g}")
 
 
@@ -76,8 +84,8 @@ def counted_run(t):
 
         return wrapped
 
-    # the copy drops the mark and its term table, so set them again
-    marks = {"monotone": t.monotone, "_terms": t._terms}
+    # the copy drops the marks and the term table, so set them again
+    marks = {"monotone": t.monotone, "_terms": t._terms, "_choquet": t._choquet}
     t = dataclasses.replace(t, evaluator=evaluator)
     for name, value in marks.items():
         object.__setattr__(t, name, value)
@@ -98,15 +106,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outcomes", type=int)
     parser.add_argument("grid", type=int)
+    parser.add_argument("--choquet", action="store_true")
     parser.add_argument("--plain", action="store_true")
     parser.add_argument("--time", action="store_true")
     parser.add_argument("--max-calls", type=int)
     args = parser.parse_args(argv)
-    t = cap_functional(args.outcomes, args.grid)
+    t = cap_functional(args.outcomes, args.grid, args.choquet)
     if args.plain:
         t = dataclasses.replace(t)
-    loop = "guided" if t.monotone else "plain"
-    label = f"harness {args.outcomes}x{args.grid} {loop}"
+    loop = "guided" if t.monotone or t._choquet else "plain"
+    kind = " choquet" if args.choquet else ""
+    label = f"harness {args.outcomes}x{args.grid}{kind} {loop}"
     if args.time:
         start = time.perf_counter()
         report = equivalence_harness(t)

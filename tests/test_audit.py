@@ -839,36 +839,41 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 1368
+        assert len(calls) == 1314
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
-        assert len(calls) == 4616
+        assert len(calls) == 4562
         assert guided.to_dict() == plain.to_dict()
 
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
-        guides = []
+        # the Newton guides and the closed-form pair all reach bisection as
+        # its known pair: record each bisection's target, or None if plain
+        targets = []
 
-        def counted(*args):
-            guides.append(args[1])
-            return _newton(*args)
+        def counted(fn, target, lo, hi, known=None):
+            targets.append(None if known is None else target)
+            return bisect_increasing(fn, target, lo, hi, known)
 
-        monkeypatch.setattr(audit, "_newton", counted)
+        def run(t, key):
+            before = len(targets)
+            got = _outcome(audit._solve_constant, t, *key)
+            guided = any(target is not None for target in targets[before:])
+            want = _outcome(audit._solve_constant, dataclasses.replace(t), *key)
+            if got != want:
+                differ.append((t.space.weights, t.name, key, got, want))
+            return guided, want
+
+        monkeypatch.setattr(audit, "bisect_increasing", counted)
         rng = random.Random(26)
         differ, kinds, cases = [], Counter(), 0
         with np.errstate(divide="ignore", over="ignore"):  # 0 ** -p is inf
             while cases < 6_000:
                 t = _random_choquet(rng)
-                plain = dataclasses.replace(t)
-                assert t._choquet and not plain._choquet
+                assert t._choquet and not dataclasses.replace(t)._choquet
                 for _ in range(10):
                     key = _choquet_key(rng, t)
-                    before = len(guides)
-                    got = _outcome(audit._solve_constant, t, *key)
-                    want = _outcome(audit._solve_constant, plain, *key)
-                    if got != want:
-                        differ.append((t.space.weights, t.name, key, got, want))
+                    guided, want = run(t, key)
                     cases += 1
-                    guided = len(guides) > before
                     if isinstance(want, str):
                         kinds["raised"] += 1
                     elif want[1] == want[2]:
@@ -876,14 +881,31 @@ class TestGuidedConstantSolve:
                     else:
                         whole = key[0] == (1 << t.space.size) - 1
                         kinds[guided, whole, float.fromhex(want[3]) >= 0.0] += 1
+        # around the root's ulp neighbourhood, where the masked value below 0
+        # is not monotone in floats: a pair at the root with no margin
+        # changes floats here
+        steps = Counter()
+        for _ in range(20):
+            t, mask = _wiggly_choquet(rng)
+            v = -rng.uniform(1e4, 1e5)  # ulps wider than BISECT_TOL
+            seen = []
+            for j in range(25):
+                x = v + j * math.ulp(v)
+                guided, want = run(t, (mask, (x,) * bin(mask).count("1"), -x))
+                steps["guided"] += guided
+                seen.append(float.fromhex(want[3]))
+            steps["down"] += sum(b < a for a, b in zip(seen, seen[1:]))
         assert differ == []
-        assert sum(target == 0.0 for target in guides) > 300
+        assert sum(target == 0.0 for target in targets) > 300
         assert kinds["raised"] > 50 and kinds["flat"] > 100
         assert kinds[True, False, True] > 1_500 and kinds[True, True, True] > 300
         assert kinds[True, True, False] > 200
-        assert kinds[False, False, False] > 1_000  # negative, proper: plain
-        # else plain only where t(hi * 1_A) <= target: c_A underflows to 0
+        assert kinds[True, False, False] > 1_000  # negative, proper: the pair
+        # else plain only where t(hi * 1_A) <= target (c_A underflows to 0),
+        # or where the margin or the N - C test refuses the pair
         assert kinds[False, True, False] + kinds[False, False, True] < 60
+        assert kinds[False, False, False] < 10
+        assert steps["guided"] > 400 and steps["down"] > 20, steps
 
     def test_choquet_guide_cuts_the_probes(self, monkeypatch):
         # a silent fallback to the plain loop raises the guided count
@@ -897,10 +919,10 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 3531
+        assert len(calls) == 1621
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
-        assert len(calls) == 8881
+        assert len(calls) == 8753
         assert guided.to_dict() == plain.to_dict()
 
     def test_bracket_beyond_half_the_float_range_is_refused(self):
@@ -950,6 +972,25 @@ def _choquet_key(rng, t):
     return mask, on, max(map(abs, values))
 
 
+def _wiggly_choquet(rng):
+    """A Choquet functional and a proper event A on which t(x * 1_A) is
+    not monotone in floats below 0: an exponent near 1e15 takes N = nu(Omega)
+    well off 1 when the weights' float sum in A's rank order is not 1.0,
+    and an outcome of weight near 1e-16 puts C = nu(A^c) close to N."""
+    while True:
+        n = rng.randint(2, 4)
+        weights = [rng.random() for _ in range(n)]
+        weights[rng.randrange(n)] = rng.choice((5e-17, 1e-16, 2e-16, 3e-16))
+        space = FiniteSpace(tuple(f"w{i}" for i in range(n)), normalized(weights))
+        t = choquet_functional(space, rng.uniform(1e14, 4e15))
+        mask = rng.randrange(1, (1 << n) - 1)
+        bits = [mask >> i & 1 for i in range(n)]
+        row = t._choquet(tuple(sorted(range(n), key=bits.__getitem__)))
+        big, small = row[-1], row[n - sum(bits) - 1]
+        if 0.2 < big < 5.0 and big != 1.0 and 0.0 < big - small < 0.5 * big:
+            return t, mask
+
+
 def _knot_curve():
     return PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 2.0), 1.0, 2.0)
 
@@ -993,16 +1034,21 @@ class TestGuideRouting:
         assert guides == []
 
     def test_choquet_guides_the_rounded_product_solves(self, monkeypatch):
-        # guided: the whole space, and targets >= 0, where the loop stays on
-        # x >= 0; plain: a negative target on a proper event, and the flat
-        # empty event
-        guides = []
+        # every solve off the flat empty event reaches bisection with a
+        # known pair: Newton's on the whole space and at targets >= 0, the
+        # closed-form pair at a negative target on a proper event
+        pairs, newton = [], []
 
-        def counted(*args):
-            guides.append(args)
+        def counted(fn, target, lo, hi, known=None):
+            pairs.append(known)
+            return bisect_increasing(fn, target, lo, hi, known)
+
+        def guide(*args):
+            newton.append(args)
             return _newton(*args)
 
-        monkeypatch.setattr(audit, "_newton", counted)
+        monkeypatch.setattr(audit, "bisect_increasing", counted)
+        monkeypatch.setattr(audit, "_newton", guide)
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         assert t._choquet and not t.monotone
         full = (1 << t.space.size) - 1
@@ -1010,10 +1056,12 @@ class TestGuideRouting:
         for mask in range(full + 1):
             for f in product(t.grid, repeat=t.space.size):
                 on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
-                before = len(guides)
+                before, newton_before = len(pairs), len(newton)
                 target = audit._solve_constant(t, mask, on, max(map(abs, f)))[3]
                 whole, nonnegative = mask == full, target >= 0.0
-                assert (len(guides) > before) == (
+                run = pairs[before:]  # no bisection on the flat empty event
+                assert len(run) == (mask != 0) and None not in run, (mask, f)
+                assert (len(newton) > newton_before) == (
                     mask != 0 and (whole or nonnegative)
                 ), (mask, f)
                 kinds[whole, nonnegative] += 1
