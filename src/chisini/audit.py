@@ -33,19 +33,18 @@ subtractions for n outcomes and g grid values, against g^(2n) pairs times
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
-On a ``monotone`` functional (expected utility over regular exponential,
-power and linear curves, whose masked values are nondecreasing in floats)
-the curve inverse's Newton guide narrows the bracket first, on the slope
-of the masked expected utility, and the bisection replays its own iterates
-without the probes the guide decided: the plain loop's floats from about a
-fifth of its probes.  A Choquet functional's masked value at x >= 0, and
-on the whole space at every x, is the one rounded product x * c_A, so its
-solves take the same guide wherever the loop's probes stay there: at
-target >= 0, whose first midpoint is 0.0 with t(0) = 0.0 <= target, and on
-the whole space.  At a negative target on a proper event the masked value
-is a difference of two rounded products, not monotone in floats, and the
-pair comes from that closed form with a proven rounding margin (see
-:func:`_solve_constant`).  Every other functional runs the plain loop.  A
+On the two marked families the masked value x -> t(x * 1_A) has a closed
+form, equal to the evaluator's float up to the sign of a zero, and the
+search probes that form, not the evaluator (see :func:`_solve_constant`):
+on a ``monotone`` functional (expected utility over regular exponential,
+power and linear curves) the masked sum of its term table, and on a
+Choquet functional one rounded product at x >= 0 and on the whole space,
+and a difference of two below 0.  Where the form is nondecreasing in floats
+the curve inverse's Newton guide narrows the bracket first, and the
+bisection replays its own iterates without the probes the guide decided:
+the plain loop's floats from a fraction of its probes.  At a negative
+target on a proper event a Choquet solve runs the plain loop on the form.
+Every other functional runs the plain loop on the evaluator.  A
 bracket beyond half the float range, whose midpoints would overflow, is
 refused before any probe.  Each audit call builds its grid acts with their
 sup|f|, events and value table once; the equivalence harness builds them
@@ -233,32 +232,34 @@ def _solve_constant(
     < t(hi * 1_A), so the endpoints are one-sided solutions with a
     guaranteed comparison direction.
 
-    A known pair (a, b) lets bisection skip the probes it decides, keeping
-    the loop's floats.  On a ``monotone`` functional ``_newton`` narrows it
-    from the bracket on the slope sum_{i in A} p_i u_i'(x), from its term
-    table.  On a Choquet functional the masked value at x >= 0 is the one
-    rounded product x * c_A, so Newton runs where the loop stays on x >= 0
-    (target >= 0: its first midpoint is 0.0, with t(0) = 0.0 <= target)
-    or on the whole space, from the pair at 0.0 and on the slope
-    t(hi * 1_A) / hi.
+    On a marked functional the evaluator makes four calls: the target, the
+    bracket ends and the returned value.  The search between them reads
+    x -> t(x * 1_A) from the closed form that the mark gives, float for
+    float up to the sign of a zero, which no comparison sees, and a known
+    pair (a, b) lets bisection skip the probes it decides, keeping the
+    loop's floats:
 
-    At a negative target on a proper event the pair has a closed form.
-    For x < 0, x * 1_A ranks A^c then A, each in outcome order, and every
-    term of the Choquet sum but two is an exact 0.0, so t(x * 1_A) =
-    fl(fl(x * N) + fl(-x * C)), with N = nu_{n-1} and C = nu_{|A^c|-1} read
-    from that rank order's capacity row.  Three roundings and the
-    subnormal floor give |t(x * 1_A) - x (N - C)| <= e(x) = 3u|x|(N + C) +
-    3 * 2**-1074, u = 2**-53.  When N - C >= 3u(N + C), the bounds
-    x (N - C) +- e(x) are nondecreasing on x < 0, so t(a * 1_A) + 2 e(a)
-    <= target puts t(x * 1_A) <= target at every x <= a, and target <
-    t(b * 1_A) - 2 e(b) puts it above target on [b, 0).  Above target
-    too are t(0) = 0.0, when the rank order of 0 has a finite capacity
-    row, and x * c_A >= 0 at x > 0, which t(hi * 1_A) shows is not NaN.
-    The pair sits 4 e / (N - C) either side of the root target / (N - C):
-    Newton's probes land within ulps of the root, where the margin refuses
-    them.  The code asks N - C > 4u(N + C) and computes 2 e(x) with 4s
-    for 3s, which covers the rounding of its own comparisons; where either
-    comparison fails, as at an exponent <= 0, bisection runs plain.
+    - On a ``monotone`` functional the form is the left-to-right sum of A's
+      rows of its term table, since each outcome off A adds p * u(0) =
+      +0.0.  ``_newton`` narrows the bracket on the slope sum_{i in A} p_i
+      u_i'(x) from the same pass.
+    - On a Choquet functional every term of the sum of x * 1_A is an exact
+      0.0 but the step between its two constant runs and, below 0, the
+      last value's, so the form is x * nu_{n-1} on the whole space, and on
+      a proper event x * c_A at x >= 0 and fl(fl(x * N) + fl((0 - x) * C))
+      below 0, with c_A = nu_{|A|-1} read from the (A, A^c) rank order's
+      capacity row and N = nu_{n-1}, C = nu_{|A^c|-1} from the (A^c, A)
+      row.  A zero term is exact only beside a finite capacity (0 * inf
+      is NaN), so the form needs those two rows and the identity row, the
+      order at x = 0, to be finite; the evaluator serves otherwise.  A
+      product with a constant rounds monotonically, so Newton runs on the
+      whole space, and at target >= 0 from the pair at 0.0 (the loop's
+      first midpoint, with t(0) = 0.0 <= target), on the slope
+      t(hi * 1_A) / hi.  A negative target on a proper event, where a
+      difference of two rounded products need not be monotone in floats,
+      runs the plain loop on the form.
+
+    Every other functional runs the plain loop on the evaluator.
     """
     hi = sup + 1.0
     if hi > 0.5 * sys.float_info.max:
@@ -282,41 +283,32 @@ def _solve_constant(
         raise BisectionBracketFailure(
             f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
         )
-    known = None
-    if t.monotone and v_lo <= target < v_hi:
-        terms = tuple(compress(t._terms, bits))
+    fn, known = masked_value, None
+    if t.monotone:
+        # the evaluator's value at the bracket ends did not overflow, nor
+        # then do the same curve expressions in the terms between them
+        guide = partial(_value_and_slope, tuple(compress(t._terms, bits)))
+        fn = lambda x: guide(x)[0]
+        if v_lo <= target < v_hi:
+            known = _newton(guide, target, lo, v_lo, hi, v_hi)
+    elif t._choquet:
+        n, k = len(bits), sum(bits)
+        up = t._choquet(tuple(sorted(range(n), key=bits.__getitem__, reverse=True)))
+        down = t._choquet(tuple(sorted(range(n), key=bits.__getitem__)))
+        if all(map(math.isfinite, up + down + t._choquet(tuple(range(n))))):
+            c_a, nu_all, c_off = up[k - 1], down[-1], down[n - k - 1]
 
-        def guide(x: float) -> tuple[float, float]:
-            # the evaluator's value at x did not overflow, nor then do
-            # the same curve expressions in the terms
-            return masked_value(x), _value_and_slope(terms, x)[1]
+            def fn(x: float) -> float:
+                if x >= 0.0 or k == n:  # the whole space's two rows are one
+                    return x * c_a
+                return x * nu_all + (0.0 - x) * c_off
 
-        known = _newton(guide, target, lo, v_lo, hi, v_hi)
-    elif t._choquet and (target >= 0.0 or all(bits)):
-        slope = v_hi / hi
-        pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
-        if pair[1] <= target < pair[3]:
-            known = _newton(lambda x: (masked_value(x), slope), target, *pair)
-    elif t._choquet:  # a negative target on a proper event
-        n = len(bits)
-        row = t._choquet(tuple(sorted(range(n), key=bits.__getitem__)))  # A^c, A
-        nu_all, nu_off = row[-1], row[n - sum(bits) - 1]
-        gap, span = nu_all - nu_off, nu_all + nu_off
-        zero = t._choquet(tuple(range(n)))  # t(0) = 0.0 iff this row is finite
-        # N - C > 4u (N + C), scaled up so that no side underflows
-        if gap * 2.0**51 > span and all(map(math.isfinite, zero)):
-
-            def margin(x: float) -> float:  # 2 e(x), rounded up, for x < 0
-                return -x * span * 2.0**-50 + 2.0**-1071
-
-            root = target / gap
-            step = 2.0 * margin(root) / gap
-            a, b = root - step, root + step
-            if b < 0.0 and (
-                masked_value(a) + margin(a) <= target < masked_value(b) - margin(b)
-            ):
-                known = a, b
-    lo, hi = bisect_increasing(masked_value, target, lo, hi, known)
+        if target >= 0.0 or k == n:
+            slope = v_hi / hi
+            pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
+            if pair[1] <= target < pair[3]:
+                known = _newton(lambda x: (fn(x), slope), target, *pair)
+    lo, hi = bisect_increasing(fn, target, lo, hi, known)
     x = 0.5 * (lo + hi)
     return x, lo, hi, target, masked_value(x)
 
@@ -691,7 +683,8 @@ def expected_utility_functional(
     """The functional ``rep.evaluate``, marked ``monotone`` when every curve
     passes ``_float_monotone``: a masked act's value is then a left-to-right
     sum of p * u(x) terms, nondecreasing in floats, and the mark carries
-    their term table, whose slopes guide the constant solves."""
+    their term table, whose masked sum the constant solves search in place
+    of the evaluator, on its slopes."""
     t = PreferenceFunctional(
         space=rep.space,
         evaluator=rep.evaluate,
@@ -722,10 +715,10 @@ def choquet_functional(
     computed by the numpy expression whose floats the audit digests pin,
     behind an LRU cache that holds every rank order at the outcome cap.
     Each act's sum runs in Python.  The functional's ``_choquet`` mark is
-    that cache: on x * 1_A with x >= 0 every term but (x - 0) * nu_{|A|-1}
-    is an exact 0.0, so its value is the one rounded product x * c_A,
-    nondecreasing in floats, and on the whole space it is x * nu_{n-1} at
-    every x; below 0 the constant solves read N and C from the row.
+    that cache, from whose rows the constant solves read t(x * 1_A) in
+    closed form: x * nu_{n-1} on the whole space, and on a proper event the
+    one rounded product x * c_A at x >= 0, nondecreasing in floats, and
+    fl(fl(x * N) + fl((0 - x) * C)) below 0.
     """
     import numpy as np
 

@@ -203,12 +203,11 @@ class PreferenceFunctional:
     #: True when x -> t(x * 1_A) is nondecreasing in floats on every event A,
     #: so the audits' constant solves may skip probes a known pair decides;
     #: ``_terms`` then holds one ``curves._term`` row of p * u per outcome,
-    #: whose slopes guide those solves.  ``_choquet`` is a Choquet
-    #: integral's capacity-row cache (rank order -> nu), false elsewhere:
-    #: the integral's masked value t(x * 1_A) is one rounded product
-    #: x * c_A at x >= 0, and on the whole space at every x, and below 0
-    #: on a proper event fl(fl(x * N) + fl(-x * C)), with N and C read from
-    #: one row of the cache.  None is a field:
+    #: whose masked sum those solves search in place of the evaluator, on
+    #: its slopes.  ``_choquet`` is a Choquet integral's capacity-row cache
+    #: (rank order -> nu), false elsewhere, from three of whose rows the
+    #: solves read t(x * 1_A) in closed form (see
+    #: ``audit._solve_constant``).  None is a field:
     #: ``expected_utility_functional`` sets the first two,
     #: ``choquet_functional`` the last, and ``==``, ``hash``, ``repr`` and
     #: ``dataclasses.replace`` do not see them.

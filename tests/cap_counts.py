@@ -8,15 +8,18 @@ against P(A)**2 over the same outcomes and grid.  Run from the repository
 root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 246346
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 139655
     PYTHONPATH=src python tests/cap_counts.py 5 5 --choquet
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
     PYTHONPATH=src python tests/cap_counts.py 5 5 --time
 
 ``--plain`` clears the functional's ``monotone`` or ``_choquet`` mark (a
 copy made with ``dataclasses.replace``), so every constant solve runs the
-plain loop.  A Choquet solve's closed-form pair makes two evaluator calls
-outside the guide and the bisection: they count as calls, not as probes.
+plain loop on the evaluator.  A probe is a call of the function that a
+solve hands to ``_newton`` (guide) or ``bisect_increasing`` (replay).  On a
+marked functional that function reads the masked value's closed form, not
+the evaluator, so its probes are not evaluator calls: a solve then makes
+four, its target, its bracket ends and its solution's value.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
 calls.  ``--time`` runs the harness once with no counting wrapper and
 prints only its wall time.  Each run also prints the sha256 of the
@@ -64,23 +67,21 @@ def counted_run(t):
     """The harness report and its counts: every evaluator call, the
     bisections, and the probes made in the guide and in the bisection."""
     counts = {"calls": 0, "bisections": 0, "guide": 0, "replay": 0}
-    phase = [None]  # the probe phase under way, if any
     evaluate = t.evaluator
 
     def evaluator(f):
         counts["calls"] += 1
-        if phase[0] is not None:
-            counts[phase[0]] += 1
         return evaluate(f)
 
-    def in_phase(name, fn):
-        def wrapped(*args):
+    def in_phase(name, search):
+        def wrapped(fn, *args):
             counts["bisections"] += name == "replay"
-            phase[0] = name
-            try:
-                return fn(*args)
-            finally:
-                phase[0] = None
+
+            def probe(x):
+                counts[name] += 1
+                return fn(x)
+
+            return search(probe, *args)
 
         return wrapped
 

@@ -828,7 +828,8 @@ class TestGuidedConstantSolve:
 
     def test_guide_cuts_the_probes(self, monkeypatch):
         # evaluator calls of a whole harness: counts repeat exactly, and
-        # they rise to the plain loop's if the guide silently falls back
+        # they rise to the plain loop's if the search silently falls back
+        # to the evaluator or the guide to the plain loop
         calls = []
         evaluate = AdditiveRepresentation.evaluate
 
@@ -839,40 +840,46 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 1314
+        assert len(calls) == 567
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
         assert len(calls) == 4562
         assert guided.to_dict() == plain.to_dict()
 
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
-        # the Newton guides and the closed-form pair all reach bisection as
-        # its known pair: record each bisection's target, or None if plain
-        targets = []
+        # the Newton guides reach bisection as its known pair: record each
+        # bisection's target, or None if plain; and count the evaluator
+        # calls, four in a solve whose search reads the closed form
+        targets, calls = [], []
+        call = PreferenceFunctional.__call__
 
         def counted(fn, target, lo, hi, known=None):
             targets.append(None if known is None else target)
             return bisect_increasing(fn, target, lo, hi, known)
 
         def run(t, key):
-            before = len(targets)
+            before, calls_before = len(targets), len(calls)
             got = _outcome(audit._solve_constant, t, *key)
             guided = any(target is not None for target in targets[before:])
+            closed = len(calls) - calls_before == 4
             want = _outcome(audit._solve_constant, dataclasses.replace(t), *key)
             if got != want:
                 differ.append((t.space.weights, t.name, key, got, want))
-            return guided, want
+            return guided, closed, want
 
         monkeypatch.setattr(audit, "bisect_increasing", counted)
+        monkeypatch.setattr(
+            PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
+        )
         rng = random.Random(26)
-        differ, kinds, cases = [], Counter(), 0
+        differ, kinds, negative, cases = [], Counter(), Counter(), 0
         with np.errstate(divide="ignore", over="ignore"):  # 0 ** -p is inf
             while cases < 6_000:
                 t = _random_choquet(rng)
                 assert t._choquet and not dataclasses.replace(t)._choquet
                 for _ in range(10):
                     key = _choquet_key(rng, t)
-                    guided, want = run(t, key)
+                    guided, closed, want = run(t, key)
                     cases += 1
                     if isinstance(want, str):
                         kinds["raised"] += 1
@@ -880,10 +887,13 @@ class TestGuidedConstantSolve:
                         kinds["flat"] += 1
                     else:
                         whole = key[0] == (1 << t.space.size) - 1
-                        kinds[guided, whole, float.fromhex(want[3]) >= 0.0] += 1
+                        nonnegative = float.fromhex(want[3]) >= 0.0
+                        kinds[guided, whole, nonnegative] += 1
+                        if not (whole or nonnegative):
+                            negative[closed] += 1
         # around the root's ulp neighbourhood, where the masked value below 0
-        # is not monotone in floats: a pair at the root with no margin
-        # changes floats here
+        # is not monotone in floats: the closed form must wiggle as the
+        # evaluator does
         steps = Counter()
         for _ in range(20):
             t, mask = _wiggly_choquet(rng)
@@ -891,8 +901,9 @@ class TestGuidedConstantSolve:
             seen = []
             for j in range(25):
                 x = v + j * math.ulp(v)
-                guided, want = run(t, (mask, (x,) * bin(mask).count("1"), -x))
+                guided, closed, want = run(t, (mask, (x,) * bin(mask).count("1"), -x))
                 steps["guided"] += guided
+                steps["closed"] += closed
                 seen.append(float.fromhex(want[3]))
             steps["down"] += sum(b < a for a, b in zip(seen, seen[1:]))
         assert differ == []
@@ -900,12 +911,16 @@ class TestGuidedConstantSolve:
         assert kinds["raised"] > 50 and kinds["flat"] > 100
         assert kinds[True, False, True] > 1_500 and kinds[True, True, True] > 300
         assert kinds[True, True, False] > 200
-        assert kinds[True, False, False] > 1_000  # negative, proper: the pair
-        # else plain only where t(hi * 1_A) <= target (c_A underflows to 0),
-        # or where the margin or the N - C test refuses the pair
+        # else plain only where t(hi * 1_A) <= target (c_A underflows to 0)
         assert kinds[False, True, False] + kinds[False, False, True] < 60
-        assert kinds[False, False, False] < 10
-        assert steps["guided"] > 400 and steps["down"] > 20, steps
+        # a negative target on a proper event runs the plain loop, with no
+        # evaluator call between the bracket and the returned value unless
+        # a capacity is infinite (0 ** -p), where a bracket end is mostly
+        # NaN or infinite and the bracket fails first
+        assert kinds[True, False, False] == 0
+        assert negative[True] > 1_000 and negative[False] < 10, negative
+        assert steps["guided"] == 0 and steps["closed"] == 500, steps
+        assert steps["down"] > 20, steps
 
     def test_choquet_guide_cuts_the_probes(self, monkeypatch):
         # a silent fallback to the plain loop raises the guided count
@@ -919,7 +934,7 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 1621
+        assert len(calls) == 1124
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
         assert len(calls) == 8753
@@ -991,6 +1006,139 @@ def _wiggly_choquet(rng):
             return t, mask
 
 
+def _overflowing_choquet(rng):
+    """A Choquet functional and a proper event A whose (A, A^c) and
+    (A^c, A) capacity rows are finite while the identity row, the rank
+    order of 0, is not: an exponent near 1e19 sends a weight sum that
+    rounds above 1.0 in outcome order to inf, and t(0) is then NaN."""
+    while True:
+        n = rng.randint(3, 5)
+        weights = [rng.random() for _ in range(n)]
+        space = FiniteSpace(tuple(f"w{i}" for i in range(n)), normalized(weights))
+        t = choquet_functional(space, rng.uniform(1e19, 1e20))
+        if math.isfinite(t._choquet(tuple(range(n)))[-1]):
+            continue
+        for mask in range(1, (1 << n) - 1):
+            if _finite_rows(t, mask)[:2] == (True, True):
+                return t, mask
+
+
+def _finite_rows(t, mask):
+    """Whether each of the (A, A^c), (A^c, A) and identity capacity rows
+    of a Choquet functional is finite, for A = the outcomes in ``mask``."""
+    n = t.space.size
+    inside = [mask >> i & 1 for i in range(n)]
+    orders = (
+        [i for i in range(n) if inside[i]] + [i for i in range(n) if not inside[i]],
+        [i for i in range(n) if not inside[i]] + [i for i in range(n) if inside[i]],
+        list(range(n)),
+    )
+    return tuple(all(map(math.isfinite, t._choquet(tuple(o)))) for o in orders)
+
+
+class TestMaskedValueClosedForm:
+    """The function each constant solve hands to bisection equals t(x * 1_A)
+    as floats, but for the sign of a zero, and calls the evaluator only
+    where the functional's closed form does not hold."""
+
+    @staticmethod
+    def searched(t, key):
+        """The solve's search function and solution, or None where the
+        solve raises or its map is flat."""
+        fns = []
+
+        def counted(fn, *args):
+            fns.append(fn)
+            return bisect_increasing(fn, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(audit, "bisect_increasing", counted)
+            try:
+                x = audit._solve_constant(t, *key)[0]
+            except ChisiniError:
+                return None
+        return (fns[0], x) if fns else None
+
+    def check(self, rng, t, key, tally):
+        """Compare the search function with the evaluator on the bracket's
+        ends, signed zeros, subnormals, +-1e5, random points and the ulps
+        around the solution; returns whether it read the evaluator."""
+        found = self.searched(t, key)
+        if found is None:
+            tally["skipped"] += 1
+            return None
+        fn, root = found
+        mask, _, sup = key
+        hi = sup + 1.0
+        xs = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e5, -1e5, -hi, hi]
+        xs += [rng.uniform(-hi, hi) for _ in range(5)]
+        xs += [root + j * math.ulp(root) for j in range(-3, 4)]
+        calls, read = [], set()
+        call = PreferenceFunctional.__call__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
+            )
+            for x in (x for x in xs if -hi <= x <= hi):
+                before = len(calls)
+                got = fn(x)
+                read.add(len(calls) > before)
+                want = t(Act(t.space, tuple(x if mask >> i & 1 else 0.0
+                                            for i in range(t.space.size))))
+                # + 0.0 drops the sign of a zero, and keeps a NaN
+                if float.hex(got + 0.0) != float.hex(want + 0.0):
+                    tally["differ"].append((t.name, t.space.weights, key, x, got, want))
+                tally["probes"] += 1
+                tally["zero"] += x == 0.0
+        assert len(read) == 1  # the form or the evaluator, never both
+        return read.pop()
+
+    def test_expected_utility(self):
+        rng = random.Random(29)
+        tally = Counter(differ=[])
+        for _ in range(300):
+            t = _marked_functional(rng)
+            for _ in range(5):
+                mask, on, sup = _solve_key(rng, t)
+                if rng.random() < 0.3:  # a bracket out to about 1e5
+                    sup = max(sup, rng.uniform(3.0, 1e5))
+                read = self.check(rng, t, (mask, on, sup), tally)
+                assert read is not True, (t, mask, on, sup)
+        assert tally["differ"] == []
+        assert tally["probes"] > 15_000 and tally["zero"] > 1_500
+        assert tally["skipped"] < 800
+
+    def test_choquet(self):
+        rng = random.Random(30)
+        tally = Counter(differ=[])
+        read = Counter()
+
+        def check(t, key):
+            evaluator = self.check(rng, t, key, tally)
+            if evaluator is not None:
+                finite = all(_finite_rows(t, key[0]))
+                assert evaluator == (not finite), (t.name, t.space.weights, key)
+                read[evaluator, key[0] == (1 << t.space.size) - 1] += 1
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(300):  # zero weights, negative exponents: 0 ** -p
+                t = _random_choquet(rng)
+                for _ in range(5):
+                    check(t, _choquet_key(rng, t))
+            for make in (_wiggly_choquet, _overflowing_choquet):
+                for _ in range(20):
+                    t, mask = make(rng)
+                    k = bin(mask).count("1")
+                    for v in (-rng.uniform(1e4, 1e5), rng.uniform(-3.0, 3.0)):
+                        check(t, (mask, (v,) * k, abs(v)))
+        assert tally["differ"] == []
+        assert tally["probes"] > 15_000 and tally["zero"] > 1_500
+        # the evaluator serves on the whole space only where a bracket end
+        # is NaN too, and the solve raises before its search
+        assert read[False, False] > 500 and read[False, True] > 100
+        assert read[True, False] > 40 and read[True, True] == 0, read
+
+
 def _knot_curve():
     return PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-1.0, 0.0, 2.0), 1.0, 2.0)
 
@@ -1034,10 +1182,12 @@ class TestGuideRouting:
         assert guides == []
 
     def test_choquet_guides_the_rounded_product_solves(self, monkeypatch):
-        # every solve off the flat empty event reaches bisection with a
-        # known pair: Newton's on the whole space and at targets >= 0, the
-        # closed-form pair at a negative target on a proper event
-        pairs, newton = [], []
+        # Newton's pair reaches bisection on the whole space and at targets
+        # >= 0; a negative target on a proper event runs the plain loop.
+        # Every search reads the closed form, so each solve makes four
+        # evaluator calls: the target, the bracket ends and the solution's
+        pairs, newton, calls = [], [], []
+        call = PreferenceFunctional.__call__
 
         def counted(fn, target, lo, hi, known=None):
             pairs.append(known)
@@ -1049,6 +1199,9 @@ class TestGuideRouting:
 
         monkeypatch.setattr(audit, "bisect_increasing", counted)
         monkeypatch.setattr(audit, "_newton", guide)
+        monkeypatch.setattr(
+            PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
+        )
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         assert t._choquet and not t.monotone
         full = (1 << t.space.size) - 1
@@ -1056,14 +1209,15 @@ class TestGuideRouting:
         for mask in range(full + 1):
             for f in product(t.grid, repeat=t.space.size):
                 on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
-                before, newton_before = len(pairs), len(newton)
+                before, newton_before, calls_before = len(pairs), len(newton), len(calls)
                 target = audit._solve_constant(t, mask, on, max(map(abs, f)))[3]
                 whole, nonnegative = mask == full, target >= 0.0
-                run = pairs[before:]  # no bisection on the flat empty event
-                assert len(run) == (mask != 0) and None not in run, (mask, f)
-                assert (len(newton) > newton_before) == (
-                    mask != 0 and (whole or nonnegative)
-                ), (mask, f)
+                guided = mask != 0 and (whole or nonnegative)
+                # no bisection on the flat empty event
+                run = [known is not None for known in pairs[before:]]
+                assert run == ([] if mask == 0 else [guided]), (mask, f)
+                assert (len(newton) > newton_before) == guided, (mask, f)
+                assert len(calls) - calls_before == 4, (mask, f)
                 kinds[whole, nonnegative] += 1
         assert min(kinds.values()) >= 27 and len(kinds) == 4
 
