@@ -156,28 +156,38 @@ def _solve_act(
 ) -> tuple[Act, tuple[float, ...]]:
     """The conditional Chisini mean's act and each atom's V_A(f), in one pass
     that reads each u(w, f(w)) once, on the algebra of ``projected``, which
-    must be ``rep``'s regular projection."""
+    must be ``rep``'s regular projection.  Each atom's step is
+    ``_solve_atom``, which a family's E_0 runs alone on its one atom."""
     algebra = projected.algebra
     weights, u = rep.space.weights, rep._utilities(f)
     values = [0.0] * rep.space.size
     v_f = []
     for atom, mass, curve in zip(algebra.atoms, algebra.masses, projected.atom_curves):
-        v = float(_lsum([weights[i] * u[i] for i in atom]))
+        v, inv = _solve_atom(weights, u, atom, mass, curve, solver)
         v_f.append(v)
-        if mass == 0.0:
-            continue  # version choice: 0 on null atoms
-        h = v / mass
-        inv = _invert(curve, h, solver) if math.isfinite(h) else h
-        if not math.isfinite(inv):
-            raise NumericRangeError(
-                f"conditional expected utility {h!r} on atom "
-                f"{sorted(atom)} rounded onto the "
-                f"{'upper' if inv > 0 else 'lower'} bound of the projected "
-                "image, where the inverse is not a finite float"
-            )
         for i in atom:
             values[i] = inv
     return Act._trusted(rep.space, tuple(values)), tuple(v_f)
+
+
+def _solve_atom(weights, u, atom, mass, curve, solver) -> tuple[float, float]:
+    """One atom's step of the solve: V_A(f), summed from the utilities ``u``,
+    and the inverse of the atom's projected ``curve`` at V_A(f)/P(A), which
+    is 0.0 on a null atom (the version choice).  A value that rounds onto the
+    edge of the curve's image raises NumericRangeError."""
+    v = float(_lsum([weights[i] * u[i] for i in atom]))
+    if mass == 0.0:
+        return v, 0.0
+    h = v / mass
+    inv = _invert(curve, h, solver) if math.isfinite(h) else h
+    if not math.isfinite(inv):
+        raise NumericRangeError(
+            f"conditional expected utility {h!r} on atom "
+            f"{sorted(atom)} rounded onto the "
+            f"{'upper' if inv > 0 else 'lower'} bound of the projected "
+            "image, where the inverse is not a finite float"
+        )
+    return v, inv
 
 
 def _worst_union(signed) -> tuple[float, tuple[int, ...]]:

@@ -16,7 +16,8 @@ acts and pointwise continuity along explicit convergent sequences.  The
 continuity check is necessarily a finite proxy: defects are monitored
 along geometrically shrinking perturbations and must trend monotonically
 to zero.  A family built by :func:`from_representation` solves on the
-projection of each algebra that its representation keeps, and the audit
+projection of each algebra that its representation keeps, its E_0 runs the
+solver's one-atom step on the trivial algebra's atom alone, and the audit
 solves each distinct act it builds once.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .conditional import _solve_act
+from .conditional import _solve_act, _solve_atom
 from .errors import EventNotInAlgebra, NotMeasurable
 from .reports import AuditReport, CheckResult
 from .spaces import (
@@ -61,16 +62,21 @@ class ExpectationFamily:
 
         Each value is ``chisini_mean(rep, x, algebra).act``, and each error
         that call's, computed without the certificate that the family does
-        not read, on the projection of ``algebra`` that ``rep`` keeps.
+        not read, on the projection of ``algebra`` that ``rep`` keeps.  E_0
+        is ``chisini_mean``'s one-atom step (``_solve_atom``) on the trivial
+        algebra's atom, returned as a float without building an act.
         """
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
             return _solve_act(rep, x, rep._regular_projection(x, algebra), "auto")[0]
 
         trivial = PartitionAlgebra.trivial(rep.space)
+        (atom,), (mass,) = trivial.atoms, trivial.masses
+        weights = rep.space.weights
 
         def e0(x: Act) -> float:
-            return evaluator(x, trivial).values[0]
+            curve = rep._regular_projection(x, trivial).atom_curves[0]
+            return _solve_atom(weights, rep._utilities(x), atom, mass, curve, "auto")[1]
 
         return cls(space=rep.space, evaluator=evaluator, e0=e0, rep=rep)
 
@@ -252,8 +258,11 @@ def _continuity_defects(e0, base, direction, reference):
     defects = []
     for n in range(1, CONTINUITY_TERMS + 1):
         s = 2.0 ** (1 - n)
-        shifted = Act(
-            base.space, tuple(b + d * s for b, d in zip(base.values, direction.values))
+        # b is a grid float or a value of a checked act, d is -1, 0 or 1 and
+        # s <= 1, so b + d * s is a finite float (at b = +-max it rounds back
+        # to b): the act needs none of the constructor's checks
+        shifted = Act._trusted(
+            base.space, tuple([b + d * s for b, d in zip(base.values, direction.values)])
         )
         defects.append(abs(e0(shifted) - reference))
     return defects

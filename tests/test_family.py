@@ -26,6 +26,7 @@ from chisini import (
 from chisini.conditional import chisini_mean
 from chisini.curves import MixtureCurve, PiecewiseLinearCurve, right_continuous_inverse
 from chisini.errors import (
+    ChisiniError,
     EventNotInAlgebra,
     NotMeasurable,
     RegularityViolation,
@@ -325,8 +326,44 @@ class TestCertaintyEquivalentAudit:
         assert report.passed
         assert report.check("dichotomic-monotonicity").details["comparisons"] == 28
         assert len(calls) == len(set(calls))
+        # the count of distinct solves, pinned: a change that does not mean
+        # to move it must leave it alone
+        assert len(calls) == {7: 3720, 2024: 3721}[seed]
         assert report.to_dict() == audit_certainty_equivalent(
             fam, (0.0, 1.0), 4, seed=seed
+        ).to_dict()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.2, 0.5, 0.3),
+            (0.0, 0.6, 0.4),
+            # 3**4 grid acts exceed 64, so the continuity bases are sampled
+            (0.1, 0.0, 0.5, 0.4),
+        ],
+    )
+    def test_audit_hands_e0_finite_floats_on_its_space(self, weights):
+        # the audit builds its continuity acts without the constructor's
+        # checks; every act must still pass them, at the largest floats too
+        sp = FiniteSpace(tuple("abcd"[: len(weights)]), weights)
+        grid = (-1.7976931348623157e308, 0.0, 1.7976931348623157e308)
+
+        def bounded(act):
+            return math.fsum(p * math.atan(v) for p, v in zip(sp.weights, act.values))
+
+        def checked(act):
+            assert act.space == sp
+            assert len(act.values) == sp.size
+            assert all(type(v) is float and math.isfinite(v) for v in act.values)
+            return bounded(act)
+
+        def rebuilt(act):
+            return bounded(Act(act.space, act.values))
+
+        # the audit reads E_0 alone
+        report = audit_certainty_equivalent(ExpectationFamily(sp, None, checked), grid, 4)
+        assert report.to_dict() == audit_certainty_equivalent(
+            ExpectationFamily(sp, None, rebuilt), grid, 4
         ).to_dict()
 
 
@@ -419,6 +456,31 @@ class TestFastPathOracle:
             x = Act.constant(sp, c)
             assert fam.e0(x) == c
             assert fam.e0(x) == chisini_mean(rep, x, PartitionAlgebra.trivial(sp)).act.values[0]
+
+    @pytest.mark.parametrize(
+        "curves, values",
+        [
+            # h = 1 - e^-40 rounds onto the upper bound 1/gamma of the image
+            ((ExponentialCurve(1.0),) * 3, (40.0, 40.0, 40.0)),
+            # the utility overflows
+            ((ExponentialCurve(1.0),) * 3, (-800.0, -800.0, -800.0)),
+            # a mixture whose utility is not finite at one outcome
+            ((ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)), (0.0, 0.0, 1.5e308)),
+            # a mixture whose inverse cannot be bracketed
+            ((ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)), (0.0, 0.0, 1e308)),
+        ],
+    )
+    def test_e0_error_matches_chisini_mean(self, curves, values):
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(StateUtility(sp, curves))
+        fam = ExpectationFamily.from_representation(rep)
+        x = Act(sp, values)
+        with pytest.raises(ChisiniError) as expected:
+            chisini_mean(rep, x, PartitionAlgebra.trivial(sp))
+        with pytest.raises(ChisiniError) as raised:
+            fam.e0(x)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
 
     def test_irregular_utility_raises_on_every_call(self):
         sp = FiniteSpace.uniform(["a", "b"])
