@@ -53,18 +53,18 @@ sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
 on A, sup|f|) for every grid act sharing that key, in either search; a
 failed bracket is not kept and fails again.  The off-event constant for A
 is the solve on the complement of A.  Each solve also returns t(x * 1_A) at
-its solution, the residual that the conditionability search reads.  Both
-searches read t(x on A, y off A) from one row per event, whose entry for an
-act is evaluated when a search first reads it, in the searches' own order.
+its solution, the residual that the conditionability search reads.  One
+walk per event (:func:`_event_pass`) reads both solves of each act and
+evaluates t(x on A, y off A) after them; both searches read its result,
+kept per event and made on the first read, in the searches' own order.
 On the empty and the full event that act is the whole-space solve's own,
-and conditionability reads the solve's value.
+whose value the walk reads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
@@ -144,7 +144,7 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
 class _GridEnumeration:
     """All grid-valued acts and events of a functional, the array of their
     values with its per-event tables, each act's sup|f| (``sups``), and the
-    constant solves and two-level values on them.
+    constant solves and per-event walks on them.
 
     Act index = mixed-radix number of grid digits, first outcome most
     significant, so ascending index order is lexicographic order of the
@@ -170,7 +170,7 @@ class _GridEnumeration:
             for bits in self.bits
         ]
         self.count = len(self.acts)
-        self.split_rows = [None] * (self.full + 1)
+        self.passes = [None] * (self.full + 1)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
         # a function of the key alone, so the cache holds no reference to self
         self._solve = lru_cache(maxsize=None)(partial(_solve_constant, t))
@@ -202,17 +202,11 @@ class _GridEnumeration:
         on = tuple(compress(self.acts[ai].values, self.bits[mask]))
         return self._solve(mask, on, self.sups[ai])
 
-    def split_value(self, mask: int, ai: int, x: float, y: float) -> float:
-        """t(x on events[mask], y off it) for the constant solves x, y of
-        acts[ai], kept in the event's row, made on its first read.  NaN
-        marks an unread entry, so a NaN value is evaluated again."""
-        row = self.split_rows[mask]
-        if row is None:
-            row = self.split_rows[mask] = array("d", [math.nan]) * self.count
-        if math.isnan(row[ai]):
-            values = tuple(x if b else y for b in self.bits[mask])
-            row[ai] = self.t(Act._trusted(self.t.space, values))
-        return row[ai]
+    def event_pass(self, mask: int) -> tuple:
+        """:func:`_event_pass` on events[mask], made on its first read."""
+        if self.passes[mask] is None:
+            self.passes[mask] = _event_pass(self, mask)
+        return self.passes[mask]
 
 
 def _solve_constant(
@@ -431,38 +425,27 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
     the chain f -> (x on A, f off A) -> (x on A, y off A) must break at one
     of its two links, and that link is a sure-thing violation whose premise
     (an indifference) is re-established with the appropriate bisection
-    bracket endpoint.
+    bracket endpoint.  The acts are the event walk's mismatches.
     """
     t = enum.t
     for mask in range(1, enum.full):
         event = enum.events[mask]
         complement = enum.events[enum.full ^ mask]
-        for ai, f in enumerate(enum.acts):
-            try:
-                x, x_lo, x_hi, _, _ = enum.constant(mask, ai)
-                y, y_lo, y_hi, _, _ = enum.constant(enum.full ^ mask, ai)
-            except BisectionBracketFailure:
-                continue  # monotonicity defect; its own audit reports it
+        for ai, tg in enum.event_pass(mask)[3]:
+            f = enum.acts[ai]
+            x, x_lo, x_hi, _, _ = enum.constant(mask, ai)
+            _, y_lo, y_hi, _, _ = enum.constant(enum.full ^ mask, ai)
             tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
-            tf, tg = float(enum.values[ai]), enum.split_value(mask, ai, x, y)
-            if abs(tf - tg) <= tol:
-                continue
             x_act = Act.constant(t.space, x)
-            mid = paste(x_act, f, event)
-            t_mid = t(mid)
-            d1 = tf - t_mid
+            t_mid = t(paste(x_act, f, event))
+            d1 = float(enum.values[ai]) - t_mid
             if abs(d1) > tol / 2.0:
                 witness = _one_sided_flip(
                     t, f, event, (x_lo, x_hi), completion=f, gap=d1
                 )
             else:
                 witness = _one_sided_flip(
-                    t,
-                    f,
-                    complement,
-                    (y_lo, y_hi),
-                    completion=x_act,
-                    gap=t_mid - tg,
+                    t, f, complement, (y_lo, y_hi), completion=x_act, gap=t_mid - tg
                 )
             if witness is not None:
                 return witness
@@ -566,45 +549,61 @@ def _first_flip(enum: _GridEnumeration, fi: int, gi: int) -> tuple[int, int, int
     return int(hi), int(hj), mask
 
 
-def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:
-    """Search the grid acts for a two-level act that fails to match the
-    functional on the algebra generated by events[mask].
-
-    For each grid-valued act f the constants x (on the event) and y (off
-    it) are the enumeration's constant solves; the verdict then hinges on
-    the full-space equation t(f) = t(x on event, y off), which additivity
-    would make automatic but a general functional can fail.  Returns the
-    first failing act's witness (or None) and the worst residual.
+def _event_pass(enum: _GridEnumeration, mask: int) -> tuple:
+    """Walk the grid acts in index order on A = events[mask]: each act's
+    constant solves x (on A) and y (off A), then t(g) for the two-level act
+    g = (x on A, y off A), then g's residuals on A, off A and in full (the
+    equation that additivity makes automatic and a general functional can
+    fail).  Returns conditionability's first witness (or None), the worst
+    residual, the first bracket failure (or None; its act is skipped), and
+    the (act index, t(g)) pairs whose full residual is not within the
+    tolerance, in act order.
     """
-    event = enum.events[mask]
-    witness = None
-    worst = 0.0
+    t, bits = enum.t, enum.bits[mask]
+    witness, worst, failure, mismatches = None, 0.0, None, []
     for ai, f in enumerate(enum.acts):
-        x, _, _, on_target, on_value = enum.constant(mask, ai)
-        y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
+        try:
+            x, _, _, on_target, on_value = enum.constant(mask, ai)
+            y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
+        except BisectionBracketFailure as err:
+            if failure is None:  # kept without its frames, which hold enum
+                failure = err.with_traceback(None)
+            continue
         tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
         if mask == enum.full:  # g = x * 1_Omega, the whole-space solve's act
             split = on_value
         elif mask == 0:  # g = y * 1_Omega
             split = off_value
         else:
-            split = enum.split_value(mask, ai, x, y)
-        residuals = {  # of g = (x on A, y off A) on A, off A and in full
+            split = t(Act._trusted(t.space, tuple(x if b else y for b in bits)))
+        residuals = {
             "event": abs(on_target - on_value),
             "complement": abs(off_target - off_value),
             "full": abs(float(enum.values[ai]) - split),
         }
+        if not residuals["full"] <= tol:
+            mismatches.append((ai, split))
         resid = max(residuals.values())
         worst = max(worst, resid)
         if resid > tol and witness is None:
             witness = {
                 "act": list(f.values),
-                "event": sorted(event.members),
+                "event": sorted(enum.events[mask].members),
                 "x": x,
                 "y": y,
                 "residuals": residuals,
                 "tolerance": tol,
             }
+    return witness, worst, failure, mismatches
+
+
+def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:
+    """Conditionability on the algebra generated by events[mask]: the
+    event walk's witness and worst residual, or its first bracket failure
+    raised."""
+    witness, worst, failure, _ = enum.event_pass(mask)
+    if failure is not None:
+        raise failure
     return witness, worst
 
 

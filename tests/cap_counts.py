@@ -9,6 +9,7 @@ root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
     PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 139655
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --expect-report SHA256
     PYTHONPATH=src python tests/cap_counts.py 5 5 --choquet
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
     PYTHONPATH=src python tests/cap_counts.py 5 5 --time
@@ -21,7 +22,8 @@ marked functional that function reads the masked value's closed form, not
 the evaluator, so its probes are not evaluator calls: a solve then makes
 four, its target, its bracket ends and its solution's value.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
-calls.  ``--time`` runs the harness once with no counting wrapper and
+calls, and ``--expect-report SHA256`` when the report's sha256 differs.
+``--time`` runs the harness once with no counting wrapper and
 prints only its wall time.  Each run also prints the sha256 of the
 harness report, which the guided and the plain loop must share.
 """
@@ -111,6 +113,7 @@ def main(argv=None) -> int:
     parser.add_argument("--plain", action="store_true")
     parser.add_argument("--time", action="store_true")
     parser.add_argument("--max-calls", type=int)
+    parser.add_argument("--expect-report", metavar="SHA256")
     args = parser.parse_args(argv)
     t = cap_functional(args.outcomes, args.grid, args.choquet)
     if args.plain:
@@ -118,24 +121,28 @@ def main(argv=None) -> int:
     loop = "guided" if t.monotone or t._choquet else "plain"
     kind = " choquet" if args.choquet else ""
     label = f"harness {args.outcomes}x{args.grid}{kind} {loop}"
+    status = 0
     if args.time:
         start = time.perf_counter()
         report = equivalence_harness(t)
         wall = time.perf_counter() - start
         print(f"{label}: wall {wall:.3f} s, report {digest(report)}")
-        return 0
-    report, counts = counted_run(t)
-    n = counts["bisections"]
-    probes = counts["guide"] + counts["replay"]
-    print(
-        f"{label}: {counts['calls']} evaluator calls, {n} bisections, "
-        f"{probes / n:.1f} probes per bisection ({counts['guide'] / n:.1f} "
-        f"guide, {counts['replay'] / n:.1f} replay), report {digest(report)}"
-    )
-    if args.max_calls is not None and counts["calls"] > args.max_calls:
-        print(f"more than {args.max_calls} evaluator calls", file=sys.stderr)
-        return 1
-    return 0
+    else:
+        report, counts = counted_run(t)
+        n = counts["bisections"]
+        probes = counts["guide"] + counts["replay"]
+        print(
+            f"{label}: {counts['calls']} evaluator calls, {n} bisections, "
+            f"{probes / n:.1f} probes per bisection ({counts['guide'] / n:.1f} "
+            f"guide, {counts['replay'] / n:.1f} replay), report {digest(report)}"
+        )
+        if args.max_calls is not None and counts["calls"] > args.max_calls:
+            print(f"more than {args.max_calls} evaluator calls", file=sys.stderr)
+            status = 1
+    if args.expect_report is not None and digest(report) != args.expect_report:
+        print(f"report digest differs from {args.expect_report}", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

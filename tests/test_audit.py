@@ -16,6 +16,8 @@ import pytest
 from chisini import (
     Act,
     AdditiveRepresentation,
+    AuditReport,
+    CheckResult,
     EventSet,
     ExponentialCurve,
     FiniteSpace,
@@ -33,6 +35,7 @@ from chisini import (
     equivalence_harness,
     expected_utility_functional,
     grid_table_functional,
+    paste,
 )
 from chisini import audit
 from chisini.audit import spot_check_additivity
@@ -179,8 +182,9 @@ class TestSureThing:
         assert not check.passed
         # the bracket endpoints of the constant solves build this witness
         assert check.details["witness_phase"] == "certainty-equivalent"
-        # the witness search reads each two-level and pasted act once
-        assert len(calls) == 741
+        # the witness search reads each two-level and pasted act once; the
+        # walk of the witness's event finishes before the witness is built
+        assert len(calls) == 1057
         w = check.witness
         assert w["margin"] > 1e-9
         # independent re-evaluation by direct Choquet sums
@@ -304,11 +308,129 @@ def grid_values(t):
     return acts, {a: t(Act(t.space, a)) for a in acts}
 
 
+def reference_solves(t, mask, f):
+    """Both constant solves of the value tuple f, on events[mask] and off
+    it, each run uncached."""
+    n = t.space.size
+    return tuple(
+        audit._solve_constant(
+            t, m, tuple(v for i, v in enumerate(f) if m >> i & 1), max(map(abs, f))
+        )
+        for m in (mask, ((1 << n) - 1) ^ mask)
+    )
+
+
+def two_level(t, mask, x, y):
+    """t(x on events[mask], y off it), evaluated on a checked act."""
+    n = t.space.size
+    return t(Act(t.space, [x if mask >> i & 1 else y for i in range(n)]))
+
+
+def reference_certainty_equivalent_witness(t):
+    """The certainty-equivalent phase as one loop per proper event over the
+    grid acts, each with its own uncached solves and its own evaluation of
+    t(x on A, y off A); an act whose bracket fails is skipped."""
+    n = t.space.size
+    full = (1 << n) - 1
+    for mask in range(1, full):
+        event = EventSet(t.space, {i for i in range(n) if mask >> i & 1})
+        complement = EventSet(t.space, set(range(n)) - event.members)
+        for values in product(t.grid, repeat=n):
+            try:
+                (x, x_lo, x_hi, _, _), (y, y_lo, y_hi, _, _) = reference_solves(
+                    t, mask, values
+                )
+            except BisectionBracketFailure:
+                continue
+            f = Act(t.space, values)
+            tol = audit.WITNESS_MARGIN * (1.0 + max(map(abs, values)))
+            tf, tg = t(f), two_level(t, mask, x, y)
+            if abs(tf - tg) <= tol:
+                continue
+            x_act = Act.constant(t.space, x)
+            t_mid = t(paste(x_act, f, event))
+            if abs(tf - t_mid) > tol / 2.0:
+                witness = audit._one_sided_flip(
+                    t, f, event, (x_lo, x_hi), completion=f, gap=tf - t_mid
+                )
+            else:
+                witness = audit._one_sided_flip(
+                    t, f, complement, (y_lo, y_hi), completion=x_act, gap=t_mid - tg
+                )
+            if witness is not None:
+                return witness
+    return None
+
+
+def reference_conditionable(t, mask):
+    """Conditionability on the algebra of events[mask] as one loop over
+    the grid acts, each with its own uncached solves, so that the first
+    bracket failure raises at its act, and its own evaluation of t(g) for
+    g = (x on A, y off A), read from the solve on the empty and full
+    event.  Returns the first failing act's witness and the worst
+    residual."""
+    n = t.space.size
+    full = (1 << n) - 1
+    witness, worst = None, 0.0
+    for values in product(t.grid, repeat=n):
+        (x, _, _, on_target, on_value), (y, _, _, off_target, off_value) = (
+            reference_solves(t, mask, values)
+        )
+        if mask in (0, full):
+            split = off_value if mask == 0 else on_value
+        else:
+            split = two_level(t, mask, x, y)
+        residuals = {
+            "event": abs(on_target - on_value),
+            "complement": abs(off_target - off_value),
+            "full": abs(t(Act(t.space, values)) - split),
+        }
+        tol = audit.WITNESS_MARGIN * (1.0 + max(map(abs, values)))
+        resid = max(residuals.values())
+        worst = max(worst, resid)
+        if resid > tol and witness is None:
+            witness = {
+                "act": list(Act(t.space, values).values),
+                "event": [i for i in range(n) if mask >> i & 1],
+                "x": x,
+                "y": y,
+                "residuals": residuals,
+                "tolerance": tol,
+            }
+    return witness, worst
+
+
+def reference_conditionable_all(t):
+    """Conditionability on every event, folded in ascending bitmask order."""
+    witness, worst = None, 0.0
+    for mask in range(1 << t.space.size):
+        found, resid = reference_conditionable(t, mask)
+        worst = max(worst, resid)
+        if witness is None:
+            witness = found
+    return audit._report(t, "conditionable", witness, {"worst_residual": worst})
+
+
+def reference_harness(t):
+    """The equivalence harness over the reference searches."""
+    if t.additive:
+        spot_check_additivity(t)
+    st = brute_force_sure_thing(t).check("sure-thing")
+    cond = reference_conditionable_all(t).check("conditionable")
+    agreement = CheckResult(
+        "verdict-agreement",
+        st.passed == cond.passed,
+        details={"sure_thing": st.passed, "conditionable": cond.passed},
+    )
+    return AuditReport(t.name or "functional", (st, cond, agreement))
+
+
 def brute_force_sure_thing(t):
     """The sure-thing audit with its grid phase as a loop over every ordered
     (f, g) pair of grid acts.  Each pasted act's value is looked up by its
     value tuple, and (h, h_alt, event) comes from a plain lexicographic
-    loop; the certainty-equivalent phase is the audit's own."""
+    loop; the certainty-equivalent phase is
+    :func:`reference_certainty_equivalent_witness`."""
     n = t.space.size
     acts, value = grid_values(t)
     events = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
@@ -351,7 +473,7 @@ def brute_force_sure_thing(t):
         break
     phase = "grid"
     if witness is None:
-        witness = audit._certainty_equivalent_witness(audit._GridEnumeration(t))
+        witness = reference_certainty_equivalent_witness(t)
         phase = "certainty-equivalent" if witness is not None else "none"
     return audit._report(
         t,
@@ -742,6 +864,10 @@ class TestConstantSolveOracle:
                     enum.constant(mask, ai)
                 except BisectionBracketFailure:
                     pass
+        # the event walks keep their bracket failures too
+        failures = [enum.event_pass(mask)[2] for mask in range(len(enum.events))]
+        assert any(failures)
+        del failures
         freed = weakref.ref(enum)
         gc.disable()
         try:
@@ -749,6 +875,77 @@ class TestConstantSolveOracle:
             assert freed() is None
         finally:
             gc.enable()
+
+
+def _walk_oracle_functionals():
+    """The solve oracle's functionals, the non-monotone ones (NaN values,
+    failed brackets on a clean grid), and tables whose certainty-equivalent
+    phase meets mismatches."""
+    return (
+        _oracle_functionals()
+        + _non_monotone_functionals()
+        + [random_grid_table(seed, 2, 3, bump) for seed, bump in
+           ((4, 0.7), (7, -0.7), (13, 2.5))]
+    )
+
+
+def report_outcome(audit_fn, *args):
+    """The report as float-hex (NaNs compare equal), or the error's type
+    and message."""
+    try:
+        return float_hex(audit_fn(*args).to_dict())
+    except ChisiniError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestEventWalkOracle:
+    """One walk per event serves both searches; each search's report, or
+    its bracket failure, equals that of its own loop with its own solves
+    and two-level evaluations."""
+
+    @pytest.mark.parametrize("t", _walk_oracle_functionals(), ids=lambda t: t.name)
+    def test_sure_thing_matches_reference(self, t):
+        expected = report_outcome(brute_force_sure_thing, t)
+        assert report_outcome(check_sure_thing, t) == expected
+
+    @pytest.mark.parametrize("t", _walk_oracle_functionals(), ids=lambda t: t.name)
+    def test_conditionable_all_events_matches_reference(self, t):
+        expected = report_outcome(reference_conditionable_all, t)
+        assert report_outcome(check_conditionable_all_events, t) == expected
+
+    @pytest.mark.parametrize("t", _walk_oracle_functionals(), ids=lambda t: t.name)
+    def test_conditionable_on_each_event_matches_reference(self, t):
+        n = t.space.size
+
+        def reference(t, event):
+            mask = sum(1 << i for i in event.members)
+            witness, worst = reference_conditionable(t, mask)
+            details = {"event": sorted(event.members), "worst_residual": worst}
+            return audit._report(t, "conditionable", witness, details)
+
+        for mask in range(1 << n):
+            event = EventSet(t.space, {i for i in range(n) if mask >> i & 1})
+            expected = report_outcome(reference, t, event)
+            assert report_outcome(check_conditionable_on_event, t, event) == expected
+
+    @pytest.mark.parametrize("t", _walk_oracle_functionals(), ids=lambda t: t.name)
+    def test_harness_matches_reference(self, t):
+        expected = report_outcome(reference_harness, t)
+        assert report_outcome(equivalence_harness, t) == expected
+
+    def test_functionals_reach_every_branch(self):
+        phases, raised = {}, set()
+        for t in _walk_oracle_functionals():
+            check = check_sure_thing(t).check("sure-thing")
+            phases[t.name] = check.details["witness_phase"]
+            try:
+                check_conditionable_all_events(t)
+            except BisectionBracketFailure:
+                raised.add(t.name)
+        assert set(phases.values()) == {"grid", "certainty-equivalent", "none"}
+        # sure-thing skips the failed brackets that conditionability raises
+        assert phases["decreasing"] == phases["nan-everywhere"] == "none"
+        assert {"decreasing", "nan-everywhere", "table-3x3-4-ties"} <= raised
 
 
 def _marked_functional(rng):
@@ -1285,12 +1482,12 @@ class TestEquivalenceHarness:
         ids=["expected-utility", "choquet"],
     )
     def test_evaluator_error_surfaces_at_the_same_act(self, t, seen):
-        # each t(x on A, y off A) is evaluated when a search first reads it,
-        # after that act's constant solves and before the next act's: so an
+        # each t(x on A, y off A) is evaluated in its event's walk, after
+        # that act's constant solves and before the next act's: so an
         # evaluator refusing (x, x, y) for f = (0, 2, 1) on A = {a, b} has
         # seen the same distinct acts whether t(g) is kept or evaluated on
-        # every read.  Solving every act's constants before filling the
-        # event's row would raise after 1,758 and 2,184.
+        # every read.  Solving every act's constants before evaluating the
+        # event's two-level acts would raise after 1,758 and 2,184.
         x = audit._solve_constant(t, 0b011, (0.0, 2.0), 2.0)[0]
         y = audit._solve_constant(t, 0b100, (1.0,), 2.0)[0]
         acts = set()
