@@ -51,14 +51,20 @@ sup|f|, events and value table once; the equivalence harness builds them
 once for both of its searches.  A solve reads f only through f * 1_A and
 sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
 on A, sup|f|) for every grid act sharing that key, in either search; a
-failed bracket is not kept and fails again.  The off-event constant for A
-is the solve on the complement of A.  Each solve also returns t(x * 1_A) at
-its solution, the residual that the conditionability search reads.  One
-walk per event (:func:`_event_pass`) reads both solves of each act and
-evaluates t(x on A, y off A) after them; both searches read its result,
-kept per event and made on the first read, in the searches' own order.
-On the empty and the full event that act is the whole-space solve's own,
-whose value the walk reads.
+failed bracket is not kept and fails again.  Where +0.0 is on the grid,
+f * 1_A is itself a grid act, and the solve reads its target t(f * 1_A)
+from the value table by act index; with -0.0 on the grid it is not (an
+evaluator may read the sign of a zero), and the solve evaluates it.  The
+bracket ends t(+-(sup|f| + 1) * 1_A) depend on the event and sup|f| alone,
+and are evaluated once per pair.  The off-event constant for A is the
+solve on the complement of A.  Each solve also returns t(x * 1_A) at its
+solution, the residual that the conditionability search reads.  One walk
+per complementary pair of events (:func:`_event_pass`) reads both solves
+of each act and evaluates t(x on A, y off A) after them, once for A and
+A^c, since (x on A, y off A) is (y on A^c, x off A^c).  Both searches read
+its result, kept per event and made on the first read of either event of
+the pair, in the searches' own order.  On the empty and the full event
+that act is the whole-space solve's own, whose value the walk reads.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .curves import (
     _float_monotone,
@@ -172,8 +178,15 @@ class _GridEnumeration:
         self.count = len(self.acts)
         self.passes = [None] * (self.full + 1)
         self.values = np.array([t(f) for f in self.acts], dtype=float)
+        # f * 1_A is a grid act where +0.0 is on the grid: -0.0 == 0.0, but
+        # an evaluator may read the sign of a zero
+        read = None
+        if any(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in t.grid):
+            read = partial(_grid_value, t.grid, self.values)
         # a function of the key alone, so the cache holds no reference to self
-        self._solve = lru_cache(maxsize=None)(partial(_solve_constant, t))
+        self._solve = lru_cache(maxsize=None)(
+            partial(_solve_constant, t, table=read, ends={})
+        )
 
     def table(self, mask: int) -> tuple[np.ndarray, ...]:
         """The value table of events[mask], a mode matricization of the
@@ -197,24 +210,47 @@ class _GridEnumeration:
     def constant(self, mask: int, ai: int) -> tuple[float, float, float, float, float]:
         """:func:`_solve_constant` on A = events[mask] and f = acts[ai],
         cached on its key: every act with the same values on A and the same
-        sup|f| gets the same floats from one bisection.  A failed bracket is
+        sup|f| gets the same floats from one bisection.  The solve reads its
+        target t(f * 1_A) from the value table where +0.0 is on the grid,
+        and each bracket end once per (event, sup|f|).  A failed bracket is
         not cached, and raises again on every call."""
         on = tuple(compress(self.acts[ai].values, self.bits[mask]))
         return self._solve(mask, on, self.sups[ai])
 
     def event_pass(self, mask: int) -> tuple:
-        """:func:`_event_pass` on events[mask], made on its first read."""
+        """:func:`_event_pass` on events[mask], made on its first read
+        together with the walk of the complement's."""
         if self.passes[mask] is None:
-            self.passes[mask] = _event_pass(self, mask)
+            self.passes[mask], self.passes[self.full ^ mask] = _event_pass(self, mask)
         return self.passes[mask]
 
 
+def _grid_value(grid: tuple[float, ...], values: np.ndarray, act: tuple) -> float:
+    """The value table's entry for the grid act with the value tuple
+    ``act``: its index is the mixed-radix number of its grid digits."""
+    index = 0
+    for v in act:
+        index = index * len(grid) + grid.index(v)
+    return float(values[index])
+
+
 def _solve_constant(
-    t: PreferenceFunctional, mask: int, on: tuple[float, ...], sup: float
+    t: PreferenceFunctional,
+    mask: int,
+    on: tuple[float, ...],
+    sup: float,
+    table: Callable[[tuple[float, ...]], float] | None = None,
+    ends: dict | None = None,
 ) -> tuple[float, float, float, float, float]:
     """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection, where
     A is the event with outcome bitmask ``mask``, ``on`` holds f's values on
     A in outcome order and ``sup`` is sup|f|; evaluate t(x * 1_A).
+
+    Called with the key alone, the solve evaluates its target and bracket
+    ends itself.  An enumeration passes ``ends``, a dict that keeps t at
+    the bracket ends per (mask, sup|f| + 1) across its solves, and, where
+    +0.0 is on its grid so that f * 1_A is a grid act, ``table``, which
+    reads t(f * 1_A) from its value table; the search is the same.
 
     Requires x -> t(x * 1_A) to be nondecreasing with the target inside
     its values at +-(sup|f| + 1); a failed bracket signals a strict-
@@ -226,8 +262,9 @@ def _solve_constant(
     < t(hi * 1_A), so the endpoints are one-sided solutions with a
     guaranteed comparison direction.
 
-    On a marked functional the evaluator makes four calls: the target, the
-    bracket ends and the returned value.  The search between them reads
+    On a marked functional a direct call makes four evaluator calls: the
+    target, the bracket ends and the returned value; an enumeration's solve
+    evaluates only those it cannot read.  The search between them reads
     x -> t(x * 1_A) from the closed form that the mark gives, float for
     float up to the sign of a zero, which no comparison sees, and a known
     pair (a, b) lets bisection skip the probes it decides, keeping the
@@ -264,12 +301,16 @@ def _solve_constant(
     lo = -hi
     bits = [mask >> i & 1 for i in range(t.space.size)]
     values = iter(on)
-    target = t(Act._trusted(t.space, tuple(next(values) if b else 0.0 for b in bits)))
+    masked = tuple(next(values) if b else 0.0 for b in bits)
+    target = t(Act._trusted(t.space, masked)) if table is None else table(masked)
 
     def masked_value(x: float) -> float:  # x lies in the finite bracket
         return t(Act._trusted(t.space, tuple(x if b else 0.0 for b in bits)))
 
-    v_lo, v_hi = masked_value(lo), masked_value(hi)
+    ends = {} if ends is None else ends
+    if (mask, hi) not in ends:
+        ends[mask, hi] = masked_value(lo), masked_value(hi)
+    v_lo, v_hi = ends[mask, hi]
     if v_lo == v_hi:
         return 0.0, 0.0, 0.0, target, masked_value(0.0)
     slack = 1e-12 * (1.0 + abs(target))
@@ -549,26 +590,34 @@ def _first_flip(enum: _GridEnumeration, fi: int, gi: int) -> tuple[int, int, int
     return int(hi), int(hj), mask
 
 
-def _event_pass(enum: _GridEnumeration, mask: int) -> tuple:
-    """Walk the grid acts in index order on A = events[mask]: each act's
+def _event_pass(enum: _GridEnumeration, mask: int) -> tuple[tuple, tuple]:
+    """Walk the grid acts in index order on A = events[mask] and on its
+    complement at once, since both generate one algebra: each act's
     constant solves x (on A) and y (off A), then t(g) for the two-level act
-    g = (x on A, y off A), then g's residuals on A, off A and in full (the
-    equation that additivity makes automatic and a general functional can
-    fail).  Returns conditionability's first witness (or None), the worst
-    residual, the first bracket failure (or None; its act is skipped), and
-    the (act index, t(g)) pairs whose full residual is not within the
-    tolerance, in act order.
+    g = (x on A, y off A) = (y on A^c, x off A^c), then g's residuals on A,
+    off A and in full (the equation that additivity makes automatic and a
+    general functional can fail).  Returns A's walk, then A^c's, each as
+    its first witness (or None), its worst residual, its first bracket
+    failure (or None; its act is skipped), and the (act index, t(g)) pairs
+    whose full residual is not within the tolerance, in act order, which
+    both walks share.  A^c's witness takes x and y, and the "event" and
+    "complement" residuals, swapped.  Each walk tries the solve on its own
+    event first, so an act whose solves both fail gives each walk its own
+    failure.
     """
-    t, bits = enum.t, enum.bits[mask]
-    witness, worst, failure, mismatches = None, 0.0, None, []
-    for ai, f in enumerate(enum.acts):
-        try:
-            x, _, _, on_target, on_value = enum.constant(mask, ai)
-            y, _, _, off_target, off_value = enum.constant(enum.full ^ mask, ai)
-        except BisectionBracketFailure as err:
-            if failure is None:  # kept without its frames, which hold enum
-                failure = err.with_traceback(None)
+    t, bits, cmask = enum.t, enum.bits[mask], enum.full ^ mask
+    witness = witness_c = failure = failure_c = None
+    worst = worst_c = 0.0
+    mismatches = []
+    for ai in range(enum.count):
+        on, off = _solved(enum, mask, ai), _solved(enum, cmask, ai)
+        on_failed, off_failed = isinstance(on, Exception), isinstance(off, Exception)
+        if on_failed or off_failed:
+            failure = failure or (on if on_failed else off)
+            failure_c = failure_c or (off if off_failed else on)
             continue
+        x, _, _, on_target, on_value = on
+        y, _, _, off_target, off_value = off
         tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
         if mask == enum.full:  # g = x * 1_Omega, the whole-space solve's act
             split = on_value
@@ -576,25 +625,47 @@ def _event_pass(enum: _GridEnumeration, mask: int) -> tuple:
             split = off_value
         else:
             split = t(Act._trusted(t.space, tuple(x if b else y for b in bits)))
-        residuals = {
-            "event": abs(on_target - on_value),
-            "complement": abs(off_target - off_value),
-            "full": abs(float(enum.values[ai]) - split),
-        }
-        if not residuals["full"] <= tol:
+        event, complement = abs(on_target - on_value), abs(off_target - off_value)
+        full = abs(float(enum.values[ai]) - split)
+        if not full <= tol:
             mismatches.append((ai, split))
-        resid = max(residuals.values())
-        worst = max(worst, resid)
+        # max returns a NaN that comes first and skips a later one, so each
+        # walk lists its own event's residual first, as its own loop did
+        resid, resid_c = max(event, complement, full), max(complement, event, full)
+        worst, worst_c = max(worst, resid), max(worst_c, resid_c)
         if resid > tol and witness is None:
-            witness = {
-                "act": list(f.values),
-                "event": sorted(enum.events[mask].members),
-                "x": x,
-                "y": y,
-                "residuals": residuals,
-                "tolerance": tol,
-            }
-    return witness, worst, failure, mismatches
+            witness = _walk_witness(enum, mask, ai, x, y, event, complement, full, tol)
+        if resid_c > tol and witness_c is None:
+            witness_c = _walk_witness(enum, cmask, ai, y, x, complement, event, full, tol)
+    return (
+        (witness, worst, failure, mismatches),
+        (witness_c, worst_c, failure_c, mismatches),
+    )
+
+
+def _solved(enum: _GridEnumeration, mask: int, ai: int) -> tuple | Exception:
+    """``enum.constant(mask, ai)``, or its bracket failure without its
+    frames, which hold enum."""
+    try:
+        return enum.constant(mask, ai)
+    except BisectionBracketFailure as err:
+        return err.with_traceback(None)
+
+
+def _walk_witness(
+    enum: _GridEnumeration, mask: int, ai: int, x: float, y: float,
+    event: float, complement: float, full: float, tol: float,
+) -> dict:
+    """Conditionability's witness: act acts[ai] on events[mask] with its
+    two constants and three residuals."""
+    return {
+        "act": list(enum.acts[ai].values),
+        "event": sorted(enum.events[mask].members),
+        "x": x,
+        "y": y,
+        "residuals": {"event": event, "complement": complement, "full": full},
+        "tolerance": tol,
+    }
 
 
 def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:

@@ -8,7 +8,7 @@ against P(A)**2 over the same outcomes and grid.  Run from the repository
 root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 139655
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 60969
     PYTHONPATH=src python tests/cap_counts.py 5 5 --expect-report SHA256
     PYTHONPATH=src python tests/cap_counts.py 5 5 --choquet
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
@@ -19,19 +19,23 @@ copy made with ``dataclasses.replace``), so every constant solve runs the
 plain loop on the evaluator.  A probe is a call of the function that a
 solve hands to ``_newton`` (guide) or ``bisect_increasing`` (replay).  On a
 marked functional that function reads the masked value's closed form, not
-the evaluator, so its probes are not evaluator calls: a solve then makes
-four, its target, its bracket ends and its solution's value.
+the evaluator, so its probes are not evaluator calls: a solve then
+evaluates its solution's value, and its bracket ends on the first solve
+of each (event, sup|f|); its target is a grid act, read from the value
+table, since 0 is on the grid.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
 calls, and ``--expect-report SHA256`` when the report's sha256 differs.
 ``--time`` runs the harness once with no counting wrapper and
 prints only its wall time.  Each run also prints the sha256 of the
-harness report, which the guided and the plain loop must share.
+harness report, which the guided and the plain loop must share, and the
+process's peak resident set size (``resource.getrusage``).
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 
@@ -105,6 +109,12 @@ def counted_run(t):
     return report, counts
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB (Linux reports
+    ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outcomes", type=int)
@@ -126,7 +136,10 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         report = equivalence_harness(t)
         wall = time.perf_counter() - start
-        print(f"{label}: wall {wall:.3f} s, report {digest(report)}")
+        print(
+            f"{label}: wall {wall:.3f} s, peak RSS {peak_rss_mb():.1f} MB, "
+            f"report {digest(report)}"
+        )
     else:
         report, counts = counted_run(t)
         n = counts["bisections"]
@@ -134,7 +147,8 @@ def main(argv=None) -> int:
         print(
             f"{label}: {counts['calls']} evaluator calls, {n} bisections, "
             f"{probes / n:.1f} probes per bisection ({counts['guide'] / n:.1f} "
-            f"guide, {counts['replay'] / n:.1f} replay), report {digest(report)}"
+            f"guide, {counts['replay'] / n:.1f} replay), peak RSS "
+            f"{peak_rss_mb():.1f} MB, report {digest(report)}"
         )
         if args.max_calls is not None and counts["calls"] > args.max_calls:
             print(f"more than {args.max_calls} evaluator calls", file=sys.stderr)

@@ -184,7 +184,7 @@ class TestSureThing:
         assert check.details["witness_phase"] == "certainty-equivalent"
         # the witness search reads each two-level and pasted act once; the
         # walk of the witness's event finishes before the witness is built
-        assert len(calls) == 1057
+        assert len(calls) == 1009
         w = check.witness
         assert w["margin"] > 1e-9
         # independent re-evaluation by direct Choquet sums
@@ -819,13 +819,74 @@ class TestConditionable:
         assert len(calls) == len(keys(range(1, 8))) == 87
 
 
+def signed_zero_functional():
+    """The mean of three outcomes plus 1e-3 per coordinate at -0.0, on a
+    grid holding -0.0: t(f * 1_A), masked with +0.0, is not the value of
+    the grid act that equals f * 1_A under ==, which has -0.0 off A."""
+    space = uniform3()
+
+    def evaluate(act):
+        minus_zeros = sum(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in act.values)
+        return sum(act.values) / 3.0 + 1e-3 * minus_zeros
+
+    return PreferenceFunctional(
+        space=space, evaluator=evaluate, grid=(-1.0, -0.0, 1.0), name="signed-zero"
+    )
+
+
 def _oracle_functionals():
     return [
         eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0), name="eu"),
         _null_outcome_functionals()[0],
         choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0)),
         random_grid_table(4, 3, 3),  # not monotone: some brackets fail
+        signed_zero_functional(),
     ]
+
+
+def bracket_failure_functional(name, ends):
+    """t(f) = a + b on two uniform outcomes over the grid (0, 1, 2), but
+    10.0 at each act of ``ends``: the bracket end t(-2 * 1_A) = 10 of an
+    event A makes every solve on A with sup|f| = 1 fail, first at the act
+    (0, 1)."""
+    overridden = {values: 10.0 for values in ends}
+    return PreferenceFunctional(
+        space=FiniteSpace.uniform(["a", "b"]),
+        evaluator=lambda act: overridden.get(act.values, sum(act.values)),
+        grid=(0.0, 1.0, 2.0),
+        name=name,
+    )
+
+
+def _bracket_failure_functionals():
+    """Functionals whose first failed act, (0, 1), fails its solve on
+    {a} only, on {b} only, and on both, with different messages."""
+    on_a, on_b = (-2.0, 0.0), (0.0, -2.0)
+    return [
+        bracket_failure_functional("fails-on-a", [on_a]),
+        bracket_failure_functional("fails-on-b", [on_b]),
+        bracket_failure_functional("fails-on-both", [on_a, on_b]),
+    ]
+
+
+def nan_residual_functional():
+    """a + b on two uniform outcomes over the grid (0, 1, 2), but for the
+    constants x and y that solve f = (1, 0) on {a} and on {b}: NaN at
+    x * 1_{a} and 100 at (x, y).  At that act the walk on {a} reads the
+    residuals (NaN, c, 99) in its order and the walk on {b} (c, NaN, 99):
+    max skips the act on {a} and takes 99 on {b}."""
+    space = FiniteSpace.uniform(["a", "b"])
+    base = PreferenceFunctional(
+        space=space, evaluator=lambda act: sum(act.values), grid=(0.0, 1.0, 2.0)
+    )
+    x = audit._solve_constant(base, 0b01, (1.0,), 1.0)[0]
+    y = audit._solve_constant(base, 0b10, (0.0,), 1.0)[0]
+    special = {(x, 0.0): float("nan"), (x, y): 100.0}
+    return dataclasses.replace(
+        base,
+        evaluator=lambda act: special.get(act.values, sum(act.values)),
+        name="nan-residual",
+    )
 
 
 def _outcome(solve, *args):
@@ -857,24 +918,26 @@ class TestConstantSolveOracle:
             assert 0 < failures < pairs
 
     def test_enumeration_is_freed_without_the_cycle_collector(self):
-        enum = audit._GridEnumeration(random_grid_table(4, 3, 3))
-        for mask in range(len(enum.events)):
-            for ai in range(enum.count):
-                try:
-                    enum.constant(mask, ai)
-                except BisectionBracketFailure:
-                    pass
-        # the event walks keep their bracket failures too
-        failures = [enum.event_pass(mask)[2] for mask in range(len(enum.events))]
-        assert any(failures)
-        del failures
-        freed = weakref.ref(enum)
-        gc.disable()
-        try:
-            del enum  # reference counting alone must free it
-            assert freed() is None
-        finally:
-            gc.enable()
+        for t in [random_grid_table(4, 3, 3)] + _bracket_failure_functionals():
+            enum = audit._GridEnumeration(t)
+            for mask in range(len(enum.events)):
+                for ai in range(enum.count):
+                    try:
+                        enum.constant(mask, ai)
+                    except BisectionBracketFailure:
+                        pass
+            # the event walks keep their bracket failures too, each pair's
+            # made on the read of either event
+            failures = [enum.event_pass(mask)[2] for mask in range(len(enum.events))]
+            assert any(failures), t.name
+            del failures
+            freed = weakref.ref(enum)
+            gc.disable()
+            try:
+                del enum  # reference counting alone must free it
+                assert freed() is None, t.name
+            finally:
+                gc.enable()
 
 
 def _walk_oracle_functionals():
@@ -886,6 +949,8 @@ def _walk_oracle_functionals():
         + _non_monotone_functionals()
         + [random_grid_table(seed, 2, 3, bump) for seed, bump in
            ((4, 0.7), (7, -0.7), (13, 2.5))]
+        + _bracket_failure_functionals()
+        + [nan_residual_functional()]
     )
 
 
@@ -932,6 +997,48 @@ class TestEventWalkOracle:
     def test_harness_matches_reference(self, t):
         expected = report_outcome(reference_harness, t)
         assert report_outcome(equivalence_harness, t) == expected
+
+    @pytest.mark.parametrize("t", _walk_oracle_functionals(), ids=lambda t: t.name)
+    def test_walk_made_with_the_complement_matches_reference(self, t):
+        # events[mask]'s walk made on the read of its complement's
+        full = (1 << t.space.size) - 1
+        for mask in range(full + 1):
+            enum = audit._GridEnumeration(t)
+            enum.event_pass(full ^ mask)
+            witness, worst, failure, _ = enum.passes[mask]
+            try:
+                expected = float_hex(reference_conditionable(t, mask))
+            except BisectionBracketFailure as exc:
+                expected = type(exc).__name__, str(exc)
+            if failure is None:
+                assert float_hex([witness, worst]) == expected, mask
+            else:
+                assert (type(failure).__name__, str(failure)) == expected, mask
+
+    @pytest.mark.parametrize(
+        "name, on_a, on_b",
+        [
+            ("fails-on-a", "target 0", "target 0"),
+            ("fails-on-b", "target 1", "target 1"),
+            ("fails-on-both", "target 0", "target 1"),
+        ],
+    )
+    def test_each_walk_raises_its_own_first_failure(self, name, on_a, on_b):
+        # at the act (0, 1) the walk on {a} tries the solve on {a} first,
+        # and the walk on {b} the solve on {b}, also where the walk on {b}
+        # is made with the walk on {a}
+        (t,) = [f for f in _bracket_failure_functionals() if f.name == name]
+        range_ = "outside masked-value range [10, 2]"
+        for members, expected in (({0}, on_a), ({1}, on_b)):
+            event = EventSet(t.space, members)
+            with pytest.raises(BisectionBracketFailure) as info:
+                check_conditionable_on_event(t, event)
+            assert str(info.value) == f"{expected} {range_}"
+        enum = audit._GridEnumeration(t)
+        enum.event_pass(0b01)
+        assert [str(enum.passes[mask][2]) for mask in (0b01, 0b10)] == [
+            f"{on_a} {range_}", f"{on_b} {range_}"
+        ]
 
     def test_functionals_reach_every_branch(self):
         phases, raised = {}, set()
@@ -1037,10 +1144,10 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 567
+        assert len(calls) == 264
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
-        assert len(calls) == 4562
+        assert len(calls) == 4259
         assert guided.to_dict() == plain.to_dict()
 
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
@@ -1131,10 +1238,10 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 1124
+        assert len(calls) == 473
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
-        assert len(calls) == 8753
+        assert len(calls) == 8102
         assert guided.to_dict() == plain.to_dict()
 
     def test_bracket_beyond_half_the_float_range_is_refused(self):
@@ -1445,6 +1552,19 @@ class TestGuideRouting:
         assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
         assert "_choquet" not in {f.name for f in dataclasses.fields(t)}
         assert not eu(uniform3(), ExponentialCurve(0.5))._choquet
+
+
+class TestSignedZeroGrid:
+    """With -0.0 on the grid, f * 1_A is no grid act: a solve's target is
+    evaluated, not read from the value table by an equal value tuple."""
+
+    def test_harness_matches_reference(self):
+        t = signed_zero_functional()
+        space = t.space
+        assert t(Act(space, (-0.0,) * 3)) != t(Act(space, (0.0,) * 3))
+        assert report_outcome(equivalence_harness, t) == report_outcome(
+            reference_harness, t
+        )
 
 
 class TestEquivalenceHarness:
