@@ -35,7 +35,9 @@ The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
 On the two marked families the masked value x -> t(x * 1_A) has a closed
 form, equal to the evaluator's float up to the sign of a zero, and the
-search probes that form, not the evaluator (see :func:`_solve_constant`):
+search probes that form, not the evaluator, and reads the solution's value
+from it, so that a solve called on its own makes three evaluator calls,
+its target and its bracket ends (see :func:`_solve_constant`):
 on a ``monotone`` functional (expected utility over regular exponential,
 power and linear curves) the masked sum of its term table, and on a
 Choquet functional one rounded product at x >= 0 and on the whole space,
@@ -51,10 +53,13 @@ sup|f|, events and value table once; the equivalence harness builds them
 once for both of its searches.  A solve reads f only through f * 1_A and
 sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
 on A, sup|f|) for every grid act sharing that key, in either search; a
-failed bracket is not kept and fails again.  Where +0.0 is on the grid,
-f * 1_A is itself a grid act, and the solve reads its target t(f * 1_A)
-from the value table by act index; with -0.0 on the grid it is not (an
-evaluator may read the sign of a zero), and the solve evaluates it.  The
+failed bracket is not kept and fails again.  What a solve reads of its
+event alone, the members, the closed form and the Newton guide, is built
+once per event (:func:`_event_search`) and kept beside the bracket ends.
+Where +0.0 is on the grid, f * 1_A is itself a grid act, and the solve
+reads its target t(f * 1_A) from the value table by act index; with -0.0
+on the grid it is not (an evaluator may read the sign of a zero), and the
+solve evaluates it.  The
 bracket ends t(+-(sup|f| + 1) * 1_A) depend on the event and sup|f| alone,
 and are evaluated once per pair.  The off-event constant for A is the
 solve on the complement of A.  Each solve also returns t(x * 1_A) at its
@@ -185,7 +190,7 @@ class _GridEnumeration:
             read = partial(_grid_value, t.grid, self.values)
         # a function of the key alone, so the cache holds no reference to self
         self._solve = lru_cache(maxsize=None)(
-            partial(_solve_constant, t, table=read, ends={})
+            partial(_solve_constant, t, table=read, ends={}, searches={})
         )
 
     def table(self, mask: int) -> tuple[np.ndarray, ...]:
@@ -241,16 +246,19 @@ def _solve_constant(
     sup: float,
     table: Callable[[tuple[float, ...]], float] | None = None,
     ends: dict | None = None,
+    searches: dict | None = None,
 ) -> tuple[float, float, float, float, float]:
     """Solve t(x * 1_A) = t(f * 1_A) for the constant x by bisection, where
     A is the event with outcome bitmask ``mask``, ``on`` holds f's values on
     A in outcome order and ``sup`` is sup|f|; evaluate t(x * 1_A).
 
-    Called with the key alone, the solve evaluates its target and bracket
-    ends itself.  An enumeration passes ``ends``, a dict that keeps t at
-    the bracket ends per (mask, sup|f| + 1) across its solves, and, where
-    +0.0 is on its grid so that f * 1_A is a grid act, ``table``, which
-    reads t(f * 1_A) from its value table; the search is the same.
+    Called with the key alone, the solve builds its event's search
+    (:func:`_event_search`) and evaluates its target and bracket ends
+    itself.  An enumeration passes ``searches``, a dict that keeps the
+    search per mask, and ``ends``, one that keeps t at the bracket ends per
+    (mask, sup|f| + 1), across its solves, and, where +0.0 is on its grid
+    so that f * 1_A is a grid act, ``table``, which reads t(f * 1_A) from
+    its value table; the search is the same.
 
     Requires x -> t(x * 1_A) to be nondecreasing with the target inside
     its values at +-(sup|f| + 1); a failed bracket signals a strict-
@@ -262,13 +270,13 @@ def _solve_constant(
     < t(hi * 1_A), so the endpoints are one-sided solutions with a
     guaranteed comparison direction.
 
-    On a marked functional a direct call makes four evaluator calls: the
-    target, the bracket ends and the returned value; an enumeration's solve
-    evaluates only those it cannot read.  The search between them reads
-    x -> t(x * 1_A) from the closed form that the mark gives, float for
-    float up to the sign of a zero, which no comparison sees, and a known
-    pair (a, b) lets bisection skip the probes it decides, keeping the
-    loop's floats:
+    On a marked functional a direct call makes three evaluator calls: the
+    target and the bracket ends; an enumeration's solve evaluates only
+    those it cannot read.  The search between them, and the returned value,
+    read x -> t(x * 1_A) from the closed form that the mark gives, float
+    for float up to the sign of a zero, which no comparison sees and
+    |target - value| drops, and a known pair (a, b) lets bisection skip the
+    probes it decides, keeping the loop's floats:
 
     - On a ``monotone`` functional the form is the left-to-right sum of A's
       rows of its term table, since each outcome off A adds p * u(0) =
@@ -290,7 +298,9 @@ def _solve_constant(
       difference of two rounded products need not be monotone in floats,
       runs the plain loop on the form.
 
-    Every other functional runs the plain loop on the evaluator.
+    The flat map's value, and the value at x = 0.0, a zero whose sign the
+    evaluator gives, are evaluated.  Every other functional runs the plain
+    loop on the evaluator.
     """
     hi = sup + 1.0
     if hi > 0.5 * sys.float_info.max:
@@ -299,7 +309,10 @@ def _solve_constant(
             "midpoints overflow"
         )
     lo = -hi
-    bits = [mask >> i & 1 for i in range(t.space.size)]
+    searches = {} if searches is None else searches
+    if mask not in searches:
+        searches[mask] = _event_search(t, mask)
+    bits, form, guide, whole = searches[mask]
     values = iter(on)
     masked = tuple(next(values) if b else 0.0 for b in bits)
     target = t(Act._trusted(t.space, masked)) if table is None else table(masked)
@@ -318,34 +331,48 @@ def _solve_constant(
         raise BisectionBracketFailure(
             f"target {target:g} outside masked-value range [{v_lo:g}, {v_hi:g}]"
         )
-    fn, known = masked_value, None
-    if t.monotone:
-        # the evaluator's value at the bracket ends did not overflow, nor
-        # then do the same curve expressions in the terms between them
-        guide = partial(_value_and_slope, tuple(compress(t._terms, bits)))
-        fn = lambda x: guide(x)[0]
+    # on a monotone functional the evaluator's value at the bracket ends
+    # did not overflow, nor then do the same curve expressions in the terms
+    # between them
+    fn, known = form or masked_value, None
+    if guide is not None:
         if v_lo <= target < v_hi:
             known = _newton(guide, target, lo, v_lo, hi, v_hi)
+    elif t._choquet and (target >= 0.0 or whole):
+        slope = v_hi / hi
+        pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
+        if pair[1] <= target < pair[3]:
+            known = _newton(lambda x: (fn(x), slope), target, *pair)
+    lo, hi = bisect_increasing(fn, target, lo, hi, known)
+    x = 0.5 * (lo + hi)
+    return x, lo, hi, target, masked_value(x) if form is None or x == 0.0 else form(x)
+
+
+def _event_search(t: PreferenceFunctional, mask: int) -> tuple:
+    """What a constant solve on the event with outcome bitmask ``mask``
+    reads of the event alone: the bits of its members in outcome order, the
+    closed form of x -> t(x * 1_A) (None where the evaluator serves), a
+    ``monotone`` functional's Newton guide, the form's value and slope in
+    one pass (else None), and whether the event is the whole space.  See
+    :func:`_solve_constant` for the forms."""
+    bits = [mask >> i & 1 for i in range(t.space.size)]
+    n, k = len(bits), sum(bits)
+    form = guide = None
+    if t.monotone:
+        guide = partial(_value_and_slope, tuple(compress(t._terms, bits)))
+        form = lambda x: guide(x)[0]
     elif t._choquet:
-        n, k = len(bits), sum(bits)
         up = t._choquet(tuple(sorted(range(n), key=bits.__getitem__, reverse=True)))
         down = t._choquet(tuple(sorted(range(n), key=bits.__getitem__)))
         if all(map(math.isfinite, up + down + t._choquet(tuple(range(n))))):
             c_a, nu_all, c_off = up[k - 1], down[-1], down[n - k - 1]
 
-            def fn(x: float) -> float:
+            def form(x: float) -> float:
                 if x >= 0.0 or k == n:  # the whole space's two rows are one
                     return x * c_a
                 return x * nu_all + (0.0 - x) * c_off
 
-        if target >= 0.0 or k == n:
-            slope = v_hi / hi
-            pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
-            if pair[1] <= target < pair[3]:
-                known = _newton(lambda x: (fn(x), slope), target, *pair)
-    lo, hi = bisect_increasing(fn, target, lo, hi, known)
-    x = 0.5 * (lo + hi)
-    return x, lo, hi, target, masked_value(x)
+    return bits, form, guide, k == n
 
 
 def _report(
@@ -671,10 +698,11 @@ def _walk_witness(
 def _conditionable(enum: _GridEnumeration, mask: int) -> tuple[dict | None, float]:
     """Conditionability on the algebra generated by events[mask]: the
     event walk's witness and worst residual, or its first bracket failure
-    raised."""
+    raised as a copy, since raising the stored one would give it frames
+    that hold enum."""
     witness, worst, failure, _ = enum.event_pass(mask)
     if failure is not None:
-        raise failure
+        raise type(failure)(*failure.args)
     return witness, worst
 
 

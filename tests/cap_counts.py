@@ -8,7 +8,7 @@ against P(A)**2 over the same outcomes and grid.  Run from the repository
 root:
 
     PYTHONPATH=src python tests/cap_counts.py 5 5
-    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 60969
+    PYTHONPATH=src python tests/cap_counts.py 5 5 --max-calls 50284
     PYTHONPATH=src python tests/cap_counts.py 5 5 --expect-report SHA256
     PYTHONPATH=src python tests/cap_counts.py 5 5 --choquet
     PYTHONPATH=src python tests/cap_counts.py 6 5 --plain
@@ -19,10 +19,10 @@ copy made with ``dataclasses.replace``), so every constant solve runs the
 plain loop on the evaluator.  A probe is a call of the function that a
 solve hands to ``_newton`` (guide) or ``bisect_increasing`` (replay).  On a
 marked functional that function reads the masked value's closed form, not
-the evaluator, so its probes are not evaluator calls: a solve then
-evaluates its solution's value, and its bracket ends on the first solve
-of each (event, sup|f|); its target is a grid act, read from the value
-table, since 0 is on the grid.
+the evaluator, so its probes are not evaluator calls, and a solve reads
+its solution's value from it too: a solve then evaluates only its bracket
+ends, on the first solve of each (event, sup|f|); its target is a grid
+act, read from the value table, since 0 is on the grid.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
 calls, and ``--expect-report SHA256`` when the report's sha256 differs.
 ``--time`` runs the harness once with no counting wrapper and

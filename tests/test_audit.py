@@ -938,6 +938,83 @@ class TestConstantSolveOracle:
                 assert freed() is None, t.name
             finally:
                 gc.enable()
+        # also after a search raises a stored failure: the raised error is
+        # a copy, so the stored one gets no frames that hold the enumeration
+        enum = audit._GridEnumeration(random_grid_table(4, 3, 3))
+        freed = weakref.ref(enum)
+        gc.disable()
+        try:
+            with pytest.raises(BisectionBracketFailure):
+                audit._conditionable_all(enum)
+            del enum
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_solution_value_is_the_evaluators(self, monkeypatch):
+        # a marked functional's solve reads t(x * 1_A) at its solution from
+        # the closed form: the evaluator's float, but for the sign of a zero
+        calls = []
+        call = PreferenceFunctional.__call__
+        monkeypatch.setattr(
+            PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
+        )
+        rng = random.Random(33)
+        marked = [(t, key) for t in _oracle_functionals()[:3]
+                  for key in _grid_keys(t)]
+        for make, solve_key in ((_marked_functional, _solve_key),
+                                (_random_choquet, _choquet_key)) * 300:
+            t = make(rng)
+            marked += [(t, solve_key(rng, t)) for _ in range(10)]
+        tally = Counter()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t, (mask, on, sup) in marked:
+                family = "eu" if t.monotone else "choquet"
+                assert t.monotone or t._choquet
+                calls.clear()
+                try:
+                    x, _, _, _, value = audit._solve_constant(t, mask, on, sup)
+                except ChisiniError:
+                    continue
+                # the target and the bracket ends, and the value where the
+                # form is not read: a flat map, x = 0.0, an infinite capacity
+                read = len(calls) == 3
+                masked = tuple(x if mask >> i & 1 else 0.0 for i in range(t.space.size))
+                want = call(t, Act(t.space, masked))
+                if float.hex(value) != float.hex(want):
+                    # the one difference allowed: the sign of a zero, which
+                    # |target - value| drops
+                    assert value == want == 0.0, (t.name, mask, on, sup, value, want)
+                tally[family, read] += 1
+                tally[family, read, value == 0.0] += 1
+        assert tally["eu", True] > 2_000 and tally["choquet", True] > 2_000, tally
+        assert tally["choquet", True, True] > 10, tally  # zeros from the form
+        assert tally["eu", False] > 500 and tally["choquet", False] > 500, tally
+
+    def test_each_event_search_is_built_once(self):
+        t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
+        expected = equivalence_harness(t).to_dict()
+        row, reads = t._choquet, []
+
+        def counted(order):
+            reads.append(order)
+            return row(order)
+
+        object.__setattr__(t, "_choquet", counted)
+        assert equivalence_harness(t).to_dict() == expected
+        # the (A, A^c), (A^c, A) and identity rows, once for each of the 8
+        # events, not once per solve
+        assert len(reads) == 3 * 8
+
+
+def _grid_keys(t):
+    """Every (mask, values on A, sup) solve key of a functional's grid acts."""
+    n = t.space.size
+    return {
+        (mask, tuple(v for i, v in enumerate(f) if mask >> i & 1), max(map(abs, f)))
+        for mask in range(1 << n)
+        for f in product(t.grid, repeat=n)
+    }
 
 
 def _walk_oracle_functionals():
@@ -1144,7 +1221,7 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(AdditiveRepresentation, "evaluate", counted)
         t = eu(uniform3(), ExponentialCurve(0.5), (0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 264
+        assert len(calls) == 177
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
         assert len(calls) == 4259
@@ -1153,7 +1230,7 @@ class TestGuidedConstantSolve:
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
         # the Newton guides reach bisection as its known pair: record each
         # bisection's target, or None if plain; and count the evaluator
-        # calls, four in a solve whose search reads the closed form
+        # calls, three in a solve whose search and value read the closed form
         targets, calls = [], []
         call = PreferenceFunctional.__call__
 
@@ -1165,7 +1242,7 @@ class TestGuidedConstantSolve:
             before, calls_before = len(targets), len(calls)
             got = _outcome(audit._solve_constant, t, *key)
             guided = any(target is not None for target in targets[before:])
-            closed = len(calls) - calls_before == 4
+            closed = len(calls) - calls_before == 3
             want = _outcome(audit._solve_constant, dataclasses.replace(t), *key)
             if got != want:
                 differ.append((t.space.weights, t.name, key, got, want))
@@ -1238,7 +1315,7 @@ class TestGuidedConstantSolve:
         monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
         t = choquet_functional(uniform3(), 2.0, (-1.0, 0.0, 1.0, 2.0))
         guided = equivalence_harness(t)
-        assert len(calls) == 473
+        assert len(calls) == 307
         calls.clear()
         plain = equivalence_harness(dataclasses.replace(t))
         assert len(calls) == 8102
@@ -1488,8 +1565,10 @@ class TestGuideRouting:
     def test_choquet_guides_the_rounded_product_solves(self, monkeypatch):
         # Newton's pair reaches bisection on the whole space and at targets
         # >= 0; a negative target on a proper event runs the plain loop.
-        # Every search reads the closed form, so each solve makes four
-        # evaluator calls: the target, the bracket ends and the solution's
+        # Every search reads the closed form, and so does the solution's
+        # value, so each solve makes three evaluator calls, the target and
+        # the bracket ends, and a solve on the flat empty event a fourth,
+        # its value
         pairs, newton, calls = [], [], []
         call = PreferenceFunctional.__call__
 
@@ -1521,7 +1600,7 @@ class TestGuideRouting:
                 run = [known is not None for known in pairs[before:]]
                 assert run == ([] if mask == 0 else [guided]), (mask, f)
                 assert (len(newton) > newton_before) == guided, (mask, f)
-                assert len(calls) - calls_before == 4, (mask, f)
+                assert len(calls) - calls_before == (3 if mask else 4), (mask, f)
                 kinds[whole, nonnegative] += 1
         assert min(kinds.values()) >= 27 and len(kinds) == 4
 
