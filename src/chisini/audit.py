@@ -50,7 +50,8 @@ Every other functional runs the plain loop on the evaluator.  A
 bracket beyond half the float range, whose midpoints would overflow, is
 refused before any probe.  Each audit call builds its grid acts with their
 sup|f|, events and value table once; the equivalence harness builds them
-once for both of its searches.  A solve reads f only through f * 1_A and
+once for both of its searches, and ``chisini audit`` once for strict
+monotonicity and the harness.  A solve reads f only through f * 1_A and
 sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
 on A, sup|f|) for every grid act sharing that key, in either search; a
 failed bracket is not kept and fails again.  What a solve reads of its
@@ -392,11 +393,20 @@ def check_strict_monotonicity(t: PreferenceFunctional) -> AuditReport:
     grid[d] on it is column d * (g^|A| - 1) / (g - 1), so each pair compares
     two columns.  The first failure in enumeration order is the witness.
     """
-    import numpy as np
+    _require_grid_pair(t)
+    return _strict_monotonicity(_GridEnumeration(t))
 
+
+def _require_grid_pair(t: PreferenceFunctional) -> None:
     if len(t.grid) < 2:
         raise ValueError("strict monotonicity needs at least two grid values")
-    enum = _GridEnumeration(t)
+
+
+def _strict_monotonicity(enum: _GridEnumeration) -> AuditReport:
+    """:func:`check_strict_monotonicity` over a built enumeration."""
+    import numpy as np
+
+    t = enum.t
     witness = None
     checked = 0
     for mask in range(1, 1 << enum.n):
@@ -752,7 +762,13 @@ def equivalence_harness(t: PreferenceFunctional) -> AuditReport:
     """
     if t.additive:
         spot_check_additivity(t)
-    enum = _GridEnumeration(t)
+    return _harness(_GridEnumeration(t))
+
+
+def _harness(enum: _GridEnumeration) -> AuditReport:
+    """:func:`equivalence_harness` over a built enumeration, after the
+    additivity spot check."""
+    t = enum.t
     st = _sure_thing(enum).check("sure-thing")
     cond = _conditionable_all(enum).check("conditionable")
     agree = st.passed == cond.passed
@@ -771,6 +787,21 @@ def equivalence_harness(t: PreferenceFunctional) -> AuditReport:
             ),
         ),
     )
+
+
+def _monotonicity_and_harness(
+    t: PreferenceFunctional,
+) -> tuple[AuditReport, AuditReport]:
+    """:func:`check_strict_monotonicity` then :func:`equivalence_harness`
+    over one enumeration, as ``chisini audit`` runs them: the same reports,
+    errors and evaluation order, without the second enumeration's g^n
+    evaluator calls."""
+    _require_grid_pair(t)
+    enum = _GridEnumeration(t)
+    monotone = _strict_monotonicity(enum)
+    if t.additive:
+        spot_check_additivity(t)
+    return monotone, _harness(enum)
 
 
 def expected_utility_functional(

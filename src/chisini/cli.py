@@ -179,11 +179,9 @@ def cmd_compute(model: ModelFile, args) -> tuple[dict, int]:
 
 
 def cmd_audit(model: ModelFile, args) -> tuple[dict, int]:
-    from .audit import check_strict_monotonicity, equivalence_harness
+    from .audit import _monotonicity_and_harness
 
-    functional = model.functional(args.functional)
-    monotone = check_strict_monotonicity(functional)
-    harness = equivalence_harness(functional)
+    monotone, harness = _monotonicity_and_harness(model.functional(args.functional))
     checks = {}
     for report in (monotone, harness):
         for check in report.checks:

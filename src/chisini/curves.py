@@ -30,7 +30,13 @@ the mixture's term table (``value_and_slope``) first narrows a pair u(a) <=
 target < u(b) onto the root from both sides, and bisection skips each probe
 whose comparison that pair implies (the ``known`` contract of
 ``bisect_increasing``): every float is the plain loop's, from about a fifth
-of its probes.
+of its probes.  Since the solution then depends on the curve and the target
+alone, such a curve keeps the (target, solution) pair of its last
+bisection: a repeated target returns the stored float, and when the stored
+solution lies inside a new target's bracket, the first Newton probe is the
+secant point of the stored pair and the bracket end across the target.
+That pays where successive targets barely move, as along the
+certainty-equivalent audit's convergent sequences.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ class Curve:
     #: skip the probes a known bracket decides (see ``bisect_increasing``).
     #: Such a curve has a ``value_and_slope``, whose slope guides the search.
     monotone = False
+
+    #: The (target, solution) pair of a ``monotone`` curve's last bisection,
+    #: set on the instance by ``right_continuous_inverse``, outside ``==``,
+    #: ``hash`` and ``repr``; NaNs, which match no target, before the first.
+    _solved = (math.nan, math.nan)
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -441,12 +452,20 @@ def right_continuous_inverse(
     lies beyond every float target on that side.
 
     On a ``monotone`` curve, which has a ``value_and_slope``, the bracket's
-    probes and ``_newton`` give bisection its ``known`` pair.
+    probes and ``_newton`` give bisection its ``known`` pair.  Such a curve
+    also keeps its last (target, solution) pair, as one tuple replaced
+    whole, so that a concurrent reader never pairs one solve's target with
+    another's solution.  The solution depends on the curve and the target
+    alone, since ``known`` moves no iterate: the same target returns the
+    stored float, and ``_newton`` places its first probe from the pair.
     """
     if use_closed_form:
         exact = curve.inverse_exact(target)
         if exact is not None:
             return exact
+    last = curve._solved
+    if last[0] == target:
+        return last[1]
 
     def probe(x: float) -> float:
         try:
@@ -484,33 +503,50 @@ def right_continuous_inverse(
     if b is None:
         b, fb = hi, v
 
-    known = _newton(guide, target, a, fa, b, fb) if curve.monotone else None
+    known = _newton(guide, target, a, fa, b, fb, last) if curve.monotone else None
     lo, hi = bisect_increasing(probe, target, lo, hi, known)
-    return 0.5 * (lo + hi)
+    solution = 0.5 * (lo + hi)
+    if curve.monotone:
+        object.__setattr__(curve, "_solved", (target, solution))
+    return solution
 
 
 def _newton(
     fn: Callable[[float], tuple[float, float]], target: float,
     a: float, fa: float, b: float, fb: float,
+    last: tuple[float, float] = (math.nan, math.nan),
 ) -> tuple[float, float]:
     """Narrow fa <= target < fb, the values at a < b, by safeguarded Newton
     steps on ``fn``, which returns a value and its slope.
 
     The first probe is a + ``BISECT_TOL`` / 2 when fa equals ``target``,
-    where the secant point would be a itself, and otherwise the secant
-    point of (a, b) when fb - fa is finite.  Each later one is the Newton
-    step from the last probe when the slope there is positive and finite
-    and the step lands in the half of (a, b) on the probe's side.  Any
-    other probe is the midpoint of (a, b).  A Newton step shorter than
-    ``BISECT_TOL``, or a probe that hits ``target``, moves 4 ulps further,
-    so that the bracket closes from the other side of the root.  At most 12 probes run, and none once b - a <=
-    ``BISECT_TOL``, where bisection probes anyway.
+    where the secant point would be a itself.  Otherwise it is the secant
+    point of (a, b) when the rise is finite, with one change: when
+    ``last``, the (target, solution) pair of a previous solve, has its
+    solution strictly inside (a, b), that pair replaces the end of (a, b)
+    on its side of ``target``.  So a nearby previous target puts the first
+    probe next to the root.  The pair only places that probe, and is never
+    a bound, since the value at its solution is not read.  Each later probe
+    is the Newton step from the last probe when the slope there is positive
+    and finite and the step lands in the half of (a, b) on the probe's
+    side.  Any other probe is the midpoint of (a, b).  A Newton step
+    shorter than ``BISECT_TOL``, or a probe that hits ``target``, moves 4
+    ulps further, so that the bracket closes from the other side of the
+    root.  At most 12 probes run, and none once b - a <= ``BISECT_TOL``,
+    where bisection probes anyway.
     """
     x = math.nan  # a probe outside (a, b) falls back to the midpoint
+    p, fp, q, fq = a, fa, b, fb
+    t, s = last
+    if a < s < b:
+        if t <= target:
+            p, fp = s, t
+        else:
+            q, fq = s, t
     if fa == target:
         x = a + 0.5 * BISECT_TOL
-    elif 0.0 < fb - fa < math.inf:
-        x = a + (b - a) * ((target - fa) / (fb - fa))
+    elif 0.0 < fq - fp < math.inf:
+        x = p + (q - p) * ((target - fp) / (fq - fp))
     for _ in range(12):
         if b - a <= BISECT_TOL:
             break

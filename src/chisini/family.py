@@ -17,8 +17,11 @@ continuity check is necessarily a finite proxy: defects are monitored
 along geometrically shrinking perturbations and must trend monotonically
 to zero.  A family built by :func:`from_representation` solves on the
 projection of each algebra that its representation keeps, its E_0 runs the
-solver's one-atom step on the trivial algebra's atom alone, and the audit
-solves each distinct act it builds once.
+solver's one-atom step on the trivial algebra's atom alone, on a projected
+curve kept from its first lookup that succeeds, and the audit solves each
+distinct act it builds once.  A mixture curve keeps its last solve (see
+:mod:`chisini.curves`), so each E_0 along a continuity sequence places its
+first Newton probe from the one before, with every float unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +67,10 @@ class ExpectationFamily:
         that call's, computed without the certificate that the family does
         not read, on the projection of ``algebra`` that ``rep`` keeps.  E_0
         is ``chisini_mean``'s one-atom step (``_solve_atom``) on the trivial
-        algebra's atom, returned as a float without building an act.
+        algebra's atom, returned as a float without building an act.  It
+        looks the atom's projected curve up on ``rep`` until a lookup
+        succeeds, and then keeps it, so an irregular utility raises on every
+        call.
         """
 
         def evaluator(x: Act, algebra: PartitionAlgebra) -> Act:
@@ -73,9 +79,12 @@ class ExpectationFamily:
         trivial = PartitionAlgebra.trivial(rep.space)
         (atom,), (mass,) = trivial.atoms, trivial.masses
         weights = rep.space.weights
+        curve = None
 
         def e0(x: Act) -> float:
-            curve = rep._regular_projection(x, trivial).atom_curves[0]
+            nonlocal curve
+            if curve is None:
+                curve = rep._regular_projection(x, trivial).atom_curves[0]
             return _solve_atom(weights, rep._utilities(x), atom, mass, curve, "auto")[1]
 
         return cls(space=rep.space, evaluator=evaluator, e0=e0, rep=rep)

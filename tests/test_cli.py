@@ -11,9 +11,9 @@ import shutil
 import pytest
 
 from chisini import AdditiveRepresentation, conditional_expectation
-from chisini.cli import cmd_compute, main
+from chisini.cli import canonical_json, cmd_compute, main
 from chisini.errors import NumericRangeError
-from chisini.modelfile import parse_model
+from chisini.modelfile import load_model, parse_model
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 MODELS = os.path.join(ROOT, "models")
@@ -318,6 +318,31 @@ class TestAudit:
         assert doc["verdicts"]["conditionable"] is False
         assert doc["verdicts"]["agreement"] is True
         assert doc["checks"]["sure-thing"]["witness"]["margin"] > 1e-9
+
+    @pytest.mark.parametrize("name", ["eu-entropic", "choquet-squared"])
+    def test_one_enumeration_serves_both_audits(self, capsys, monkeypatch, name):
+        # the two public audits each evaluate the g^n grid acts once
+        from chisini.audit import check_strict_monotonicity, equivalence_harness
+        from chisini.utility import PreferenceFunctional
+
+        calls = [0]
+        call = PreferenceFunctional.__call__
+
+        def counted(self, f):
+            calls[0] += 1
+            return call(self, f)
+
+        monkeypatch.setattr(PreferenceFunctional, "__call__", counted)
+        t = load_model(model("audit_zoo.json")).functional(name)
+        reports = (check_strict_monotonicity(t), equivalence_harness(t))
+        separate, calls[0] = calls[0], 0
+        code, out, _ = run(
+            capsys, "audit", "--model", model("audit_zoo.json"), "--functional", name
+        )
+        assert code == 0
+        assert calls[0] == separate - len(t.grid) ** t.space.size
+        checks = {c.name: c.to_dict() for report in reports for c in report.checks}
+        assert json.loads(out)["checks"] == json.loads(canonical_json(checks))
 
     def test_wrong_declared_profile_fails(self, capsys, tmp_path):
         doc = json.loads(

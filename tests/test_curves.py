@@ -615,6 +615,65 @@ class TestGuidedBisection:
         assert bisect_increasing(m.value, target, -1.0, 1.0, (-1.0, below)) != plain
 
 
+class TestWarmStart:
+    """A ``monotone`` curve keeps its last (target, solution) pair: the same
+    target returns the stored float, and a new one places the Newton
+    guide's first probe from it.  A cold inverse, on a fresh equal curve
+    that has solved nothing, is the oracle."""
+
+    def test_warm_inverses_match_cold_ones(self, monkeypatch):
+        runs = []  # (a, last solution, b) of each guided inverse
+        newton = _newton
+
+        def recorded(fn, target, a, fa, b, fb, last=(math.nan, math.nan)):
+            runs.append((a, last[1], b))
+            return newton(fn, target, a, fa, b, fb, last)
+
+        monkeypatch.setattr("chisini.curves._newton", recorded)
+        rng = random.Random(3434)
+        repeats = inside = outside = 0
+        for _ in range(60):
+            m = _closed_mixture(rng)
+            x = rng.uniform(-3.0, 3.0)
+            targets = []
+            for _ in range(12):
+                step = rng.choice((0.0, 1e-12, 2.0**-20, 0.01, 1.0, 8.0))
+                x += rng.choice((-1.0, 1.0)) * step
+                targets.append(m.value(x))
+            # a target one ulp off the last, then a repeat of an older one
+            targets += [math.nextafter(targets[-1], math.inf), targets[3]]
+            for target in targets:
+                before = len(runs)
+                got = _outcome(lambda t: right_continuous_inverse(m, t), target)
+                fresh = MixtureCurve(m.weights, m.parts)
+                want = _outcome(lambda t: right_continuous_inverse(fresh, t), target)
+                assert got == want, (m, target)
+                warm = runs[before:-1]  # the fresh curve's run is the last
+                repeats += len(warm) == 0 and isinstance(got, str)
+                for a, solution, b in warm:
+                    inside += a < solution < b
+                    outside += not math.isnan(solution) and not a < solution < b
+        assert repeats >= 100 and inside >= 400 and outside >= 150
+
+    def test_the_pair_is_not_a_field(self):
+        def mixture():
+            return MixtureCurve((0.25, 0.75), (ExponentialCurve(1.0), PowerCurve(3.0)))
+
+        m, fresh = mixture(), mixture()
+        assert all(map(math.isnan, m._solved))
+        y = right_continuous_inverse(m, 0.3)
+        assert m._solved == (0.3, y)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+    def test_other_curves_keep_no_pair(self):
+        m = MixtureCurve((0.5, 0.5), (ExponentialCurve(1.0), _KNOTS))
+        assert not m.monotone
+        e = ExponentialCurve(1.0)
+        for curve in (m, e):
+            right_continuous_inverse(curve, 0.3, use_closed_form=False)
+            assert all(map(math.isnan, curve._solved))
+
+
 class TestBisectIncreasing:
     """On return fn(lo) <= target < fn(hi): the audits take the endpoints
     as one-sided solutions whose comparison direction is known."""

@@ -431,18 +431,64 @@ class TestFastPathOracle:
                 assert fam.e0(x).hex() == trivial.hex()
                 assert fam.certainty_equivalent(x).hex() == trivial.hex()
 
-    def test_continuity_sequence_matches_chisini_mean(self):
-        # continuity sequences toward one base, with nearby targets
+    def test_continuity_sequence_matches_chisini_mean(self, monkeypatch):
+        # continuity sequences toward one base, with nearby targets: E_0
+        # seeds each solve from the last on its one kept curve, while the
+        # reference solves cold, on a fresh representation every time
+        import chisini.curves as curves
+
+        seeded = []
+        newton = curves._newton
+
+        def recorded(fn, target, a, fa, b, fb, last=(math.nan, math.nan)):
+            seeded.append(a < last[1] < b)
+            return newton(fn, target, a, fa, b, fb, last)
+
+        monkeypatch.setattr(curves, "_newton", recorded)
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        utility = StateUtility(
+            sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5))
+        )
+        fam = ExpectationFamily.from_representation(AdditiveRepresentation(utility))
+        trivial = PartitionAlgebra.trivial(sp)
+        base, direction = Act(sp, (1.0, 0.0, 1.0)), Act(sp, (-1.0, 1.0, 1.0))
+        warm = 0
+        for k in range(200):
+            x = base + direction * (2.0 ** (1 - k % 64)) * (1.0 + k // 64)
+            del seeded[:]
+            got = fam.e0(x).hex()
+            warm += sum(seeded)
+            del seeded[:]
+            cold = chisini_mean(AdditiveRepresentation(utility), x, trivial)
+            assert got == cold.act.values[0].hex() and not any(seeded)
+        assert warm >= 150
+
+    def test_e0_counts_on_a_state_dependent_family(self, monkeypatch):
+        # the Newton runs and guide probes of one audit; before each curve
+        # kept its last solve, every run started at the secant point of its
+        # bracket, and the counts read 3,723 and 20,718
+        import chisini.curves as curves
+
+        counts = [0, 0]
+        newton = curves._newton
+
+        def recorded(fn, *args):
+            counts[0] += 1
+
+            def probe(x):
+                counts[1] += 1
+                return fn(x)
+
+            return newton(probe, *args)
+
+        monkeypatch.setattr(curves, "_newton", recorded)
         sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
         rep = AdditiveRepresentation(
             StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
         )
         fam = ExpectationFamily.from_representation(rep)
-        trivial = PartitionAlgebra.trivial(sp)
-        base, direction = Act(sp, (1.0, 0.0, 1.0)), Act(sp, (-1.0, 1.0, 1.0))
-        for k in range(200):
-            x = base + direction * (2.0 ** (1 - k % 64)) * (1.0 + k // 64)
-            assert fam.e0(x).hex() == chisini_mean(rep, x, trivial).act.values[0].hex()
+        assert audit_certainty_equivalent(fam, (0.0, 1.0), trials=2, seed=7).passed
+        assert counts == [3261, 10112]
 
     def test_overflowing_probe_matches_chisini_mean(self):
         # the bracket's probe at x = -1024 overflows the exponential part,
@@ -492,6 +538,34 @@ class TestFastPathOracle:
                 fam.e0(x)
             with pytest.raises(RegularityViolation):
                 fam.conditional(x, PartitionAlgebra.from_labels(sp, [["a"], ["b"]]))
+
+    def test_e0_looks_its_curve_up_once(self, monkeypatch):
+        lookups = []
+        lookup = AdditiveRepresentation._regular_projection
+
+        def counted(self, f, algebra):
+            lookups.append(algebra)
+            return lookup(self, f, algebra)
+
+        monkeypatch.setattr(AdditiveRepresentation, "_regular_projection", counted)
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        for k in range(5):
+            fam.e0(Act(sp, (0.5 * k, 1.0, -0.25)))
+        assert lookups == [PartitionAlgebra.trivial(sp)]
+
+    def test_irregular_part_of_a_mixture_raises_on_every_e0_call(self):
+        sp = FiniteSpace.uniform(["a", "b"])
+        rep = AdditiveRepresentation(
+            StateUtility(sp, (ExponentialCurve(0.5), LinearCurve(-1.0)))
+        )
+        fam = ExpectationFamily.from_representation(rep)
+        for _ in range(2):
+            with pytest.raises(RegularityViolation):
+                fam.e0(Act(sp, (0.5, 1.0)))
 
     def test_algebra_on_another_space_fails_as_chisini_mean_does(self):
         sp = FiniteSpace.uniform(["a", "b"])
