@@ -41,23 +41,23 @@ its target and its bracket ends (see :func:`_solve_constant`):
 on a ``monotone`` functional (expected utility over regular exponential,
 power and linear curves) the masked sum of its term table, and on a
 Choquet functional one rounded product at x >= 0 and on the whole space,
-and a difference of two below 0.  Where the form is nondecreasing in floats
-the curve inverse's Newton guide narrows the bracket first, and the
-bisection replays its own iterates without the probes the guide decided:
-the plain loop's floats from a fraction of its probes.  At a negative
-target on a proper event a Choquet solve runs the plain loop on the form.
-Every other functional runs the plain loop on the evaluator.  A
-bracket beyond half the float range, whose midpoints would overflow, is
-refused before any probe.  Each audit call builds its grid acts with their
-sup|f|, events and value table once; the equivalence harness builds them
-once for both of its searches, and ``chisini audit`` once for strict
-monotonicity and the harness.  A solve reads f only through f * 1_A and
-sup|f|, so the enumeration's ``lru_cache`` keeps it per (event, f's values
-on A, sup|f|) for every grid act sharing that key, in either search; a
-failed bracket is not kept and fails again.  What a solve reads of its
-event alone, the members, the closed form and the Newton guide, is built
-once per event (:func:`_event_search`) and kept beside the bracket ends.
-Where +0.0 is on the grid, f * 1_A is itself a grid act, and the solve
+and a difference of two below 0.  On a ``monotone`` functional the curve
+inverse's Newton guide narrows the bracket first, and the bisection
+replays its own iterates without the probes the guide decided: the plain
+loop's floats from a fraction of its probes.  Every other functional runs
+the plain loop, a Choquet one on its form, whose probes cost about what a
+guide would.  A bracket beyond half the float range, whose midpoints would
+overflow, is refused before any probe.  Each audit call builds its grid
+acts with their sup|f|, events and value table once; the equivalence
+harness builds them once for both of its searches, and ``chisini audit``
+once for strict monotonicity and the harness.  A solve reads f only
+through f * 1_A and sup|f|, so the enumeration's ``lru_cache`` keeps it
+per (event, f's values on A, sup|f|) for every grid act sharing that key,
+in either search; a failed bracket is not kept and fails again.  What a
+solve reads of its event alone, the members, the closed form and the
+Newton guide, is built once per event (:func:`_event_search`) and kept
+beside the bracket ends.  Where +0.0 is on the grid, f * 1_A is itself a
+grid act, and the solve
 reads its target t(f * 1_A) from the value table by act index; with -0.0
 on the grid it is not (an evaluator may read the sign of a zero), and the
 solve evaluates it.  The
@@ -276,13 +276,13 @@ def _solve_constant(
     those it cannot read.  The search between them, and the returned value,
     read x -> t(x * 1_A) from the closed form that the mark gives, float
     for float up to the sign of a zero, which no comparison sees and
-    |target - value| drops, and a known pair (a, b) lets bisection skip the
-    probes it decides, keeping the loop's floats:
+    |target - value| drops:
 
     - On a ``monotone`` functional the form is the left-to-right sum of A's
       rows of its term table, since each outcome off A adds p * u(0) =
       +0.0.  ``_newton`` narrows the bracket on the slope sum_{i in A} p_i
-      u_i'(x) from the same pass.
+      u_i'(x) from the same pass, to a known pair (a, b) that lets
+      bisection skip the probes it decides, keeping the loop's floats.
     - On a Choquet functional every term of the sum of x * 1_A is an exact
       0.0 but the step between its two constant runs and, below 0, the
       last value's, so the form is x * nu_{n-1} on the whole space, and on
@@ -291,13 +291,10 @@ def _solve_constant(
       capacity row and N = nu_{n-1}, C = nu_{|A^c|-1} from the (A^c, A)
       row.  A zero term is exact only beside a finite capacity (0 * inf
       is NaN), so the form needs those two rows and the identity row, the
-      order at x = 0, to be finite; the evaluator serves otherwise.  A
-      product with a constant rounds monotonically, so Newton runs on the
-      whole space, and at target >= 0 from the pair at 0.0 (the loop's
-      first midpoint, with t(0) = 0.0 <= target), on the slope
-      t(hi * 1_A) / hi.  A negative target on a proper event, where a
-      difference of two rounded products need not be monotone in floats,
-      runs the plain loop on the form.
+      order at x = 0, to be finite; the evaluator serves otherwise.  The
+      plain loop runs on the form at every target and on every event: each
+      probe is one or two float products, so the probes a Newton guide
+      would skip cost about as much as the guide itself.
 
     The flat map's value, and the value at x = 0.0, a zero whose sign the
     evaluator gives, are evaluated.  Every other functional runs the plain
@@ -313,7 +310,7 @@ def _solve_constant(
     searches = {} if searches is None else searches
     if mask not in searches:
         searches[mask] = _event_search(t, mask)
-    bits, form, guide, whole = searches[mask]
+    bits, form, guide = searches[mask]
     values = iter(on)
     masked = tuple(next(values) if b else 0.0 for b in bits)
     target = t(Act._trusted(t.space, masked)) if table is None else table(masked)
@@ -335,16 +332,10 @@ def _solve_constant(
     # on a monotone functional the evaluator's value at the bracket ends
     # did not overflow, nor then do the same curve expressions in the terms
     # between them
-    fn, known = form or masked_value, None
-    if guide is not None:
-        if v_lo <= target < v_hi:
-            known = _newton(guide, target, lo, v_lo, hi, v_hi)
-    elif t._choquet and (target >= 0.0 or whole):
-        slope = v_hi / hi
-        pair = (0.0, 0.0, hi, v_hi) if target >= 0.0 else (lo, v_lo, 0.0, 0.0)
-        if pair[1] <= target < pair[3]:
-            known = _newton(lambda x: (fn(x), slope), target, *pair)
-    lo, hi = bisect_increasing(fn, target, lo, hi, known)
+    known = None
+    if guide is not None and v_lo <= target < v_hi:
+        known = _newton(guide, target, lo, v_lo, hi, v_hi)
+    lo, hi = bisect_increasing(form or masked_value, target, lo, hi, known)
     x = 0.5 * (lo + hi)
     return x, lo, hi, target, masked_value(x) if form is None or x == 0.0 else form(x)
 
@@ -352,10 +343,10 @@ def _solve_constant(
 def _event_search(t: PreferenceFunctional, mask: int) -> tuple:
     """What a constant solve on the event with outcome bitmask ``mask``
     reads of the event alone: the bits of its members in outcome order, the
-    closed form of x -> t(x * 1_A) (None where the evaluator serves), a
-    ``monotone`` functional's Newton guide, the form's value and slope in
-    one pass (else None), and whether the event is the whole space.  See
-    :func:`_solve_constant` for the forms."""
+    closed form of x -> t(x * 1_A) (None where the evaluator serves), and
+    a ``monotone`` functional's Newton guide, the form's value and slope in
+    one pass (else None).  It is the one part of the solve that reads a
+    functional's marks; see :func:`_solve_constant` for the forms."""
     bits = [mask >> i & 1 for i in range(t.space.size)]
     n, k = len(bits), sum(bits)
     form = guide = None
@@ -373,7 +364,7 @@ def _event_search(t: PreferenceFunctional, mask: int) -> tuple:
                     return x * c_a
                 return x * nu_all + (0.0 - x) * c_off
 
-    return bits, form, guide, k == n
+    return bits, form, guide
 
 
 def _report(

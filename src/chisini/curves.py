@@ -214,11 +214,15 @@ class PiecewiseLinearCurve(Curve):
 
     @classmethod
     def from_samples(cls, xs, us) -> "PiecewiseLinearCurve":
-        """Interpolant through samples; extrapolates with the end slopes."""
+        """Interpolant through samples; extrapolates with the end slopes, so
+        neither end pair may repeat an x (ValueError)."""
         xs = tuple(float(x) for x in xs)
         us = tuple(float(u) for u in us)
-        if len(xs) < 2:
-            raise ValueError("need at least two samples")
+        if len(xs) < 2 or len(xs) != len(us):
+            raise ValueError("need at least two samples, one value per x")
+        for end, (x0, x1) in (("first", xs[:2]), ("last", xs[-2:])):
+            if x0 == x1:
+                raise ValueError(f"{end} two samples share x = {x0:g}: no end slope")
         sl = (us[1] - us[0]) / (xs[1] - xs[0])
         sr = (us[-1] - us[-2]) / (xs[-1] - xs[-2])
         return cls(xs, us, sl, sr)
@@ -519,8 +523,10 @@ def _newton(
     """Narrow fa <= target < fb, the values at a < b, by safeguarded Newton
     steps on ``fn``, which returns a value and its slope.
 
-    The first probe is a + ``BISECT_TOL`` / 2 when fa equals ``target``,
-    where the secant point would be a itself.  Otherwise it is the secant
+    The first probe is a + ``BISECT_TOL`` / 2 when fa equals ``target``, a
+    root that a curve inverse meets at a bracket probe (E_0 of the constant
+    act 1): the secant point a would fall back to the midpoint, and this
+    probe closes the pair at once.  Otherwise it is the secant
     point of (a, b) when the rise is finite, with one change: when
     ``last``, the (target, solution) pair of a previous solve, has its
     solution strictly inside (a, b), that pair replaces the end of (a, b)

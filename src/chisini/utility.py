@@ -206,8 +206,9 @@ class PreferenceFunctional:
     #: whose masked sum those solves search in place of the evaluator, on
     #: its slopes.  ``_choquet`` is a Choquet integral's capacity-row cache
     #: (rank order -> nu), false elsewhere, from three of whose rows the
-    #: solves read t(x * 1_A) in closed form (see
-    #: ``audit._solve_constant``).  None is a field:
+    #: solves read t(x * 1_A) in closed form and run the plain loop on it.
+    #: ``audit._event_search`` is the one reader of the marks in the
+    #: solves (see ``audit._solve_constant``).  None is a field:
     #: ``expected_utility_functional`` sets the first two,
     #: ``choquet_functional`` the last, and ``==``, ``hash``, ``repr`` and
     #: ``dataclasses.replace`` do not see them.

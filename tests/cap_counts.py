@@ -22,12 +22,15 @@ marked functional that function reads the masked value's closed form, not
 the evaluator, so its probes are not evaluator calls, and a solve reads
 its solution's value from it too: a solve then evaluates only its bracket
 ends, on the first solve of each (event, sup|f|); its target is a grid
-act, read from the value table, since 0 is on the grid.
+act, read from the value table, since 0 is on the grid.  The label names
+the search: "guided" on expected utility, where the Newton guide runs
+before the replay, "closed-form" on the Choquet integral, whose solves
+run the plain loop on the closed form, and "plain" with ``--plain``.
 ``--max-calls N`` exits 1 when the harness makes more than N evaluator
 calls, and ``--expect-report SHA256`` when the report's sha256 differs.
 ``--time`` runs the harness once with no counting wrapper and
 prints only its wall time.  Each run also prints the sha256 of the
-harness report, which the guided and the plain loop must share, and the
+harness report, which every search must share with the plain loop, and the
 process's peak resident set size (``resource.getrusage``).
 """
 
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
     t = cap_functional(args.outcomes, args.grid, args.choquet)
     if args.plain:
         t = dataclasses.replace(t)
-    loop = "guided" if t.monotone or t._choquet else "plain"
+    loop = "guided" if t.monotone else "closed-form" if t._choquet else "plain"
     kind = " choquet" if args.choquet else ""
     label = f"harness {args.outcomes}x{args.grid}{kind} {loop}"
     status = 0

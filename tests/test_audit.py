@@ -1228,39 +1228,32 @@ class TestGuidedConstantSolve:
         assert guided.to_dict() == plain.to_dict()
 
     def test_choquet_matches_the_plain_loop(self, monkeypatch):
-        # the Newton guides reach bisection as its known pair: record each
-        # bisection's target, or None if plain; and count the evaluator
-        # calls, three in a solve whose search and value read the closed form
-        targets, calls = [], []
+        # count the evaluator calls, three in a solve whose search and value
+        # read the closed form
+        calls = []
         call = PreferenceFunctional.__call__
 
-        def counted(fn, target, lo, hi, known=None):
-            targets.append(None if known is None else target)
-            return bisect_increasing(fn, target, lo, hi, known)
-
         def run(t, key):
-            before, calls_before = len(targets), len(calls)
+            calls_before = len(calls)
             got = _outcome(audit._solve_constant, t, *key)
-            guided = any(target is not None for target in targets[before:])
             closed = len(calls) - calls_before == 3
             want = _outcome(audit._solve_constant, dataclasses.replace(t), *key)
             if got != want:
                 differ.append((t.space.weights, t.name, key, got, want))
-            return guided, closed, want
+            return closed, want
 
-        monkeypatch.setattr(audit, "bisect_increasing", counted)
         monkeypatch.setattr(
             PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
         )
         rng = random.Random(26)
-        differ, kinds, negative, cases = [], Counter(), Counter(), 0
+        differ, kinds, cases, served = [], Counter(), 0, 0
         with np.errstate(divide="ignore", over="ignore"):  # 0 ** -p is inf
             while cases < 6_000:
                 t = _random_choquet(rng)
                 assert t._choquet and not dataclasses.replace(t)._choquet
                 for _ in range(10):
                     key = _choquet_key(rng, t)
-                    guided, closed, want = run(t, key)
+                    closed, want = run(t, key)
                     cases += 1
                     if isinstance(want, str):
                         kinds["raised"] += 1
@@ -1269,9 +1262,8 @@ class TestGuidedConstantSolve:
                     else:
                         whole = key[0] == (1 << t.space.size) - 1
                         nonnegative = float.fromhex(want[3]) >= 0.0
-                        kinds[guided, whole, nonnegative] += 1
-                        if not (whole or nonnegative):
-                            negative[closed] += 1
+                        kinds[whole, nonnegative] += 1
+                        served += not closed
         # around the root's ulp neighbourhood, where the masked value below 0
         # is not monotone in floats: the closed form must wiggle as the
         # evaluator does
@@ -1282,25 +1274,20 @@ class TestGuidedConstantSolve:
             seen = []
             for j in range(25):
                 x = v + j * math.ulp(v)
-                guided, closed, want = run(t, (mask, (x,) * bin(mask).count("1"), -x))
-                steps["guided"] += guided
+                closed, want = run(t, (mask, (x,) * bin(mask).count("1"), -x))
                 steps["closed"] += closed
                 seen.append(float.fromhex(want[3]))
             steps["down"] += sum(b < a for a, b in zip(seen, seen[1:]))
         assert differ == []
-        assert sum(target == 0.0 for target in targets) > 300
         assert kinds["raised"] > 50 and kinds["flat"] > 100
-        assert kinds[True, False, True] > 1_500 and kinds[True, True, True] > 300
-        assert kinds[True, True, False] > 200
-        # else plain only where t(hi * 1_A) <= target (c_A underflows to 0)
-        assert kinds[False, True, False] + kinds[False, False, True] < 60
-        # a negative target on a proper event runs the plain loop, with no
-        # evaluator call between the bracket and the returned value unless
-        # a capacity is infinite (0 ** -p), where a bracket end is mostly
-        # NaN or infinite and the bracket fails first
-        assert kinds[True, False, False] == 0
-        assert negative[True] > 1_000 and negative[False] < 10, negative
-        assert steps["guided"] == 0 and steps["closed"] == 500, steps
+        assert kinds[False, True] > 1_500 and kinds[False, False] > 1_000
+        assert kinds[True, True] > 300 and kinds[True, False] > 200
+        # at any target and on any event, no evaluator call between the
+        # bracket and the returned value unless a capacity is infinite
+        # (0 ** -p), where a bracket end is mostly NaN or infinite and the
+        # bracket fails first
+        assert served < 30, served
+        assert steps["closed"] == 500, steps
         assert steps["down"] > 20, steps
 
     def test_choquet_guide_cuts_the_probes(self, monkeypatch):
@@ -1526,8 +1513,9 @@ def _knot_curve():
 
 class TestGuideRouting:
     """Only an expected-utility functional whose curves all pass
-    ``_float_monotone`` is marked ``monotone``, and only a Choquet
-    functional ``_choquet``; everything else runs the plain loop."""
+    ``_float_monotone`` is marked ``monotone`` and takes the Newton guide,
+    and only a Choquet functional ``_choquet``, whose solves run the plain
+    loop on the closed form; everything else runs it on the evaluator."""
 
     @pytest.mark.parametrize(
         "t",
@@ -1562,13 +1550,12 @@ class TestGuideRouting:
                     pass
         assert guides == []
 
-    def test_choquet_guides_the_rounded_product_solves(self, monkeypatch):
-        # Newton's pair reaches bisection on the whole space and at targets
-        # >= 0; a negative target on a proper event runs the plain loop.
-        # Every search reads the closed form, and so does the solution's
-        # value, so each solve makes three evaluator calls, the target and
-        # the bracket ends, and a solve on the flat empty event a fourth,
-        # its value
+    def test_choquet_runs_the_plain_loop_on_its_form(self, monkeypatch):
+        # every Choquet solve, at either target sign and on every event, runs
+        # bisection with no guide and no known pair.  Its search reads the
+        # closed form, and so does the solution's value, so each solve makes
+        # three evaluator calls, the target and the bracket ends, and a solve
+        # on the flat empty event a fourth, its value
         pairs, newton, calls = [], [], []
         call = PreferenceFunctional.__call__
 
@@ -1576,12 +1563,8 @@ class TestGuideRouting:
             pairs.append(known)
             return bisect_increasing(fn, target, lo, hi, known)
 
-        def guide(*args):
-            newton.append(args)
-            return _newton(*args)
-
         monkeypatch.setattr(audit, "bisect_increasing", counted)
-        monkeypatch.setattr(audit, "_newton", guide)
+        monkeypatch.setattr(audit, "_newton", lambda *args: newton.append(args))
         monkeypatch.setattr(
             PreferenceFunctional, "__call__", lambda t, f: calls.append(f) or call(t, f)
         )
@@ -1592,17 +1575,16 @@ class TestGuideRouting:
         for mask in range(full + 1):
             for f in product(t.grid, repeat=t.space.size):
                 on = tuple(v for i, v in enumerate(f) if mask >> i & 1)
-                before, newton_before, calls_before = len(pairs), len(newton), len(calls)
+                before, calls_before = len(pairs), len(calls)
                 target = audit._solve_constant(t, mask, on, max(map(abs, f)))[3]
-                whole, nonnegative = mask == full, target >= 0.0
-                guided = mask != 0 and (whole or nonnegative)
                 # no bisection on the flat empty event
-                run = [known is not None for known in pairs[before:]]
-                assert run == ([] if mask == 0 else [guided]), (mask, f)
-                assert (len(newton) > newton_before) == guided, (mask, f)
+                assert pairs[before:] == ([] if mask == 0 else [None]), (mask, f)
                 assert len(calls) - calls_before == (3 if mask else 4), (mask, f)
-                kinds[whole, nonnegative] += 1
-        assert min(kinds.values()) >= 27 and len(kinds) == 4
+                kinds[mask, target >= 0.0] += 1
+        assert newton == []
+        # both signs on each of the 7 events with members; the empty event's
+        # target is t(0) = 0
+        assert len(kinds) == 15 and min(kinds.values()) >= 16, kinds
 
     def test_one_other_curve_unmarks_the_functional(self):
         space = uniform3()
@@ -1662,6 +1644,25 @@ class TestEquivalenceHarness:
     def test_linear_expectation(self):
         report = equivalence_harness(eu(uniform3(), LinearCurve(), (0.0, 1.0, 2.0)))
         assert report.passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the sure-thing margin and the conditionability "
+        "tolerance do not scale with the compared values, so round-off at "
+        "large utilities reads as a violation",
+    )
+    @pytest.mark.parametrize(
+        "curve, grid",
+        [
+            (ExponentialCurve(1.0), (-14.0, 0.0, 1.0)),
+            (LinearCurve(1.0), (-1e9, 0.0, 1.0)),
+            (PowerCurve(3.0), (-1e3, 0.0, 1.0)),
+        ],
+        ids=["exponential-1", "linear-1", "power-3"],
+    )
+    def test_expected_utility_agrees_at_large_values(self, curve, grid):
+        report = equivalence_harness(eu(uniform3(), curve, grid))
+        assert report.check("verdict-agreement").passed
 
     def test_determinism(self):
         t1 = choquet_functional(uniform3(), 2.0, (0.0, 1.0, 2.0))

@@ -132,6 +132,36 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinearCurve((1.0, 0.0), (0.0, 1.0))
 
+    def test_from_samples_extrapolates_with_the_end_slopes(self):
+        # a jump inside the table is kept; the end slopes are the end pairs'
+        # difference quotients, the floats the forge digests pin
+        xs, us = (-1.0, 0.0, 0.0, 0.3, 2.0), (-1.5, 0.0, 0.4, 0.7, 1.1)
+        c = PiecewiseLinearCurve.from_samples(xs, us)
+        assert c == PiecewiseLinearCurve(
+            xs, us, (0.0 - -1.5) / (0.0 - -1.0), (1.1 - 0.7) / (2.0 - 0.3)
+        )
+        assert c.jumps(-2.0, 3.0) == [(0.0, 0.4)]
+        ints = PiecewiseLinearCurve.from_samples([0, 1, 3], [0, 2, 3])
+        assert ints.xs == (0.0, 1.0, 3.0) and ints.slope_right == 0.5
+
+    @pytest.mark.parametrize(
+        "xs, us, match",
+        [
+            ((0, 0, 1), (0, 1, 2), "first two samples share x = 0"),
+            ((0, 1, 1), (0, 1, 2), "last two samples share x = 1"),
+            ((2, 2), (0, 1), "first two samples share x = 2"),
+            ((0,), (0,), "at least two samples"),
+            ((0, 1), (0,), "one value per x"),
+            ((0, 1, 2), (0, 1), "one value per x"),
+            ((1, 0), (0, 1), "nondecreasing"),
+            ((0, math.nan, 1), (0, 1, 2), "finite"),
+            ((0, 1), (0, math.inf), "finite"),
+        ],
+    )
+    def test_from_samples_refuses_bad_samples(self, xs, us, match):
+        with pytest.raises(ValueError, match=match):
+            PiecewiseLinearCurve.from_samples(xs, us)
+
     @given(
         st.lists(
             st.floats(-10, 10, allow_nan=False), min_size=2, max_size=6, unique=True
