@@ -24,12 +24,16 @@ with the expectation-family audits).
 Enumeration is deterministic: events ascend by outcome bitmask, acts by
 lexicographic order of their value tuples, and the first witness reported
 is the lexicographic minimum over (f, g, h, h_alt, event).  Every grid
-search reads one value table per event A, built one event at a time: row h
-and column a hold the act that is a on A and h off A.  Monotonicity
-compares its constant columns; the sure-thing grid phase compares each
-column with every other, one at a time, at a cost of g^n * (1 + g)^n
-subtractions for n outcomes and g grid values, against g^(2n) pairs times
-2^n * g^n completions for a loop over every pair.
+search reads one value table per event A, one event at a time: row h and
+column a hold the act that is a on A and h off A, read from the list of
+grid-act values by index arithmetic.  Monotonicity compares its constant
+columns in Python.  The sure-thing grid phase first tries to prove each
+event flip-free (:func:`_flip_free`), in Python, and compares each column
+with every other only on the events left, one column at a time in numpy,
+at a cost of at most g^n * (1 + g)^n subtractions for n outcomes and g
+grid values, against g^(2n) pairs times 2^n * g^n completions for a loop
+over every pair.  numpy is imported there alone, so an audit whose events
+are all proved, as on expected utility, loads none.
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
@@ -77,9 +81,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress, product
+from itertools import accumulate, compress, product
+from operator import gt, lt, sub
 from typing import TYPE_CHECKING, Callable
 
 from .curves import (
@@ -154,7 +160,7 @@ def _enforce_caps(t: PreferenceFunctional) -> None:
 
 
 class _GridEnumeration:
-    """All grid-valued acts and events of a functional, the array of their
+    """All grid-valued acts and events of a functional, the list of their
     values with its per-event tables, each act's sup|f| (``sups``), and the
     constant solves and per-event walks on them.
 
@@ -164,8 +170,6 @@ class _GridEnumeration:
     """
 
     def __init__(self, t: PreferenceFunctional):
-        import numpy as np
-
         _enforce_caps(t)
         self.t = t
         self.n = t.space.size
@@ -183,7 +187,9 @@ class _GridEnumeration:
         ]
         self.count = len(self.acts)
         self.passes = [None] * (self.full + 1)
-        self.values = np.array([t(f) for f in self.acts], dtype=float)
+        self.values = [float(t(f)) for f in self.acts]
+        self.finite = all(map(math.isfinite, self.values))
+        self.array = None  # the values as a numpy array, built on first use
         # f * 1_A is a grid act where +0.0 is on the grid: -0.0 == 0.0, but
         # an evaluator may read the sign of a zero
         read = None
@@ -194,15 +200,30 @@ class _GridEnumeration:
             partial(_solve_constant, t, table=read, ends={}, searches={})
         )
 
+    def offsets(self, mask: int) -> list[int]:
+        """The indices of the acts whose grid digits off events[mask] are
+        all 0, ascending.  They number the columns of the event's value
+        table, and those of its complement number its rows: row r and
+        column c hold the act offsets(full ^ mask)[r] + offsets(mask)[c]."""
+        offsets, weight = [0], self.count
+        for b in self.bits[mask]:
+            weight //= self.g
+            if b:
+                offsets = [o + d * weight for o in offsets for d in range(self.g)]
+        return offsets
+
     def table(self, mask: int) -> tuple[np.ndarray, ...]:
-        """The value table of events[mask], a mode matricization of the
-        g x ... x g value array: rows number the grid digits off the event,
-        columns those on it, first outcome most significant.  Returns it
-        with every act's row and column and the act index at each cell; a
-        row's first act, index[r, 0], is the smallest index in the row.
+        """The value table of events[mask] as a numpy array, a mode
+        matricization of the g x ... x g value array: rows number the grid
+        digits off the event, columns those on it, first outcome most
+        significant.  Returns it with every act's row and column and the
+        act index at each cell; a row's first act, index[r, 0], is the
+        smallest index in the row.
         """
         import numpy as np
 
+        if self.array is None:
+            self.array = np.array(self.values)
         on = [i for i in range(self.n) if mask >> i & 1]
         off = [i for i in range(self.n) if not mask >> i & 1]
         shape = (self.g ** len(off), self.g ** len(on))
@@ -211,7 +232,7 @@ class _GridEnumeration:
         index = np.ascontiguousarray(cube.transpose(off + on).reshape(shape))
         rows, cols = np.empty((2, self.count), dtype=np.intp)
         rows[index], cols[index] = np.arange(shape[0])[:, None], np.arange(shape[1])
-        return self.values[index], rows, cols, index
+        return self.array[index], rows, cols, index
 
     def constant(self, mask: int, ai: int) -> tuple[float, float, float, float, float]:
         """:func:`_solve_constant` on A = events[mask] and f = acts[ai],
@@ -231,13 +252,13 @@ class _GridEnumeration:
         return self.passes[mask]
 
 
-def _grid_value(grid: tuple[float, ...], values: np.ndarray, act: tuple) -> float:
+def _grid_value(grid: tuple[float, ...], values: list[float], act: tuple) -> float:
     """The value table's entry for the grid act with the value tuple
     ``act``: its index is the mixed-radix number of its grid digits."""
     index = 0
     for v in act:
         index = index * len(grid) + grid.index(v)
-    return float(values[index])
+    return values[index]
 
 
 def _solve_constant(
@@ -395,33 +416,31 @@ def _require_grid_pair(t: PreferenceFunctional) -> None:
 
 def _strict_monotonicity(enum: _GridEnumeration) -> AuditReport:
     """:func:`check_strict_monotonicity` over a built enumeration."""
-    import numpy as np
-
-    t = enum.t
+    t, values = enum.t, enum.values
     witness = None
     checked = 0
     for mask in range(1, 1 << enum.n):
         members = enum.events[mask].members
         if t.space.probability(members) == 0.0:
             continue
-        table, _, _, index = enum.table(mask)
-        step = (table.shape[1] - 1) // (enum.g - 1)
+        rows = enum.offsets(enum.full ^ mask)
+        # the act constant at grid[d] on the event, 0 digits off it
+        unit = enum.offsets(mask)[-1] // (enum.g - 1)
+        columns = [[values[r + d * unit] for r in rows] for d in range(enum.g)]
         for xi in range(enum.g - 1, -1, -1):
             for yi in range(xi):
-                # x = grid[xi] > y = grid[yi]
-                dx = table[:, xi * step]
-                dy = table[:, yi * step]
-                bad = np.nonzero(~(dx > dy))[0]  # a NaN value fails too
+                # x = grid[xi] > y = grid[yi]; a NaN value fails too
+                dx, dy = columns[xi], columns[yi]
                 checked += enum.count
-                if bad.size and witness is None:
-                    r = int(bad[0])
+                if witness is None and not all(map(gt, dx, dy)):
+                    r = next(r for r, (x, y) in enumerate(zip(dx, dy)) if not x > y)
                     witness = {
                         "event": sorted(members),
                         "x": t.grid[xi],
                         "y": t.grid[yi],
-                        "background": list(enum.acts[index[r, 0]].values),
-                        "value_x": float(dx[r]),
-                        "value_y": float(dy[r]),
+                        "background": list(enum.acts[rows[r]].values),
+                        "value_x": dx[r],
+                        "value_y": dy[r],
                     }
         if witness is not None:
             break
@@ -456,10 +475,11 @@ def check_sure_thing(t: PreferenceFunctional) -> AuditReport:
 def _sure_thing(enum: _GridEnumeration) -> AuditReport:
     """:func:`check_sure_thing` over a built enumeration."""
     witness = None
-    pair = _first_flipping_pair(enum)
+    searched = [mask for mask in range(enum.full) if not _flip_free(enum, mask)]
+    pair = _first_flipping_pair(enum, searched)
     if pair is not None:
         fi, gi = pair
-        hi, hj, mask = _first_flip(enum, fi, gi)
+        hi, hj, mask = _first_flip(enum, fi, gi, searched)
         table, rows, cols, _ = enum.table(mask)
         v1, v2, v3, v4 = (  # acts[i] on the event, acts[j] off it
             float(table[rows[j], cols[i]])
@@ -500,14 +520,14 @@ def _certainty_equivalent_witness(enum: _GridEnumeration) -> Witness | None:
     for mask in range(1, enum.full):
         event = enum.events[mask]
         complement = enum.events[enum.full ^ mask]
-        for ai, tg in enum.event_pass(mask)[3]:
+        for ai, tg in zip(*enum.event_pass(mask)[3]):
             f = enum.acts[ai]
             x, x_lo, x_hi, _, _ = enum.constant(mask, ai)
             _, y_lo, y_hi, _, _ = enum.constant(enum.full ^ mask, ai)
             tol = WITNESS_MARGIN * (1.0 + enum.sups[ai])
             x_act = Act.constant(t.space, x)
             t_mid = t(paste(x_act, f, event))
-            d1 = float(enum.values[ai]) - t_mid
+            d1 = enum.values[ai] - t_mid
             if abs(d1) > tol / 2.0:
                 witness = _one_sided_flip(
                     t, f, event, (x_lo, x_hi), completion=f, gap=d1
@@ -563,6 +583,46 @@ def _one_sided_flip(
     )
 
 
+def _flip_free(enum: _GridEnumeration, mask: int) -> bool:
+    """A certificate that no two columns of events[mask]'s value table flip
+    in either order, so that the event holds no sure-thing violation.
+
+    The columns are sorted by row 0 and cut into clusters wherever row 0's
+    gap exceeds the witness margin m.  The event is certified if, in every
+    row, each cluster spans at most m and lies strictly below the next.
+    Two columns a, b of one cluster then have |a - b| <= hi - lo <= m in
+    every row, exactly, and rounding is monotone, so fl(a - b) never falls
+    below -m: no violation.  Two columns of different clusters have a < b,
+    or a > b, in every row, and for finite a != b the rounded a - b is not
+    0 and has the exact difference's sign: no premise in one order, no
+    violation in the other.  The argument needs m to be one number for
+    every pair, as the flip test's margin is.  A table that holds a
+    non-finite value is not certified (a NaN would also slip past ``min``
+    and ``max``), and since every table holds every value, no event of an
+    enumeration with one is.  Each cluster's columns are read only when
+    the clusters below it have passed, so a refusal comes early.
+    """
+    if not enum.finite:
+        return False
+    values, rows = enum.values, enum.offsets(enum.full ^ mask)
+    cols = sorted(enum.offsets(mask), key=lambda c: values[rows[0] + c])
+    lead = [values[rows[0] + c] for c in cols]
+    starts = [0]
+    starts += [k for k in range(1, len(cols)) if lead[k] - lead[k - 1] > WITNESS_MARGIN]
+    below = None  # the rows' highs of the cluster before
+    for k, end in zip(starts, starts[1:] + [len(cols)]):
+        cluster = [[values[r + c] for r in rows] for c in cols[k:end]]
+        lows = highs = cluster[0]
+        if len(cluster) > 1:
+            lows, highs = list(map(min, *cluster)), list(map(max, *cluster))
+            if max(map(sub, highs, lows)) > WITNESS_MARGIN:
+                return False
+        if below is not None and not all(map(lt, below, lows)):
+            return False
+        below = highs
+    return True
+
+
 def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Which columns b flip against ``column``: column - table[:, b] has an
     entry >= 0 (a premise) and one below -WITNESS_MARGIN (a violation)."""
@@ -570,18 +630,24 @@ def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (diff >= 0.0).any(axis=0) & (diff < -WITNESS_MARGIN).any(axis=0)
 
 
-def _first_flipping_pair(enum: _GridEnumeration) -> tuple[int, int] | None:
+def _first_flipping_pair(
+    enum: _GridEnumeration, searched: list[int]
+) -> tuple[int, int] | None:
     """The first ordered pair (f, g) of grid acts, in enumeration order,
-    whose comparison flips between two completions on some event: f is the
-    first act whose column flips against another of some event's table, g
-    the first whose column f's flips against.  One column is compared at a
-    time, so no temporary exceeds the table's g^n entries; a table with one
-    row cannot hold both signs, so the full event is skipped.
+    whose comparison flips between two completions on one of the events
+    ``searched``: f is the first act whose column flips against another of
+    some event's table, g the first whose column f's flips against.  One
+    column is compared at a time, so no temporary exceeds the table's g^n
+    entries.  The events left out are those :func:`_flip_free` certifies,
+    and the full event, whose table has one row and cannot hold both signs.
+    With no event left, numpy is not imported.
     """
+    if not searched:
+        return None
     import numpy as np
 
     flips = np.zeros(enum.count, dtype=bool)
-    for mask in range(enum.full):
+    for mask in searched:
         table, _, cols, _ = enum.table(mask)
         by_col = [_flip_partners(column, table).any() for column in table.T[:, :, None]]
         flips |= np.array(by_col)[cols]
@@ -589,21 +655,24 @@ def _first_flipping_pair(enum: _GridEnumeration) -> tuple[int, int] | None:
         return None
     fi = int(flips.argmax())
     partners = np.zeros(enum.count, dtype=bool)
-    for mask in range(enum.full):
+    for mask in searched:
         table, _, cols, _ = enum.table(mask)
         partners |= _flip_partners(table[:, cols[fi], None], table)[cols]
     return fi, int(partners.argmax())
 
 
-def _first_flip(enum: _GridEnumeration, fi: int, gi: int) -> tuple[int, int, int]:
+def _first_flip(
+    enum: _GridEnumeration, fi: int, gi: int, searched: list[int]
+) -> tuple[int, int, int]:
     """Lexicographically first (h, h_alt, event) on which f = acts[fi] is
     weakly above g = acts[gi] with completion h and below it by more than
-    the margin with h_alt.  The diff depends on a completion only through
-    its row, whose first act has the smallest index in it, so h and h_alt
-    are first acts of rows."""
+    the margin with h_alt, among the events ``searched``: no other event
+    holds both.  The diff depends on a completion only through its row,
+    whose first act has the smallest index in it, so h and h_alt are first
+    acts of rows."""
 
     def sides():  # per event: rows, first acts, premise and violation rows
-        for mask in range(len(enum.events)):
+        for mask in searched:
             table, row, col, index = enum.table(mask)
             diff = table[:, col[fi]] - table[:, col[gi]]
             yield mask, row, index[:, 0], diff >= 0.0, diff < -WITNESS_MARGIN
@@ -626,17 +695,17 @@ def _event_pass(enum: _GridEnumeration, mask: int) -> tuple[tuple, tuple]:
     off A and in full (the equation that additivity makes automatic and a
     general functional can fail).  Returns A's walk, then A^c's, each as
     its first witness (or None), its worst residual, its first bracket
-    failure (or None; its act is skipped), and the (act index, t(g)) pairs
-    whose full residual is not within the tolerance, in act order, which
-    both walks share.  A^c's witness takes x and y, and the "event" and
-    "complement" residuals, swapped.  Each walk tries the solve on its own
+    failure (or None; its act is skipped), and the act indices and t(g) of
+    the acts whose full residual is not within the tolerance, in act order,
+    as two flat arrays, which both walks share.  A^c's witness takes x and
+    y, and the "event" and "complement" residuals, swapped.  Each walk tries the solve on its own
     event first, so an act whose solves both fail gives each walk its own
     failure.
     """
     t, bits, cmask = enum.t, enum.bits[mask], enum.full ^ mask
     witness = witness_c = failure = failure_c = None
     worst = worst_c = 0.0
-    mismatches = []
+    mismatches = array("q"), array("d")
     for ai in range(enum.count):
         on, off = _solved(enum, mask, ai), _solved(enum, cmask, ai)
         on_failed, off_failed = isinstance(on, Exception), isinstance(off, Exception)
@@ -654,9 +723,10 @@ def _event_pass(enum: _GridEnumeration, mask: int) -> tuple[tuple, tuple]:
         else:
             split = t(Act._trusted(t.space, tuple(x if b else y for b in bits)))
         event, complement = abs(on_target - on_value), abs(off_target - off_value)
-        full = abs(float(enum.values[ai]) - split)
+        full = abs(enum.values[ai] - split)
         if not full <= tol:
-            mismatches.append((ai, split))
+            mismatches[0].append(ai)
+            mismatches[1].append(split)
         # max returns a NaN that comes first and skips a later one, so each
         # walk lists its own event's residual first, as its own loop did
         resid, resid_c = max(event, complement, full), max(complement, event, full)
@@ -832,22 +902,25 @@ def choquet_functional(
     principle because the complementary payoff affects the ranking.
 
     The capacity row nu_k = P(top k outcomes)**exponent of a rank order is
-    computed by the numpy expression whose floats the audit digests pin,
-    behind an LRU cache that holds every rank order at the outcome cap.
-    Each act's sum runs in Python.  The functional's ``_choquet`` mark is
-    that cache, from whose rows the constant solves read t(x * 1_A) in
-    closed form: x * nu_{n-1} on the whole space, and on a proper event the
-    one rounded product x * c_A at x >= 0, nondecreasing in floats, and
+    computed in Python, behind an LRU cache that holds every rank order at
+    the outcome cap: the weights' running sum in rank order, left to right
+    as ``np.cumsum`` adds, raised to the exponent by :func:`_scalar_power`,
+    the floats of numpy's ``**`` on its path without AVX-512, on which
+    every audit digest holds.  Each act's sum runs in Python too, and
+    only a sum of 8 or more terms, beyond the audits' outcome cap, loads
+    numpy.  The functional's ``_choquet`` mark is that cache, from whose
+    rows the constant solves read t(x * 1_A) in closed form: x * nu_{n-1}
+    on the whole space, and on a proper event the one rounded product
+    x * c_A at x >= 0, nondecreasing in floats, and
     fl(fl(x * N) + fl((0 - x) * C)) below 0.
     """
-    import numpy as np
-
-    weights = np.asarray(space.weights, dtype=float)
+    weights = space.weights
     ranks = range(space.size)
 
     @lru_cache(CAPACITY_ROWS)
     def capacity_row(order: tuple[int, ...]) -> list[float]:
-        return (np.cumsum(weights[list(order)]) ** capacity_exponent).tolist()
+        sums = accumulate(weights[i] for i in order)
+        return [_scalar_power(s, capacity_exponent) for s in sums]
 
     def evaluate(f: Act) -> float:
         values = f.values
@@ -857,8 +930,11 @@ def choquet_functional(
         v = [values[i] for i in order]
         terms = [(v[k] - v[k + 1]) * nu[k] for k in range(len(v) - 1)]
         # np.sum adds pairwise from 8 terms on, and left to right below
-        s = float(np.sum(terms)) if len(terms) >= 8 else _lsum(terms)
-        return v[-1] * nu[-1] + s
+        if len(terms) < 8:
+            return v[-1] * nu[-1] + _lsum(terms)
+        import numpy as np
+
+        return v[-1] * nu[-1] + float(np.sum(terms))
 
     t = PreferenceFunctional(
         space=space,
@@ -869,6 +945,26 @@ def choquet_functional(
     )
     object.__setattr__(t, "_choquet", capacity_row)
     return t
+
+
+def _scalar_power(s: float, p: float) -> float:
+    """numpy's float64 ``s ** p`` for a scalar exponent p, on its path
+    without AVX-512, for s >= 0: ``np.square`` at p = 2, ``np.sqrt`` at
+    p = 0.5 and ``np.reciprocal`` at p = -1, which numpy takes in place of
+    its power, and libm's ``pow`` otherwise, with numpy's values where
+    ``math.pow`` raises: 0 ** -p is infinite, and so is an overflow."""
+    if p == 2.0:
+        return s * s
+    if p == 0.5:
+        return math.sqrt(s)
+    if p == -1.0:
+        return 1.0 / s if s else math.copysign(math.inf, s)
+    try:
+        return math.pow(s, p)
+    except OverflowError:
+        return math.inf
+    except ValueError:  # a zero to a negative power, signed as 0 ** |p|
+        return math.copysign(math.inf, math.pow(s, -p))
 
 
 def grid_table_functional(

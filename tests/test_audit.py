@@ -3,12 +3,17 @@ sure-thing principle, conditionability and the equivalence harness."""
 
 import dataclasses
 import gc
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 import weakref
 from collections import Counter
+from functools import partial
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +53,11 @@ from chisini.errors import (
     NumericRangeError,
     SpaceMismatchError,
 )
+from cap_counts import cap_functional
+from chisini.modelfile import load_model
 from hexfloats import float_hex, normalized
+
+TESTS = Path(__file__).resolve().parent
 
 
 def uniform3():
@@ -242,48 +251,92 @@ def capacity_rows(t):
     return rows
 
 
+#: numpy 2.x sends float64 ``**`` to AVX-512 code where the CPU has it, whose
+#: floats differ from libm's ``pow``; this setting, read by numpy at import
+#: in the process it is set for, keeps it on the path without AVX-512
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+ORACLE_EXPONENTS = (0.5, 1.0, 2.0, 3.7, -1.0, -0.5)
+
+
+def choquet_oracle_cases(n):
+    """The oracle test's space on n outcomes, with skewed weights where
+    every third outcome, the first included, is null, and its (exponent,
+    values) cases, drawn from a generator seeded with n.  The exponents
+    take each of numpy's scalar-power paths, and the negative ones meet
+    0 ** -p on the null outcomes."""
+    rng = np.random.default_rng(n)
+    raw = [0.0 if i % 3 == 0 and n > 1 else rng.random() ** 3 for i in range(n)]
+    sp = FiniteSpace([f"w{i}" for i in range(n)], [r / sum(raw) for r in raw])
+    draws = (
+        lambda: rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0], size=n),
+        lambda: rng.uniform(-50.0, 50.0, size=n),
+        lambda: rng.uniform(-1e-3, 1e-3, size=n),
+    )
+    cases = [
+        (p, draw().tolist())
+        for p in ORACLE_EXPONENTS
+        for draw in draws
+        for _ in range(100)
+    ]
+    return sp, cases
+
+
+@pytest.fixture(scope="module")
+def numpy_oracle_hex():
+    """The numpy oracle's float hex on every case of 1 to 12 outcomes,
+    computed in a child interpreter with numpy off its AVX-512 path."""
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(TESTS)!r}]\n"
+        "from test_audit import choquet_oracle_cases, numpy_choquet\n"
+        "out = {}\n"
+        "for n in range(1, 13):\n"
+        "    sp, cases = choquet_oracle_cases(n)\n"
+        "    out[n] = [numpy_choquet(sp.weights, p)(v).hex() for p, v in cases]\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, **NO_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(audit.__file__).parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return {int(n): hexes for n, hexes in json.loads(proc.stdout).items()}
+
+
 class TestChoquetEvaluator:
-    """The evaluator sorts in Python, reads one capacity row per rank order
-    and sums left to right; the numpy expression is its oracle, float for
-    float, on both sides of np.sum's 8-term pairwise threshold."""
+    """The evaluator sorts in Python, reads one capacity row per rank order,
+    built in Python, and sums left to right; the numpy expression, run with
+    numpy off its AVX-512 path, is its oracle, float for float, on both
+    sides of np.sum's 8-term pairwise threshold."""
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_matches_numpy_oracle(self, n):
-        rng = np.random.default_rng(n)
-        # skewed weights; every third outcome, the first included, is null
-        raw = [0.0 if i % 3 == 0 and n > 1 else rng.random() ** 3 for i in range(n)]
-        sp = FiniteSpace([f"w{i}" for i in range(n)], [r / sum(raw) for r in raw])
-        draws = (
-            lambda: rng.choice([-1.0, 0.0, -0.0, 1.0, 2.0], size=n),
-            lambda: rng.uniform(-50.0, 50.0, size=n),
-            lambda: rng.uniform(-1e-3, 1e-3, size=n),
-        )
-        for p in (0.5, 1.0, 2.0, 3.7):
-            t = choquet_functional(sp, p)
-            oracle = numpy_choquet(sp.weights, p)
-            for draw in draws:
-                for _ in range(100):
-                    values = draw().tolist()
-                    got = t(Act(sp, values))
-                    assert float_hex(got) == float_hex(oracle(values)), values
+    def test_matches_numpy_oracle(self, n, numpy_oracle_hex):
+        sp, cases = choquet_oracle_cases(n)
+        functionals = {p: choquet_functional(sp, p) for p in ORACLE_EXPONENTS}
+        got = [float_hex(functionals[p](Act(sp, values))) for p, values in cases]
+        mismatched = [c for c, a, b in zip(cases, got, numpy_oracle_hex[n]) if a != b]
+        assert len(got) == len(numpy_oracle_hex[n]) == 300 * len(ORACLE_EXPONENTS)
+        assert mismatched == []
 
-    def test_one_capacity_row_per_rank_order(self, monkeypatch):
-        fills = []
-        cumsum = np.cumsum
-
-        def counting(*args, **kwargs):
-            fills.append(args)
-            return cumsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "cumsum", counting)
+    def test_one_capacity_row_per_rank_order(self):
         sp = uniform3()
         t = choquet_functional(sp, 2.0)
+        rows = capacity_rows(t)
         t(Act(sp, (3.0, 1.0, 2.0)))
         t(Act(sp, (30.0, -1.0, 0.5)))
-        assert len(fills) == 1
+        assert rows.cache_info().misses == 1
         t(Act(sp, (1.0, 3.0, 2.0)))
-        assert len(fills) == 2
-        info = capacity_rows(t).cache_info()
+        info = rows.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
     def test_memo_holds_at_most_every_order_at_the_cap(self):
@@ -632,6 +685,106 @@ class TestSureThingOracle:
         t = random_grid_table(10, 3, 4, -0.7)
         witness = check_sure_thing(t).check("sure-thing").witness
         assert witness["f"] != [0.0, 0.0, 0.0]
+
+
+#: bumps on the certificate's edges: the margin, one ulp either side of it,
+#: and a half and a double of it
+EDGE_BUMPS = (
+    MARGIN, math.nextafter(MARGIN, 0.0), math.nextafter(MARGIN, math.inf),
+    0.5 * MARGIN, 2.0 * MARGIN,
+)
+
+
+def edge_table(seed):
+    """A derandomized grid-table functional on the certificate's edges: a
+    separable sum of coarse per-outcome steps, so with exact ties, some
+    entries bumped by +-EDGE_BUMPS, and in about one table in three one
+    entry set to -0.0, NaN or +-inf."""
+    rng = random.Random(seed)
+    n, g = rng.choice([(2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
+    scale = rng.choice([MARGIN, 1.0, 1e6, 0.0])
+    steps = [[scale * rng.randrange(3) for _ in range(g)] for _ in range(n)]
+    density = rng.choice([0.0, 0.05, 0.2])
+    table = []
+    for digits in product(range(g), repeat=n):
+        v = 0.0
+        for i, d in enumerate(digits):
+            v += steps[i][d]
+        if rng.random() < density:
+            v += rng.choice((1.0, -1.0)) * rng.choice(EDGE_BUMPS)
+        table.append(v)
+    if rng.random() < 0.3:
+        special = rng.choice([-0.0, math.nan, math.inf, -math.inf])
+        table[rng.randrange(len(table))] = special
+    space = FiniteSpace.uniform([f"w{i}" for i in range(n)])
+    grid = tuple(float(d) for d in range(g))
+    return grid_table_functional(space, grid, table, f"edge-{seed}")
+
+
+def certified(t):
+    """How many of the events searched for a grid flip the no-flip
+    certificate proves, and how many there are."""
+    enum = audit._GridEnumeration(t)
+    return sum(map(partial(audit._flip_free, enum), range(enum.full))), enum.full
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestFlipFreeCertificate:
+    """An event that ``_flip_free`` certifies holds no pair of columns that
+    ``_flip_partners``, the grid search's test, finds flipping in either
+    order; skipping it leaves the search's first pair as it was."""
+
+    def test_certified_events_hold_no_flip(self):
+        proved = refused = 0
+        for seed in range(400):
+            enum = audit._GridEnumeration(edge_table(seed))
+            finite = all(map(math.isfinite, enum.values))
+            for mask in range(enum.full):
+                if not audit._flip_free(enum, mask):
+                    refused += 1
+                    continue
+                assert finite, (seed, mask)
+                proved += 1
+                table = enum.table(mask)[0]
+                for column in table.T[:, :, None]:
+                    assert not audit._flip_partners(column, table).any(), (seed, mask)
+        assert (proved, refused) == (1459, 1309)
+
+    @pytest.mark.parametrize("seed", range(0, 400, 7))
+    def test_search_over_uncertified_events_finds_the_same_pair(self, seed):
+        enum = audit._GridEnumeration(edge_table(seed))
+        every = list(range(enum.full))
+        searched = [m for m in every if not audit._flip_free(enum, m)]
+        pair = audit._first_flipping_pair(enum, every)
+        assert audit._first_flipping_pair(enum, searched) == pair
+        if pair is not None:
+            assert audit._first_flip(enum, *pair, searched) == audit._first_flip(
+                enum, *pair, every
+            )
+
+    def test_axioms_zoo_counts(self):
+        sp = FiniteSpace(("a", "b", "c"), (0.2, 0.3, 0.5))
+        grid = (-1.0, 0.0, 1.0, 2.0)
+        mixed = StateUtility(
+            sp, (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5))
+        )
+        zoo = [
+            choquet_functional(sp, 2.0, grid),
+            choquet_functional(sp, 0.5, grid),
+            eu(sp, ExponentialCurve(1.0), grid),
+            expected_utility_functional(AdditiveRepresentation(mixed), grid),
+        ]
+        assert [certified(t) for t in zoo] == [(4, 7), (4, 7), (7, 7), (7, 7)]
+
+    @pytest.mark.parametrize(
+        "name", ["eu-linear", "eu-entropic", "choquet-squared", "choquet-root"]
+    )
+    def test_audit_zoo_is_certified(self, name):
+        model = load_model(TESTS.parent / "models" / "audit_zoo.json")
+        assert certified(model.functional(name)) == (7, 7)
+
+    def test_expected_utility_at_5x5_is_certified(self):
+        assert certified(cap_functional(5, 5)) == (31, 31)
 
 
 def _non_monotone_functionals():

@@ -6,9 +6,10 @@ For each functional below, ``check_strict_monotonicity``,
 type and message of the error raised) are dumped with every float written
 as ``float.hex``.  The SHA-256 of each dump is compared with
 ``audit_digests.json``, so any moved float, witness, count or message
-fails the test.  Choquet's evaluator uses numpy's ``**`` and ``cumsum``,
-whose results can differ between hosts, so its digests hold on the host
-that recorded them (as ``bench/cli_digests.json`` does).
+fails the test.  Choquet's capacity rows are the floats of numpy's
+``cumsum`` and ``**`` on its path without AVX-512, computed in Python with
+libm's ``pow``, so its digests do not depend on whether the CPU has
+AVX-512; CI reruns this suite with numpy's AVX-512 code switched off.
 
 Regenerate the file only for a deliberate change of audit output:
 
