@@ -28,12 +28,13 @@ search reads one value table per event A, one event at a time: row h and
 column a hold the act that is a on A and h off A, read from the list of
 grid-act values by index arithmetic.  Monotonicity compares its constant
 columns in Python.  The sure-thing grid phase first tries to prove each
-event flip-free (:func:`_flip_free`), in Python, and compares each column
+event flip-free (:func:`_flip_free`), in Python, and compares a column
 with every other only on the events left, one column at a time in numpy,
-at a cost of at most g^n * (1 + g)^n subtractions for n outcomes and g
-grid values, against g^(2n) pairs times 2^n * g^n completions for a loop
-over every pair.  numpy is imported there alone, so an audit whose events
-are all proved, as on expected utility, loads none.
+in act order up to the first act whose column flips, at a cost of at most
+g^n * (1 + g)^n subtractions for n outcomes and g grid values, against
+g^(2n) pairs times 2^n * g^n completions for a loop over every pair.
+numpy is imported there alone, so an audit whose events are all proved,
+as on expected utility, loads none.
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
@@ -92,6 +93,7 @@ from .curves import (
     _float_monotone,
     _lsum,
     _newton,
+    _pairwise_sum,
     _term,
     _value_and_slope,
     bisect_increasing,
@@ -636,27 +638,38 @@ def _first_flipping_pair(
     """The first ordered pair (f, g) of grid acts, in enumeration order,
     whose comparison flips between two completions on one of the events
     ``searched``: f is the first act whose column flips against another of
-    some event's table, g the first whose column f's flips against.  One
-    column is compared at a time, so no temporary exceeds the table's g^n
-    entries.  The events left out are those :func:`_flip_free` certifies,
-    and the full event, whose table has one row and cannot hold both signs.
-    With no event left, numpy is not imported.
+    some event's table, g the first whose column f's flips against.  The
+    acts are scanned in index order, and the scan stops at f; acts that
+    share a column on an event share its test, so each (event, column)
+    pair is tested at most once.  One column is compared at a time, so no
+    temporary exceeds the table's g^n entries.  The events left out are
+    those :func:`_flip_free` certifies, and the full event, whose table has
+    one row and cannot hold both signs.  With no event left, numpy is not
+    imported.
     """
     if not searched:
         return None
     import numpy as np
 
-    flips = np.zeros(enum.count, dtype=bool)
+    tables = []  # per event: its value table, each act's column, the columns tested
     for mask in searched:
         table, _, cols, _ = enum.table(mask)
-        by_col = [_flip_partners(column, table).any() for column in table.T[:, :, None]]
-        flips |= np.array(by_col)[cols]
-    if not flips.any():
+        tables.append((table, cols, set()))
+
+    def flips(ai: int) -> bool:
+        for table, cols, tested in tables:
+            c = cols[ai]
+            if c not in tested:
+                tested.add(c)
+                if _flip_partners(table[:, c, None], table).any():
+                    return True
+        return False
+
+    fi = next((ai for ai in range(enum.count) if flips(ai)), None)
+    if fi is None:
         return None
-    fi = int(flips.argmax())
     partners = np.zeros(enum.count, dtype=bool)
-    for mask in searched:
-        table, _, cols, _ = enum.table(mask)
+    for table, cols, _ in tables:
         partners |= _flip_partners(table[:, cols[fi], None], table)[cols]
     return fi, int(partners.argmax())
 
@@ -906,9 +919,10 @@ def choquet_functional(
     the outcome cap: the weights' running sum in rank order, left to right
     as ``np.cumsum`` adds, raised to the exponent by :func:`_scalar_power`,
     the floats of numpy's ``**`` on its path without AVX-512, on which
-    every audit digest holds.  Each act's sum runs in Python too, and
-    only a sum of 8 or more terms, beyond the audits' outcome cap, loads
-    numpy.  The functional's ``_choquet`` mark is that cache, from whose
+    every audit digest holds.  Each act's sum runs in Python too, as
+    ``np.sum`` adds (:func:`chisini.curves._pairwise_sum`: left to right
+    below 8 terms, pairwise from 8 on), so the functional loads no numpy.
+    The functional's ``_choquet`` mark is that cache, from whose
     rows the constant solves read t(x * 1_A) in closed form: x * nu_{n-1}
     on the whole space, and on a proper event the one rounded product
     x * c_A at x >= 0, nondecreasing in floats, and
@@ -929,12 +943,11 @@ def choquet_functional(
         nu = capacity_row(order)
         v = [values[i] for i in order]
         terms = [(v[k] - v[k + 1]) * nu[k] for k in range(len(v) - 1)]
-        # np.sum adds pairwise from 8 terms on, and left to right below
+        # np.sum adds pairwise from 8 terms on, and left to right below,
+        # where one call is cheaper than _pairwise_sum's two
         if len(terms) < 8:
             return v[-1] * nu[-1] + _lsum(terms)
-        import numpy as np
-
-        return v[-1] * nu[-1] + float(np.sum(terms))
+        return v[-1] * nu[-1] + _pairwise_sum(terms)
 
     t = PreferenceFunctional(
         space=space,

@@ -64,6 +64,30 @@ def _lsum(values) -> float:
     return total
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's float64 ``np.sum`` of ``values`` (its ``pairwise_sum``): below
+    8 terms ``_lsum``; up to 128, eight running sums, of the terms at
+    positions j, j + 8, ..., over the largest multiple of 8 terms, added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left to
+    right; above 128, the sum of the first half, cut down to a multiple of
+    8 terms, plus the sum of the rest."""
+    n = len(values)
+    if n < 8:
+        return _lsum(values)
+    if n <= 128:
+        whole = n - n % 8
+        r = values[:8]
+        for i in range(8, whole, 8):
+            r = [a + b for a, b in zip(r, values[i : i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[whole:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 class Curve:
     """Common interface; concrete families override the hooks they can."""
 

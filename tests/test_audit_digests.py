@@ -119,10 +119,14 @@ def functionals():
         _eu(skew, (ExponentialCurve(1.0), PowerCurve(2.0)), g3, "eu-state-dep"),
         _eu(null, PowerCurve(3.0), g3, "eu-null-3"),
     ]
+    # p = 0.7 on these weights is path-dependent: numpy's AVX-512 ``**``
+    # moves a capacity row, and with it three of the four reports
+    skew3 = FiniteSpace(("a", "b", "c"), (0.2, 0.5, 0.3))
     for space, p, grid, name in (
         (uniform, 2.0, g3, "choquet-p2-uniform"),
         (skew, 2.0, g3, "choquet-p2-skew"),
         (skew, 1.0, g3, "choquet-p1-skew"),
+        (skew3, 0.7, g3, "choquet-p0.7-skew3"),
     ):
         out.append(choquet_functional(space, p, grid, name=name))
     w = skew.weights

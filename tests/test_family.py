@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chisini import (
     Act,
@@ -29,9 +31,12 @@ from chisini.errors import (
     ChisiniError,
     EventNotInAlgebra,
     NotMeasurable,
+    NumericRangeError,
     RegularityViolation,
     SpaceMismatchError,
 )
+from ce_reference import recording, reference_audit
+from hexfloats import float_hex, normalized
 
 
 def family(space, curve):
@@ -327,8 +332,9 @@ class TestCertaintyEquivalentAudit:
         assert report.check("dichotomic-monotonicity").details["comparisons"] == 28
         assert len(calls) == len(set(calls))
         # the count of distinct solves, pinned: a change that does not mean
-        # to move it must leave it alone
-        assert len(calls) == {7: 3720, 2024: 3721}[seed]
+        # to move it must leave it alone; it read 3,720 and 3,721 when every
+        # continuity term was solved, not only the 34 of 64 the verdict reads
+        assert len(calls) == {7: 1977, 2024: 1977}[seed]
         assert report.to_dict() == audit_certainty_equivalent(
             fam, (0.0, 1.0), 4, seed=seed
         ).to_dict()
@@ -466,7 +472,9 @@ class TestFastPathOracle:
     def test_e0_counts_on_a_state_dependent_family(self, monkeypatch):
         # the Newton runs and guide probes of one audit; before each curve
         # kept its last solve, every run started at the secant point of its
-        # bracket, and the counts read 3,723 and 20,718
+        # bracket, and the counts read 3,723 and 20,718; with every
+        # continuity term solved, not only those the verdict reads, they
+        # read 3,261 and 10,112
         import chisini.curves as curves
 
         counts = [0, 0]
@@ -488,7 +496,7 @@ class TestFastPathOracle:
         )
         fam = ExpectationFamily.from_representation(rep)
         assert audit_certainty_equivalent(fam, (0.0, 1.0), trials=2, seed=7).passed
-        assert counts == [3261, 10112]
+        assert counts == [1722, 4906]
 
     def test_overflowing_probe_matches_chisini_mean(self):
         # the bracket's probe at x = -1024 overflows the exponential part,
@@ -597,3 +605,173 @@ class TestFastPathOracle:
                 rep, x, PartitionAlgebra.trivial(sp)
             ).act.values[0]
         assert audit_certainty_equivalent(rebuilt, (0.0, 1.0), trials=2).passed
+
+
+# the continuity terms the verdict reads: the witness reads the first and
+# the last, and the trend check term k against term 2k for k = 16..32
+READ_TERMS = (1, *range(16, 33), *range(34, 65, 2))
+
+
+def linear_e0(weights):
+    def e0(act):
+        return math.fsum(p * v for p, v in zip(weights, act.values))
+
+    return e0
+
+
+def jump_e0(weights, outcome, at):
+    """Linear, plus a step of 0.5 where coordinate ``outcome`` reaches the
+    grid value ``at``: strictly monotone, and discontinuous at the grid."""
+    linear = linear_e0(weights)
+    return lambda act: linear(act) + (0.5 if act.values[outcome] >= at else 0.0)
+
+
+def bump_e0(weights):
+    """Linear, plus 1e-3 where some coordinate lies within 2^-40..2^-30 of
+    a grid value in (0, 1, 3): the defects of terms 31..41 stand above the
+    trend, and the last is small."""
+    linear = linear_e0(weights)
+
+    def e0(act):
+        near = (min(abs(v - g) for g in (0.0, 1.0, 3.0)) for v in act.values)
+        return linear(act) + (1e-3 if any(2.0**-40 <= d <= 2.0**-30 for d in near) else 0.0)
+
+    return e0
+
+
+def raising_e0(weights, term, grid):
+    """Linear, but raising on every act with a coordinate 2^(1 - term) from
+    a grid value: term ``term`` of each continuity sequence whose direction
+    is not 0 there.  The grids used here, (0, 3) and (-1.5, 0, 3), keep
+    every other act, monotonicity's included, off those distances."""
+    linear = linear_e0(weights)
+    step = 2.0 ** (1 - term)
+
+    def e0(act):
+        if any(abs(v - g) == step for v in act.values for g in grid):
+            raise NumericRangeError(f"E_0 refuses {act.values!r}")
+        return linear(act)
+
+    return e0
+
+
+def audit_outcome(audit, fam, grid, trials, seed):
+    """The float-hex report of ``audit``, or its error's type and message,
+    and every act it evaluated with its E_0 value."""
+    seen = {}
+    try:
+        out = float_hex(audit(recording(fam, seen), grid, trials, seed=seed).to_dict())
+    except (ChisiniError, ArithmeticError, ValueError) as exc:
+        out = (type(exc), str(exc))
+    return out, seen
+
+
+def assert_matches_reference(fam, grid, trials, seed):
+    """The library's audit gives the reference's report or error, and
+    evaluates a subset of the reference's acts, each to the same float."""
+    got, seen = audit_outcome(audit_certainty_equivalent, fam, grid, trials, seed)
+    want, expected = audit_outcome(reference_audit, fam, grid, trials, seed)
+    assert got == want
+    assert all(
+        x in expected and expected[x].hex() == value.hex() for x, value in seen.items()
+    )
+    return got
+
+
+weights_3 = st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3).map(normalized)
+SYNTHETIC_GRIDS = ((0.0, 1.0), (-1.0, 0.0, 3.0))
+
+
+class TestReferenceAudit:
+    """``audit_certainty_equivalent`` solves only the continuity terms its
+    verdict reads; :mod:`ce_reference` solves all of them, and every
+    report, witness and error must be the reference's."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(weights=weights_3, seed=st.integers(0, 2**31 - 1), state_dependent=st.booleans())
+    def test_ce_audit_utilities(self, weights, seed, state_dependent):
+        sp = FiniteSpace(("a", "b", "c"), weights)
+        curves = (
+            (ExponentialCurve(0.5), PowerCurve(3.0), LinearCurve(1.5))
+            if state_dependent
+            else (ExponentialCurve(1.0),) * 3
+        )
+        fam = ExpectationFamily.from_representation(
+            AdditiveRepresentation(StateUtility(sp, curves))
+        )
+        out = assert_matches_reference(fam, (0.0, 1.0), 4, seed)
+        assert out["passed"]
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        weights=weights_3,
+        seed=st.integers(0, 2**31 - 1),
+        grid=st.sampled_from(SYNTHETIC_GRIDS),
+        outcome=st.integers(0, 2),
+    )
+    def test_jump_at_a_grid_coordinate(self, weights, seed, grid, outcome):
+        # at 0, where every step 2^(1-n) stays visible; at a grid value
+        # b != 0 the late terms round back onto b
+        fam = ExpectationFamily(FiniteSpace(("a", "b", "c"), weights), None,
+                                jump_e0(weights, outcome, 0.0))
+        out = assert_matches_reference(fam, grid, 3, seed)
+        (mono, cont) = out["checks"]
+        assert mono["passed"] and not cont["passed"]
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), grid=st.sampled_from(SYNTHETIC_GRIDS))
+    def test_flat(self, seed, grid):
+        fam = ExpectationFamily(FiniteSpace.uniform(["a", "b", "c"]), None, lambda x: 0.25)
+        out = assert_matches_reference(fam, grid, 3, seed)
+        (mono, cont) = out["checks"]
+        assert not mono["passed"] and cont["passed"]
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(weights=weights_3, seed=st.integers(0, 2**31 - 1))
+    def test_defects_above_the_trend(self, weights, seed):
+        fam = ExpectationFamily(FiniteSpace(("a", "b", "c"), weights), None, bump_e0(weights))
+        out = assert_matches_reference(fam, (0.0, 1.0), 3, seed)
+        cont = out["checks"][1]
+        assert not cont["passed"]
+        assert float.fromhex(cont["witness"]["final_defect"]) < 1e-6
+
+    @pytest.mark.parametrize("term", [1, 16, 32, 64])
+    def test_error_on_a_read_term(self, term):
+        # the window's edges: the first term and the first and last of the
+        # trend window; 64 is also the witness's last
+        weights = (0.2, 0.5, 0.3)
+        grid = (0.0, 3.0)
+        fam = ExpectationFamily(FiniteSpace(("a", "b", "c"), weights), None,
+                                raising_e0(weights, term, grid))
+        out = assert_matches_reference(fam, grid, 3, seed=11)
+        assert out[0] is NumericRangeError
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.floats(0.5, 1.5), min_size=4, max_size=4).map(normalized),
+        seed=st.integers(0, 2**31 - 1),
+        term=st.sampled_from(READ_TERMS),
+    )
+    def test_error_on_any_read_term_with_sampled_bases(self, weights, seed, term):
+        # 3**4 grid acts exceed 64, so the continuity bases are sampled
+        grid = (-1.5, 0.0, 3.0)
+        fam = ExpectationFamily(FiniteSpace(tuple("abcd"), weights), None,
+                                raising_e0(weights, term, grid))
+        out = assert_matches_reference(fam, grid, 2, seed)
+        assert out[0] is NumericRangeError
+
+    @pytest.mark.parametrize("term", [2, 15, 33, 63])
+    def test_an_unread_term_is_not_solved(self, term):
+        # the ends of the unread runs 2..15 and 33, 35, ..., 63: the
+        # reference solves every term and raises; the audit never builds
+        # these acts, and reports as on the linear family
+        weights = (0.2, 0.5, 0.3)
+        grid = (0.0, 3.0)
+        sp = FiniteSpace(("a", "b", "c"), weights)
+        raising = ExpectationFamily(sp, None, raising_e0(weights, term, grid))
+        got, _ = audit_outcome(audit_certainty_equivalent, raising, grid, 3, 11)
+        want, _ = audit_outcome(reference_audit, ExpectationFamily(sp, None, linear_e0(weights)),
+                                grid, 3, 11)
+        assert got == want and got["passed"]
+        with pytest.raises(NumericRangeError):
+            reference_audit(raising, grid, 3, seed=11)

@@ -7,7 +7,9 @@ Two kinds of output are pinned:
   4 trials) for seeds 101, 202 and 303 and both of its utilities: a
   state-dependent one whose projection inverts by bisection and an
   exponential one that inverts in closed form; with each report, the
-  certainty equivalent of every act the audit evaluated;
+  certainty equivalent of every act that the reference audit, which
+  solves every continuity term, evaluates (the library's audit must match
+  its report and evaluate a subset of those acts, float for float);
 - ``check_tower`` defects of seeded acts under families over mixtures,
   knot tables, closed-form curves and null outcomes, on several algebras.
 
@@ -39,6 +41,7 @@ from chisini import (
     audit_certainty_equivalent,
     check_tower,
 )
+from ce_reference import recording, reference_audit
 from chisini.errors import ChisiniError
 from hexfloats import float_hex, normalized
 
@@ -82,17 +85,20 @@ def ce_audit_cases():
 
 
 def _audit(fam, seed):
-    """The audit's report, and ``e0`` of every act the audit evaluated,
-    sorted by act: a passing report holds no float of its own."""
-    seen = {}
-
-    def e0(x):
-        seen[x.values] = fam.e0(x)
-        return seen[x.values]
-
-    watched = ExpectationFamily(fam.space, fam.evaluator, e0, fam.rep)
-    report = audit_certainty_equivalent(watched, (0.0, 1.0), 4, seed=seed)
-    return {"report": report.to_dict(), "e0": sorted(seen.items())}
+    """The audit's report, and the E_0 value of every act that the
+    reference audit (:mod:`ce_reference`, which solves every continuity
+    term) evaluates, sorted by act: a passing report holds no float of its
+    own.  The library's report must equal the reference's, and the acts
+    that the library evaluates must be among the reference's, each with
+    the same E_0 float."""
+    seen, expected = {}, {}
+    report = audit_certainty_equivalent(recording(fam, seen), (0.0, 1.0), 4, seed=seed)
+    reference = reference_audit(recording(fam, expected), (0.0, 1.0), 4, seed=seed)
+    assert float_hex(report.to_dict()) == float_hex(reference.to_dict())
+    assert all(
+        x in expected and expected[x].hex() == value.hex() for x, value in seen.items()
+    )
+    return {"report": report.to_dict(), "e0": sorted(expected.items())}
 
 
 def tower_cases():

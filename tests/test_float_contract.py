@@ -5,7 +5,9 @@ a library that summed with it would print different floats on 3.11 and
 3.12.  The library adds its floats left to right instead.  These tests
 put a Python copy of the compensated builtin in place of ``sum`` in every
 ``chisini`` module and require the digest suites' cases, built and run
-under it, to come out as recorded.
+under it, to come out as recorded.  The Choquet integral adds its terms
+as ``np.sum`` does, pairwise from 8 terms on, in Python; an oracle holds
+that sum to ``np.sum`` float for float.
 """
 
 import importlib
@@ -22,7 +24,7 @@ import test_audit_digests
 import test_family_digests
 import test_forge_digests
 import test_solve_digests
-from chisini.curves import ExponentialCurve, MixtureCurve, _lsum
+from chisini.curves import ExponentialCurve, MixtureCurve, _lsum, _pairwise_sum
 from chisini.utility import _invert
 from hexfloats import float_hex
 
@@ -89,6 +91,34 @@ def test_the_stand_ins_match_the_builtin_sum():
     # the two contracts differ, so the injection below is not vacuous
     assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
     assert _lsum([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_pairwise_sum_is_numpys():
+    """``_pairwise_sum`` adds as ``np.sum`` does, float for float: on 3,000
+    random arrays of 8 to 400 terms, of mixed signs and magnitudes, with
+    signed zeros, and on lengths at the edges of the 8-term blocks and of
+    the halving above 128 terms."""
+    import numpy as np
+
+    rng = random.Random(37)
+    lengths = [*range(1, 20), 120, 127, 128, 129, 135, 136, 137, 255, 256, 257,
+               263, 264, 383, 384, 385, 1000, 1024, 1031, 4099]
+    lengths += [rng.randrange(8, 401) for _ in range(3000)]
+
+    def term(k):
+        if k % 7 == 0 or rng.random() < 0.1:  # every 7th array all zeros
+            return rng.choice([0.0, -0.0])
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-30, 30)
+
+    mismatched = []
+    for k, n in enumerate(lengths):
+        values = [term(k) for _ in range(n)]
+        if float_hex(_pairwise_sum(values)) != float_hex(float(np.sum(values))):
+            mismatched.append(values)
+    assert mismatched == []
+    # the two orders differ, so the oracle is not vacuous
+    spread = [1.0] + [2.0**-53] * 15
+    assert _lsum(spread) == 1.0 != _pairwise_sum(spread)
 
 
 @pytest.mark.parametrize(

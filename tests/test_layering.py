@@ -216,6 +216,25 @@ def test_audit_constant_solves_load_no_numpy():
     assert result == {"monotone": True, "solves": 4, "numpy": False}
 
 
+def test_choquet_evaluations_load_no_numpy():
+    """A Choquet functional sums in Python at every size, pairwise from 8
+    terms on as ``np.sum`` adds: evaluating it on 2 to 300 outcomes loads
+    no numpy."""
+    result = run_fresh(
+        "import json, sys\n"
+        "from chisini import Act, FiniteSpace\n"
+        "from chisini.audit import choquet_functional\n"
+        "values = []\n"
+        "for n in (2, 8, 9, 130, 300):\n"
+        "    space = FiniteSpace.uniform([f'w{i}' for i in range(n)])\n"
+        "    t = choquet_functional(space, 0.7)\n"
+        "    values.append(t(Act(space, tuple(float(i % 7) for i in range(n)))))\n"
+        "print(json.dumps({'evaluations': len(values),\n"
+        "                  'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert result == {"evaluations": 5, "numpy": False}
+
+
 def test_array_free_commands_load_no_numpy(tmp_path):
     commands = ARRAY_FREE_COMMANDS + [
         [
