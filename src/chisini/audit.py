@@ -26,15 +26,19 @@ lexicographic order of their value tuples, and the first witness reported
 is the lexicographic minimum over (f, g, h, h_alt, event).  Every grid
 search reads one value table per event A, one event at a time: row h and
 column a hold the act that is a on A and h off A, read from the list of
-grid-act values by index arithmetic.  Monotonicity compares its constant
-columns in Python.  The sure-thing grid phase first tries to prove each
-event flip-free (:func:`_flip_free`), in Python, and compares a column
-with every other only on the events left, one column at a time in numpy,
-in act order up to the first act whose column flips, at a cost of at most
+grid-act values by index arithmetic.  ``_GridEnumeration.offsets`` alone
+encodes that layout: it numbers a row by its act with 0 digits on A and a
+column by its act with 0 digits off A, and the cell holds the act whose
+index is their sum.  Monotonicity compares its constant columns in
+Python.  The sure-thing grid phase first tries to prove each event
+flip-free (:func:`_flip_free`), in Python, and compares a column with
+every other only on the events left, one column at a time in numpy, in
+act order up to the first act whose column flips, at a cost of at most
 g^n * (1 + g)^n subtractions for n outcomes and g grid values, against
 g^(2n) pairs times 2^n * g^n completions for a loop over every pair.
 numpy is imported there alone, so an audit whose events are all proved,
-as on expected utility, loads none.
+as on expected utility, loads none; the pair's completions and witness
+are read in Python.
 
 The constant solves t(x * 1_A) = t(f * 1_A) run the same monotone
 bisection as the curve inverse, :func:`chisini.curves.bisect_increasing`.
@@ -191,7 +195,6 @@ class _GridEnumeration:
         self.passes = [None] * (self.full + 1)
         self.values = [float(t(f)) for f in self.acts]
         self.finite = all(map(math.isfinite, self.values))
-        self.array = None  # the values as a numpy array, built on first use
         # f * 1_A is a grid act where +0.0 is on the grid: -0.0 == 0.0, but
         # an evaluator may read the sign of a zero
         read = None
@@ -214,27 +217,17 @@ class _GridEnumeration:
                 offsets = [o + d * weight for o in offsets for d in range(self.g)]
         return offsets
 
-    def table(self, mask: int) -> tuple[np.ndarray, ...]:
-        """The value table of events[mask] as a numpy array, a mode
-        matricization of the g x ... x g value array: rows number the grid
-        digits off the event, columns those on it, first outcome most
-        significant.  Returns it with every act's row and column and the
-        act index at each cell; a row's first act, index[r, 0], is the
-        smallest index in the row.
-        """
-        import numpy as np
-
-        if self.array is None:
-            self.array = np.array(self.values)
-        on = [i for i in range(self.n) if mask >> i & 1]
-        off = [i for i in range(self.n) if not mask >> i & 1]
-        shape = (self.g ** len(off), self.g ** len(on))
-        cube = np.arange(self.count).reshape((self.g,) * self.n)
-        # row-major, so that each column comparison scans the table in order
-        index = np.ascontiguousarray(cube.transpose(off + on).reshape(shape))
-        rows, cols = np.empty((2, self.count), dtype=np.intp)
-        rows[index], cols[index] = np.arange(shape[0])[:, None], np.arange(shape[1])
-        return self.array[index], rows, cols, index
+    def part(self, ai: int, mask: int) -> int:
+        """The index of the act with acts[ai]'s grid digits on events[mask]
+        and 0 off it, one of offsets(mask): acts[ai] sits in the event's
+        table in the column of part(ai, mask) and the row of
+        part(ai, full ^ mask), and ai is their sum."""
+        part, weight = 0, self.count
+        for b in self.bits[mask]:
+            weight //= self.g
+            if b:
+                part += ai // weight % self.g * weight
+        return part
 
     def constant(self, mask: int, ai: int) -> tuple[float, float, float, float, float]:
         """:func:`_solve_constant` on A = events[mask] and f = acts[ai],
@@ -482,9 +475,8 @@ def _sure_thing(enum: _GridEnumeration) -> AuditReport:
     if pair is not None:
         fi, gi = pair
         hi, hj, mask = _first_flip(enum, fi, gi, searched)
-        table, rows, cols, _ = enum.table(mask)
         v1, v2, v3, v4 = (  # acts[i] on the event, acts[j] off it
-            float(table[rows[j], cols[i]])
+            enum.values[enum.part(i, mask) + enum.part(j, enum.full ^ mask)]
             for i, j in ((fi, hi), (gi, hi), (fi, hj), (gi, hj))
         )
         witness = Witness(
@@ -625,11 +617,18 @@ def _flip_free(enum: _GridEnumeration, mask: int) -> bool:
     return True
 
 
+def _sides(diff: float | np.ndarray) -> tuple:
+    """The flip test on diff = t(f on A, h off A) - t(g on A, h off A), a
+    float or an array of them: the premise diff >= 0, f weakly above g, and
+    the violation diff < -WITNESS_MARGIN, f below g beyond round-off."""
+    return diff >= 0.0, diff < -WITNESS_MARGIN
+
+
 def _flip_partners(column: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Which columns b flip against ``column``: column - table[:, b] has an
-    entry >= 0 (a premise) and one below -WITNESS_MARGIN (a violation)."""
-    diff = column - table
-    return (diff >= 0.0).any(axis=0) & (diff < -WITNESS_MARGIN).any(axis=0)
+    """Which columns b flip against ``column``: column - table[:, b] has a
+    premise entry and a violation entry (:func:`_sides`)."""
+    premise, violation = _sides(column - table)
+    return premise.any(axis=0) & violation.any(axis=0)
 
 
 def _first_flipping_pair(
@@ -638,40 +637,43 @@ def _first_flipping_pair(
     """The first ordered pair (f, g) of grid acts, in enumeration order,
     whose comparison flips between two completions on one of the events
     ``searched``: f is the first act whose column flips against another of
-    some event's table, g the first whose column f's flips against.  The
-    acts are scanned in index order, and the scan stops at f; acts that
-    share a column on an event share its test, so each (event, column)
-    pair is tested at most once.  One column is compared at a time, so no
-    temporary exceeds the table's g^n entries.  The events left out are
-    those :func:`_flip_free` certifies, and the full event, whose table has
-    one row and cannot hold both signs.  With no event left, numpy is not
-    imported.
+    some event's table, g the first whose column f's flips against.  Each
+    event's table is built once, a numpy array indexed by the sums of its
+    row and column offsets.  The acts are scanned in index order, and the
+    scan stops at f; an act tests its column on an event only where it is
+    the column's first act, the one with 0 digits off the event, so each
+    (event, column) pair is tested at most once.  One column is compared
+    at a time, so no temporary exceeds the table's g^n entries.  The events
+    left out are those :func:`_flip_free` certifies, and the full event,
+    whose table has one row and cannot hold both signs.  With no event
+    left, numpy is not imported.
     """
     if not searched:
         return None
     import numpy as np
 
-    tables = []  # per event: its value table, each act's column, the columns tested
+    values = np.array(enum.values)
+    tables = []  # per event: its mask, each column's first act -> column, its table
     for mask in searched:
-        table, _, cols, _ = enum.table(mask)
-        tables.append((table, cols, set()))
+        cols = enum.offsets(mask)
+        table = values[np.add.outer(enum.offsets(enum.full ^ mask), cols)]
+        tables.append((mask, {c: k for k, c in enumerate(cols)}, table))
 
     def flips(ai: int) -> bool:
-        for table, cols, tested in tables:
-            c = cols[ai]
-            if c not in tested:
-                tested.add(c)
-                if _flip_partners(table[:, c, None], table).any():
-                    return True
-        return False
+        return any(
+            _flip_partners(table[:, col[ai], None], table).any()
+            for _, col, table in tables
+            if ai in col
+        )
 
     fi = next((ai for ai in range(enum.count) if flips(ai)), None)
     if fi is None:
         return None
-    partners = np.zeros(enum.count, dtype=bool)
-    for table, cols, _ in tables:
-        partners |= _flip_partners(table[:, cols[fi], None], table)[cols]
-    return fi, int(partners.argmax())
+    partners = (
+        (mask, _flip_partners(table[:, col[enum.part(fi, mask)], None], table))
+        for mask, col, table in tables
+    )
+    return fi, min(enum.offsets(m)[p.argmax()] for m, p in partners if p.any())
 
 
 def _first_flip(
@@ -681,23 +683,20 @@ def _first_flip(
     weakly above g = acts[gi] with completion h and below it by more than
     the margin with h_alt, among the events ``searched``: no other event
     holds both.  The diff depends on a completion only through its row,
-    whose first act has the smallest index in it, so h and h_alt are first
-    acts of rows."""
-
-    def sides():  # per event: rows, first acts, premise and violation rows
-        for mask in searched:
-            table, row, col, index = enum.table(mask)
-            diff = table[:, col[fi]] - table[:, col[gi]]
-            yield mask, row, index[:, 0], diff >= 0.0, diff < -WITNESS_MARGIN
-
-    hi = min(
-        first[p.argmax()] for _, _, first, p, v in sides() if p.any() and v.any()
+    whose first act, the one with 0 digits on the event, has the smallest
+    index in it, so h and h_alt are first acts of rows.  It reads the
+    values in Python, two columns of each event's table."""
+    values, full, part = enum.values, enum.full, enum.part
+    events = []  # per event: its mask, its premise and violation rows' first acts
+    for mask in searched:
+        f, g, rows = part(fi, mask), part(gi, mask), enum.offsets(full ^ mask)
+        p, v = zip(*(_sides(values[r + f] - values[r + g]) for r in rows))
+        events.append((mask, set(compress(rows, p)), set(compress(rows, v))))
+    hi = min(min(p) for _, p, v in events if p and v)
+    hj = min(min(v) for m, p, v in events if part(hi, full ^ m) in p and v)
+    return hi, hj, next(
+        m for m, p, v in events if part(hi, full ^ m) in p and part(hj, full ^ m) in v
     )
-    hj = min(
-        first[v.argmax()] for _, row, first, p, v in sides() if p[row[hi]] and v.any()
-    )
-    mask = next(m for m, row, _, p, v in sides() if p[row[hi]] and v[row[hj]])
-    return int(hi), int(hj), mask
 
 
 def _event_pass(enum: _GridEnumeration, mask: int) -> tuple[tuple, tuple]:

@@ -21,7 +21,7 @@ from .curves import (
     PowerCurve,
 )
 from .errors import ModelFileError
-from .spaces import Act, FiniteSpace, PartitionAlgebra
+from .spaces import DEFAULT_UNION_CAP, Act, FiniteSpace, PartitionAlgebra
 from .utility import (
     AdditiveRepresentation,
     PreferenceFunctional,
@@ -65,7 +65,7 @@ _KINDS = {
 class Settings:
     grid: tuple[float, ...] = (-1.0, 0.0, 1.0)
     tolerance: float = 1e-9
-    cap: int = 20
+    cap: int = DEFAULT_UNION_CAP
     repair_epsilon: float = 0.5
     repair_bound: float = 4.0
 

@@ -721,6 +721,49 @@ def edge_table(seed):
     return grid_table_functional(space, grid, table, f"edge-{seed}")
 
 
+def matricization(enum, mask):
+    """The act indices of events[mask]'s value table as a mode
+    matricization of the g x ... x g index array: rows number the grid
+    digits off the event, columns those on it, first outcome most
+    significant.  The reference for the layout that ``offsets`` encodes."""
+    on = [i for i in range(enum.n) if mask >> i & 1]
+    off = [i for i in range(enum.n) if not mask >> i & 1]
+    cube = np.arange(enum.count).reshape((enum.g,) * enum.n)
+    return cube.transpose(off + on).reshape(enum.g ** len(off), enum.g ** len(on))
+
+
+@pytest.mark.parametrize("n, g", [*product(range(1, 5), range(1, 4)), (6, 2)])
+def test_offsets_lay_out_the_matricization(n, g, monkeypatch):
+    """Each table that the sure-thing search compares, built from
+    ``offsets``, is the event's matricization, and ``part`` splits each act
+    into its column's and its row's first acts."""
+    space = FiniteSpace.uniform([f"w{i}" for i in range(n)])
+    t = grid_table_functional(  # the value of act i is i
+        space, tuple(map(float, range(g))), list(map(float, range(g**n)))
+    )
+    enum = audit._GridEnumeration(t)
+    tables, flip_partners = [], audit._flip_partners
+
+    def recorded(column, table):
+        tables.append(table)
+        return flip_partners(column, table)
+
+    monkeypatch.setattr(audit, "_flip_partners", recorded)
+    masks = range(enum.full + 1)
+    # no pair flips, and act 0, first in every column 0, tests every event
+    assert audit._first_flipping_pair(enum, list(masks)) is None
+    assert len(tables) >= len(masks)
+    for mask, table in zip(masks, tables):
+        want = matricization(enum, mask)
+        assert np.array_equal(table, want), mask
+        rows, cols = enum.offsets(enum.full ^ mask), enum.offsets(mask)
+        assert np.array_equal(np.add.outer(rows, cols), want), mask
+        for ai in range(enum.count):
+            on, off = enum.part(ai, mask), enum.part(ai, enum.full ^ mask)
+            assert on + off == ai and on in cols and off in rows, (mask, ai)
+            assert want[rows.index(off), cols.index(on)] == ai, (mask, ai)
+
+
 def certified(t):
     """How many of the events searched for a grid flip the no-flip
     certificate proves, and how many there are."""
@@ -745,7 +788,7 @@ class TestFlipFreeCertificate:
                     continue
                 assert finite, (seed, mask)
                 proved += 1
-                table = enum.table(mask)[0]
+                table = np.array(enum.values)[matricization(enum, mask)]
                 for column in table.T[:, :, None]:
                     assert not audit._flip_partners(column, table).any(), (seed, mask)
         assert (proved, refused) == (1459, 1309)

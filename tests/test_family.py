@@ -760,6 +760,31 @@ class TestReferenceAudit:
         out = assert_matches_reference(fam, grid, 2, seed)
         assert out[0] is NumericRangeError
 
+    @pytest.mark.parametrize(
+        "at, seed",
+        [
+            *((0.0, seed) for seed in range(20)),
+            # a jump at grid value 1 that the continuity proxy misses
+            *(
+                pytest.param(1.0, seed, marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="from a base b != 0 the terms b +- 2^(1-n) round "
+                    "back onto b once the step is below ulp(b)/2, so the last "
+                    "defect reads 0 and only a diagonal whose linear part "
+                    "breaks the trend shows the jump",
+                ))
+                for seed in (3, 5, 6, 7, 13, 17, 18)
+            ),
+        ],
+    )
+    def test_jump_fails_continuity(self, at, seed):
+        # at 0, every step 2^(1-n) stays visible, at every seed
+        weights = (0.2, 0.5, 0.3)
+        fam = ExpectationFamily(FiniteSpace(("a", "b", "c"), weights), None,
+                                jump_e0(weights, 0, at))
+        report = audit_certainty_equivalent(fam, (0.0, 1.0), 4, seed=seed)
+        assert not report.check("pointwise-continuity").passed
+
     @pytest.mark.parametrize("term", [2, 15, 33, 63])
     def test_an_unread_term_is_not_solved(self, term):
         # the ends of the unread runs 2..15 and 33, 35, ..., 63: the
