@@ -4,8 +4,8 @@ audits and constructive utility extraction/repair.
 
 Each public name is listed once, in ``_EXPORTS``, with the submodule that
 defines it.  ``import chisini`` loads no submodule: a name is imported on
-first access (PEP 562), so code that never touches the audits or the
-certainty-equivalent audit never imports numpy.
+first access (PEP 562), so only the sure-thing grid search, on an event
+that its no-flip certificate does not prove, imports numpy.
 """
 
 import importlib

@@ -29,9 +29,10 @@ first Newton probe from the one before, with every float unchanged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .conditional import _solve_act, _solve_atom
 from .errors import EventNotInAlgebra, NotMeasurable
@@ -150,9 +151,11 @@ def audit_certainty_equivalent(
     Grid-valued backgrounds make flat regions detectable: a continuum
     sample almost never lands on the tie that exposes them.
 
-    Continuity: for grid-valued base acts X (all of them when the count is
-    small, sampled otherwise) and a direction set containing every signed
-    coordinate axis plus a sampled diagonal, the defect
+    Continuity: for base acts X (every grid-valued act when there are at
+    most 64 of them; otherwise the constant act 0, which is not a grid act
+    when 0 is off the grid, then ``trials`` sampled grid-valued acts) and a
+    direction set containing every signed coordinate axis plus a sampled
+    diagonal, the defect
     |E_0(X + 2^(1-n) d) - E_0(X)| of term n = 1..CONTINUITY_TERMS (T)
     decides the verdict: the tail must decay, the defect of term 2k at most
     that of term k (plus 1e-12) for k = T/4..T/2, with final value below
@@ -174,13 +177,18 @@ def audit_certainty_equivalent(
     Every act the audit builds is on ``fam.space``, and it evaluates each
     distinct one once: acts with equal values, as ``Act`` compares them,
     share one E_0 value for the length of the call.
-    """
-    import numpy as np  # for the RNG only; the solver path never loads numpy
 
+    The samples are the draws of numpy's ``default_rng(seed).choice``, made
+    in Python by a generator that lives for the call (``_uint32_words``),
+    so the audit loads no numpy and no numpy release can move its draws.
+    ``seed`` is what numpy's ``SeedSequence`` takes: an int >= 0 (a bool
+    or a numpy integer too), a sequence of them, or None for fresh bits; a
+    negative int raises ``ValueError``, and another type ``TypeError``.
+    """
     grid = _search_grid(grid)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    rng = np.random.default_rng(seed)
+    draws = _uint32_words(seed)
     n = fam.space.size
     solved: dict[tuple[float, ...], float] = {}
 
@@ -190,9 +198,7 @@ def audit_certainty_equivalent(
             value = solved[x.values] = fam.certainty_equivalent(x)
         return value
 
-    backgrounds = [
-        Act(fam.space, tuple(rng.choice(grid, size=n))) for _ in range(trials)
-    ]
+    backgrounds = [Act(fam.space, _choice(draws, grid, n)) for _ in range(trials)]
 
     mono_witness = None
     comparisons = 0
@@ -228,8 +234,7 @@ def audit_certainty_equivalent(
         bases = [Act(fam.space, values) for values in product(grid, repeat=n)]
     else:
         bases = [Act.constant(fam.space, 0.0)] + [
-            Act(fam.space, tuple(rng.choice(grid, size=n)))
-            for _ in range(trials)
+            Act(fam.space, _choice(draws, grid, n)) for _ in range(trials)
         ]
     axes = []
     for i in range(n):
@@ -242,7 +247,7 @@ def audit_certainty_equivalent(
     # and k and 2k for each k of the trend window; no other term is solved
     read = sorted({1, terms, *window, *(2 * k for k in window)})
     for base in bases:
-        sampled = Act(fam.space, tuple(rng.choice([-1.0, 1.0], size=n)))
+        sampled = Act(fam.space, _choice(draws, (-1.0, 1.0), n))
         reference = e0(base)
         for direction in (sampled, sampled * -1.0, *axes):
             defects = _continuity_defects(e0, base, direction, reference, read)
@@ -289,3 +294,105 @@ def _continuity_defects(e0, base, direction, reference, read):
         )
         defects[n] = abs(e0(shifted) - reference)
     return defects
+
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy) -> list[int]:
+    """The 32-bit words that numpy's ``SeedSequence(entropy)`` hashes: an
+    int's from the lowest up ([0] for 0), and each element's of a
+    sequence, one after another."""
+    np = sys.modules.get("numpy")  # a numpy seed exists only once numpy is loaded
+    if isinstance(entropy, int) or np is not None and isinstance(entropy, np.integer):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value!r}")
+        return [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
+    if isinstance(entropy, (list, tuple, range)) or (
+        np is not None and isinstance(entropy, np.ndarray)
+    ):
+        return [word for element in entropy for word in _seed_words(element)]
+    raise TypeError(f"seed must be an int or a sequence of ints, got {entropy!r}")
+
+
+def _uint32_words(seed) -> Iterator[int]:
+    """The 32-bit draws of numpy's ``default_rng(seed)``, in order.
+
+    numpy's SeedSequence hashes the seed's words into a pool of four, and
+    ``generate_state(4, uint64)`` stretches that pool into PCG64's state
+    and increment (O'Neill 2014).  Each step advances the 128-bit LCG and
+    then outputs its XSL-RR permutation; a 64-bit output is handed out as
+    its low half, then its high half.  ``seed=None`` takes 128 fresh bits
+    from ``secrets``, as SeedSequence does.  A bad seed raises here, not
+    at the first draw.
+    """
+    if seed is None:
+        import secrets  # loads hashlib's OpenSSL bindings, which a seeded audit skips
+
+        seed = secrets.randbits(128)
+    entropy = _seed_words(seed)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    stretch = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [stretch(pool[i % 4]) for i in range(8)]
+    s0, s1, i0, i1 = (halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+
+    def stream(state):
+        while True:
+            state = (state * _PCG64_MULT + inc) & _M128
+            folded, rot = (state >> 64 ^ state) & _M64, state >> 122
+            out = (folded >> rot | folded << (-rot & 63)) & _M64
+            yield out & _M32
+            yield out >> 32
+
+    return stream(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128)
+
+
+def _hasher(mult, step):
+    """SeedSequence's 32-bit hash, whose multiplier starts at ``mult`` and
+    is multiplied by ``step`` at each call."""
+
+    def hash_(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * step & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _below(draws: Iterator[int], k: int) -> int:
+    """A draw uniform on range(k), 1 <= k <= 2^32 - 1, as numpy's bounded
+    32-bit integers make it: Lemire's multiply-shift (Lemire 2019), with
+    rejection below (2^32 - k) % k; k = 1 takes no draw."""
+    if k == 1:
+        return 0
+    threshold = ((1 << 32) - k) % k
+    m = next(draws) * k
+    while m & _M32 < threshold:
+        m = next(draws) * k
+    return m >> 32
+
+
+def _choice(draws: Iterator[int], population: tuple, size: int) -> tuple:
+    """``default_rng(...).choice(population, size)`` as a tuple, drawn from
+    ``draws``."""
+    return tuple(population[_below(draws, len(population))] for _ in range(size))

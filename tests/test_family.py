@@ -2,6 +2,8 @@
 and the certainty-equivalent audits."""
 
 import math
+import random
+import secrets
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from chisini import (
 )
 from chisini.conditional import chisini_mean
 from chisini.curves import MixtureCurve, PiecewiseLinearCurve, right_continuous_inverse
+from chisini.family import _below, _choice, _uint32_words
 from chisini.errors import (
     ChisiniError,
     EventNotInAlgebra,
@@ -371,6 +374,112 @@ class TestCertaintyEquivalentAudit:
         assert report.to_dict() == audit_certainty_equivalent(
             ExpectationFamily(sp, None, rebuilt), grid, 4
         ).to_dict()
+
+
+#: Seeds for the stream oracle: the edges of numpy's word splitting (one
+#: word, two, three, five), then random ones up to 2^200.
+STREAM_SEEDS = [0, 1, 2024, 2**31 - 1, 2**32, 2**64 + 3, 2**130] + [
+    random.Random(39).getrandbits(bits) for bits in (8, 31, 33, 64, 65, 127, 129, 200)
+]
+
+
+class TestSampleStream:
+    """The audit draws its samples from ``family._uint32_words``, a Python
+    replica of numpy's ``default_rng(seed)``; numpy's own generator is its
+    oracle.  Each test draws from one generator across successive calls of
+    odd sizes, so that the high half of a 64-bit output, kept for the next
+    call, is read at the start of a call as well as within one."""
+
+    @staticmethod
+    def assert_same_stream(seed):
+        ours, theirs = _uint32_words(seed), np.random.default_rng(seed)
+        for size in (3, 1, 5, 0, 7):
+            for k in (*range(1, 8), 1000):
+                population = tuple(float(i) for i in range(k))
+                want = tuple(theirs.choice(population, size=size).tolist())
+                assert _choice(ours, population, size) == want, (seed, size, k)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_choice_matches_numpy(self, seed):
+        self.assert_same_stream(seed)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            True,
+            False,
+            np.int64(5),
+            np.uint32(2**32 - 1),
+            [1, 2],
+            [2**40, 5],
+            [7, 2**70, 3],
+            (0, 0, 0, 0, 0, 9),
+            range(6),
+            [],
+            np.array([3, 2**31], dtype=np.uint32),
+            np.arange(7, dtype=np.int64),
+            [np.int32(4), [5, 6]],
+        ],
+        ids=repr,
+    )
+    def test_every_seed_kind_numpy_takes(self, seed):
+        # a sequence's entropy is its elements' 32-bit words one after
+        # another; five or more words run the pool's extra mixing rounds
+        self.assert_same_stream(seed)
+
+    def test_no_seed_takes_128_fresh_bits(self, monkeypatch):
+        drawn = []
+
+        def randbits(k):
+            drawn.append(k)
+            return 2**127 + 12345
+
+        monkeypatch.setattr(secrets, "randbits", randbits)
+        ours = _uint32_words(None)
+        assert drawn == [128]
+        theirs = np.random.default_rng(2**127 + 12345)
+        assert [next(ours) for _ in range(8)] == theirs.integers(
+            0, 2**32, size=8, dtype=np.uint64
+        ).tolist()
+
+    @pytest.mark.parametrize("k", [3 * 2**30 + 1, 2**32 - 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**64 + 3])
+    def test_bounded_draws_match_numpy(self, k, seed):
+        # the rejection loop: 3 * 2^30 + 1 rejects about one draw in four,
+        # and 2^32 - 5 reaches its threshold test on nearly every draw
+        ours = _uint32_words(seed)
+        want = np.random.default_rng(seed).integers(0, k, size=64, dtype=np.int64)
+        assert [_below(ours, k) for _ in range(64)] == want.tolist()
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [
+            (-1, ValueError),
+            (np.int64(-3), ValueError),
+            ([1, -2], ValueError),
+            (1.0, TypeError),
+            (np.float64(2.0), TypeError),
+            ("5", TypeError),
+            ([1.5], TypeError),
+            (np.bool_(True), TypeError),
+        ],
+        ids=repr,
+    )
+    def test_bad_seeds_fail_as_numpy_does(self, seed, error):
+        """A bad seed raises numpy's error type after the grid and trials
+        checks and before any E_0 call."""
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        calls = []
+        space = FiniteSpace.uniform(["a", "b"])
+        fam = ExpectationFamily(space, None, lambda x: calls.append(x) or 0.0)
+        with pytest.raises(error):
+            audit_certainty_equivalent(fam, (0.0, 1.0), 2, seed=seed)
+        assert calls == []
+        with pytest.raises(ValueError, match="grid must hold"):
+            audit_certainty_equivalent(fam, (), 2, seed=seed)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            audit_certainty_equivalent(fam, (0.0, 1.0), 0, seed=seed)
 
 
 KINKED = PiecewiseLinearCurve((-1.0, 0.0, 1.0), (-2.0, 0.0, 1.0), 2.0, 0.5)

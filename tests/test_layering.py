@@ -1,7 +1,9 @@
 """Module layering of the package: the import graph is acyclic, the
 solver core does not reach up into the audit, family or front-end layers,
-numpy is loaded only where arrays are built, and the lazy top-level
-namespace exports the same objects as before."""
+numpy is loaded only where arrays are built (the sure-thing grid search's
+column comparison; the certainty-equivalent audit draws its samples in
+Python), and the lazy top-level namespace exports the same objects as
+before."""
 
 import ast
 import importlib
@@ -233,6 +235,27 @@ def test_choquet_evaluations_load_no_numpy():
         "                  'numpy': 'numpy' in sys.modules}))\n"
     )
     assert result == {"evaluations": 5, "numpy": False}
+
+
+def test_certainty_equivalent_audit_loads_no_numpy():
+    """The certainty-equivalent audit draws its samples from a Python replica
+    of numpy's generator: auditing a family on grid (0, 1), where every base
+    is used, and on a grid of 3^5 acts, where the bases are sampled, loads
+    no numpy."""
+    result = run_fresh(
+        "import json, sys\n"
+        "from chisini import (AdditiveRepresentation, ExpectationFamily,\n"
+        "    ExponentialCurve, FiniteSpace, StateUtility, audit_certainty_equivalent)\n"
+        "passed = []\n"
+        "for n, grid in ((2, (0.0, 1.0)), (5, (-1.0, 0.5, 2.0))):\n"
+        "    space = FiniteSpace.uniform([f'w{i}' for i in range(n)])\n"
+        "    rep = AdditiveRepresentation(\n"
+        "        StateUtility.state_independent(space, ExponentialCurve(1.0)))\n"
+        "    fam = ExpectationFamily.from_representation(rep)\n"
+        "    passed.append(audit_certainty_equivalent(fam, grid, 2).passed)\n"
+        "print(json.dumps({'passed': passed, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert result == {"passed": [True, True], "numpy": False}
 
 
 def test_array_free_commands_load_no_numpy(tmp_path):
